@@ -9,28 +9,10 @@ decomposition A = sum a_i(x) M_i.
 from __future__ import annotations
 
 import warnings
-from fractions import Fraction
 
 from .field import FieldElem
-from .linear import (in_span, mat_bracket, mat_shape, rref, solve)
+from .linear import mat_bracket, mat_shape, rref, solve
 from .poly import Poly, RatFun
-
-
-def const_matrix(M):
-    """Coerce a RatFun (or mixed) matrix to FieldElem entries."""
-    out = []
-    for row in M:
-        r = []
-        for x in row:
-            if isinstance(x, RatFun):
-                if not x.is_constant():
-                    raise ValueError("matrix entry %s is not constant" % x)
-                x = x.constant_value()
-            elif isinstance(x, (int, Fraction)):
-                x = FieldElem.from_fraction(x, ())
-            r.append(x)
-        out.append(r)
-    return out
 
 
 def bracket(M, N):
@@ -43,57 +25,55 @@ def _flat(M):
     return [x for row in M for x in row]
 
 
-def _one_of(M):
-    x = M[0][0]
-    return x - x + 1
-
-
 class LieAlgebraBasis:
-    """Bracket-closed span of constant matrices with structure constants."""
+    """Bracket-closed span of constant matrices."""
 
-    def __init__(self, basis, structure):
+    def __init__(self, basis):
         self.basis = basis
-        self.structure = structure  # (i,j) -> coefficient list
 
     @property
     def dimension(self):
         return len(self.basis)
 
-    def coordinates(self, M):
-        """Coordinates of M in the basis, or None."""
-        one = _one_of(self.basis[0]) if self.basis else None
-        if not self.basis:
-            return None
-        cols = [_flat(B) for B in self.basis]
-        m = [[cols[j][c] for j in range(len(cols))]
-             for c in range(len(cols[0]))]
-        return solve(m, _flat(M), one)
-
-    def contains(self, M):
-        return self.coordinates(M) is not None
-
     def __repr__(self):
         return "LieAlgebraBasis(dim=%d)" % self.dimension
 
 
+def _reduce(rows, v):
+    """v minus its part in the span of a reduced echelon basis.
+
+    rows are (pivot, row) pairs; each row is 1 at its own pivot and 0
+    at every other row's pivot, so one pass in any order suffices.
+    """
+    for p, r in rows:
+        c = v[p]
+        if c:
+            v = [x - c * y if y else x for x, y in zip(v, r)]
+    return v
+
+
 def lie_closure(gens) -> LieAlgebraBasis:
-    """Smallest bracket-closed linear span containing the generators."""
+    """Smallest bracket-closed linear span containing the generators.
+
+    The flattened basis matrices are kept as a reduced echelon basis;
+    a candidate joins the basis when it does not reduce to zero.
+    """
     gens = [list(map(list, G)) for G in gens]
     if not gens:
         raise ValueError("need at least one generator")
-    one = _one_of(gens[0])
     basis = []
-    vecs = []
+    rows = []
 
     def insert(M):
-        v = _flat(M)
-        if not any(v):
-            return False
-        if in_span(vecs, v, one):
-            return False
-        vecs.append(v)
+        v = _reduce(rows, _flat(M))
+        p = next((k for k, x in enumerate(v) if x), None)
+        if p is None:
+            return
+        inv = v[p]
+        v = [x / inv if x else x for x in v]
+        rows[:] = [(q, _reduce([(p, v)], r)) for q, r in rows]
+        rows.append((p, v))
         basis.append(M)
-        return True
 
     for G in gens:
         insert(G)
@@ -105,14 +85,11 @@ def lie_closure(gens) -> LieAlgebraBasis:
             j += 1
         i += 1
 
-    alg = LieAlgebraBasis(basis, {})
-    for i in range(len(basis)):
-        for j in range(len(basis)):
-            c = alg.coordinates(mat_bracket(basis[i], basis[j]))
-            if c is None:
+    for Bi in basis:
+        for Bj in basis:
+            if any(_reduce(rows, _flat(mat_bracket(Bi, Bj)))):
                 raise RuntimeError("closure not closed (internal error)")
-            alg.structure[(i, j)] = c
-    return alg
+    return LieAlgebraBasis(basis)
 
 
 def associated_lie_algebra(A):

@@ -13,36 +13,38 @@ def mat_shape(m):
     return len(m), len(m[0]) if m else 0
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_mul(a, b):
-    n, k = mat_shape(a)
+    """Matrix product; terms with a zero factor are skipped.
+
+    An entry with no surviving term is a zero of the type of
+    a[0][0] * b[0][0], the type the full sum would have.
+    """
+    k = mat_shape(a)[1]
     k2, m = mat_shape(b)
     if k != k2:
         raise ValueError("shape mismatch in matrix product")
+    zero = None
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            s = a[i][0] * b[0][j]
-            for l in range(1, k):
-                s = s + a[i][l] * b[l][j]
-            row.append(s)
+    for ra in a:
+        row = [None] * m
+        for x, rb in zip(ra, b):
+            if not x:
+                continue
+            for j, y in enumerate(rb):
+                if y:
+                    s = row[j]
+                    row[j] = x * y if s is None else s + x * y
+        if any(s is None for s in row):
+            if zero is None:
+                z = a[0][0] * b[0][0]
+                zero = z - z
+            row = [zero if s is None else s for s in row]
         out.append(row)
     return out
-
-
-def mat_scale(a, c):
-    return [[c * x for x in row] for row in a]
-
-
-def mat_vec(a, v):
-    return [row[0] for row in mat_mul(a, [[x] for x in v])]
 
 
 def mat_transpose(a):
@@ -139,33 +141,6 @@ def inverse(m, one):
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in r]
-
-
-def det(m, one):
-    n, n2 = mat_shape(m)
-    if n != n2:
-        raise ValueError("determinant of a non-square matrix")
-    a = [list(row) for row in m]
-    zero = one - one
-    d = one
-    for c in range(n):
-        p = None
-        for i in range(c, n):
-            if a[i][c]:
-                p = i
-                break
-        if p is None:
-            return zero
-        if p != c:
-            a[c], a[p] = a[p], a[c]
-            d = -d
-        d = d * a[c][c]
-        inv = a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c]:
-                f = a[i][c] / inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return d
 
 
 def in_span(vectors, v, one):

@@ -22,12 +22,13 @@ from .field import FieldElem
 from .grammar import parse_ratfun
 from .jets import EquationFamily, build_lnve_airy_family, build_p3_chain
 from .liealg import (adjoint_action_matrix, associated_lie_algebra,
-                     block_e_matrices, block_f_matrices, block_xyh,
-                     classify_lnve_lie_algebra, lie_closure)
-from .linear import mat_bracket, mat_identity, mat_shape, solve
+                     block_e_matrices, classify_lnve_lie_algebra,
+                     lie_closure)
+from .linear import (mat_bracket, mat_identity, mat_shape, mat_transpose,
+                     solve)
 from .linops import (DiffOp, cyclic_vector_scalarize, parse_operator,
-                     sym_power_operator)
-from .poly import Poly, RatFun, ratfun
+                     sym_power_matrix, sym_power_operator)
+from .poly import RatFun, ratfun
 from .ratsolve import (_clear_denominators, _indicial_infinity,
                        degree_bound, rational_solutions,
                        system_rational_solutions)
@@ -258,13 +259,13 @@ def _finite_pole_orders(p: RatFun):
 # the reduced-form obstruction for the Airy family
 
 def _family_psi(n, var="t"):
-    """Adjoint action of the block system matrix on the recursion basis."""
-    X, Y, _ = block_xyh(n)
-    t = RatFun(Poly.gen(var))
-    one = RatFun.const(1, var)
-    diag = [[x * one + t * (y * one) for x, y in zip(rx, ry)]
-            for rx, ry in zip(X, Y)]
-    return adjoint_action_matrix(diag, block_f_matrices(n))
+    """Adjoint action of the block system matrix on the recursion basis.
+
+    In closed form: -transpose(sym^(n+1)([[0, 1], [t, 0]])).
+    """
+    zero, one = RatFun.zero(var), RatFun.const(1, var)
+    S = sym_power_matrix([[zero, one], [RatFun.gen(var), zero]], n + 1)
+    return [[-x for x in row] for row in mat_transpose(S)]
 
 
 def reduction_matrix(n, F, var="t"):

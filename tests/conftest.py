@@ -1,0 +1,13 @@
+"""Fixtures shared by several test modules."""
+
+import pytest
+
+
+@pytest.fixture(scope="session")
+def p3_certificate_text(tmp_path_factory):
+    """The text of `irred p3 --mu 1/2 --json`, built once per session."""
+    from irred.cli import main
+    out = tmp_path_factory.mktemp("p3") / "cert.json"
+    code = main(["p3", "--mu", "1/2", "--json", str(out)])
+    assert code == 0
+    return out.read_text(encoding="utf-8")

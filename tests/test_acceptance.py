@@ -34,12 +34,8 @@ def p3_chain():
 
 
 @pytest.fixture(scope="module")
-def p3_document(tmp_path_factory):
-    from irred.cli import main
-    out = tmp_path_factory.mktemp("p3") / "cert.json"
-    code = main(["p3", "--mu", "1/2", "--json", str(out)])
-    assert code == 0
-    return json.loads(out.read_text())
+def p3_document(p3_certificate_text):
+    return json.loads(p3_certificate_text)
 
 
 def test_criterion_01_symmetric_power_operator():

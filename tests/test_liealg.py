@@ -4,13 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+from irred.field import FieldElem
+from irred.jets import EquationFamily, build_lnve_airy_family
 from irred.liealg import (adjoint_action_matrix, associated_lie_algebra,
                           block_e_matrices, block_f_matrices, block_xyh,
                           classify_lnve_lie_algebra, lie_closure,
                           sl2_triplet_check)
-from irred.linear import mat_bracket, mat_transpose
+from irred.linear import in_span, mat_bracket, mat_transpose, rank
 from irred.linops import sym_power_matrix
 from irred.poly import Poly, RatFun
+from irred.verdict import _family_psi
 
 
 def _scaled(M, c):
@@ -80,16 +83,85 @@ def test_associated_lie_algebra_airy():
 
 
 def test_adjoint_action_on_f_basis():
-    # [X + tY, .] on the F basis is the negated transpose of sym^(n+1)(A1)
-    for n in (2, 3):
+    # [X + tY, .] on the F basis is the negated transpose of sym^(n+1)(A1);
+    # the adjoint action is the oracle of the closed form _family_psi
+    t = RatFun.gen("t")
+    one = RatFun.const(1, "t")
+    zero = RatFun.zero("t")
+    A1 = [[zero, one], [t, zero]]
+    for n in range(2, 7):
         X, Y, _ = block_xyh(n)
-        t = RatFun.gen("t")
-        one = RatFun.const(1, "t")
         diag = [[x * one + t * (y * one) for x, y in zip(rx, ry)]
                 for rx, ry in zip(X, Y)]
         Psi = adjoint_action_matrix(diag, block_f_matrices(n))
-        zero = RatFun.zero("t")
-        A1 = [[zero, one], [t, zero]]
         S = sym_power_matrix(A1, n + 1)
         expect = [[-x for x in row] for row in mat_transpose(S)]
         assert Psi == expect
+        closed = _family_psi(n)
+        assert len(closed) == len(Psi) == n + 2
+        for got_row, want_row in zip(closed, Psi):
+            assert len(got_row) == len(want_row)
+            for got, want in zip(got_row, want_row):
+                assert isinstance(got, RatFun)
+                assert got == want
+                assert str(got) == str(want)
+
+
+def _closure_case(name):
+    """(generators, expected dimension) of a named closure case."""
+    if name == "p2":
+        p = EquationFamily(3, 2).p()
+        _, mats = associated_lie_algebra(build_lnve_airy_family(3, p))
+        return mats, 8
+    if name == "sl2":
+        X, Y, _ = block_xyh(2)
+        return [X, Y], 3
+    X, Y, _ = block_xyh(3)
+    return [X, Y] + block_e_matrices(3), 8
+
+
+@pytest.mark.parametrize("name", ["p2", "sl2", "sl2 x Sym^4"])
+def test_lie_closure_basis_is_bracket_closed(name):
+    gens, dim = _closure_case(name)
+    alg = lie_closure(gens)
+    assert alg.dimension == dim
+    flat = [[x for row in B for x in row] for B in alg.basis]
+    one = FieldElem.from_fraction(1, alg.basis[0][0][0].params)
+    # independent basis, containing every generator
+    assert rank(flat) == dim
+    for G in gens:
+        assert in_span(flat, [x for row in G for x in row], one)
+    # the rank-based test, on every ordered pair
+    for Bi in alg.basis:
+        for Bj in alg.basis:
+            br = mat_bracket(Bi, Bj)
+            assert in_span(flat, [x for row in br for x in row], one)
+
+
+def test_lie_closure_keeps_insertion_order():
+    # generators come first, then the first new bracket [basis[1], basis[0]]
+    X, Y, _ = block_xyh(2)
+    alg = lie_closure([X, Y])
+    assert alg.basis == [X, Y, mat_bracket(Y, X)]
+
+
+def test_lie_closure_self_check_is_reachable(monkeypatch):
+    # a bracket that leaves the span must trip the internal self-check;
+    # the closure of sl2 from X, Y takes six brackets, so the seventh is
+    # the first one of the check.  Entry (0, -1) is zero on the algebra.
+    import irred.liealg as liealg
+    X, Y, _ = block_xyh(2)
+    calls = []
+    real = liealg.mat_bracket
+
+    def faulty(a, b):
+        calls.append(1)
+        out = real(a, b)
+        if len(calls) > 6:
+            out = [list(row) for row in out]
+            out[0][-1] = out[0][-1] + 1
+        return out
+
+    monkeypatch.setattr(liealg, "mat_bracket", faulty)
+    with pytest.raises(RuntimeError, match="closure not closed"):
+        lie_closure([X, Y])

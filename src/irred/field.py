@@ -8,27 +8,17 @@ coefficient (degree-lexicographic order) equal to 1.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-# ---------------------------------------------------------------------------
-# multivariate polynomials as {exponent-tuple: Fraction} dicts
+from .mpoly import join_terms, mp_add, mp_mul, mp_neg, mp_scale, power
 
-def _fgcd(a: Fraction, b: Fraction) -> Fraction:
-    if a == 0:
-        return abs(b)
-    if b == 0:
-        return abs(a)
-    return Fraction(math.gcd(a.numerator, b.numerator),
-                    math.lcm(a.denominator, b.denominator))
+# ---------------------------------------------------------------------------
+# Q-specific parts of the sparse {exponent-tuple: Fraction} polynomials;
+# the ring-generic kernels live in mpoly.py
 
 
 def _deglex_key(exps):
     return (sum(exps), exps)
-
-
-def mp_is_zero(f):
-    return not f
 
 
 def mp_const(c: Fraction, nvars: int):
@@ -38,40 +28,6 @@ def mp_const(c: Fraction, nvars: int):
     return {(0,) * nvars: c}
 
 
-def mp_add(f, g):
-    out = dict(f)
-    for e, c in g.items():
-        s = out.get(e, Fraction(0)) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-
-def mp_neg(f):
-    return {e: -c for e, c in f.items()}
-
-
-def mp_mul(f, g):
-    out = {}
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            s = out.get(e, Fraction(0)) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
-
-
-def mp_scale(f, c: Fraction):
-    if c == 0:
-        return {}
-    return {e: k * c for e, k in f.items()}
-
-
 def mp_leading(f):
     e = max(f, key=_deglex_key)
     return e, f[e]
@@ -79,7 +35,7 @@ def mp_leading(f):
 
 def mp_div_exact(f, g):
     """Exact multivariate division; caller guarantees divisibility."""
-    if mp_is_zero(f):
+    if not f:
         return {}
     eg, cg = mp_leading(g)
     out = {}
@@ -115,7 +71,7 @@ def _mp_from_univar(coeffs, nvars):
 
 def _uv_deg(coeffs):
     d = len(coeffs) - 1
-    while d >= 0 and mp_is_zero(coeffs[d]):
+    while d >= 0 and not coeffs[d]:
         d -= 1
     return d
 
@@ -123,14 +79,6 @@ def _uv_deg(coeffs):
 def _uv_trim(coeffs):
     d = _uv_deg(coeffs)
     return coeffs[:d + 1]
-
-
-def _uv_mul(a, b, nv):
-    out = [{} for _ in range(len(a) + len(b) - 1)] if a and b else []
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] = mp_add(out[i + j], mp_mul(ca, cb))
-    return _uv_trim(out)
 
 
 def _uv_sub(a, b):
@@ -189,9 +137,9 @@ def _gcd_one_var(f, g):
 
 def mp_gcd(f, g, nvars: int):
     """Multivariate gcd over Q via primitive pseudo-remainder sequences."""
-    if mp_is_zero(f):
-        return dict(g) if g else {}
-    if mp_is_zero(g):
+    if not f:
+        return dict(g)
+    if not g:
         return dict(f)
     if nvars == 0:
         return {(): Fraction(1)}
@@ -255,7 +203,7 @@ class FieldElem:
         self.params = tuple(params)
         if den is None:
             den = mp_const(Fraction(1), len(self.params))
-        if mp_is_zero(den):
+        if not den:
             raise ZeroDivisionError("zero denominator in coefficient field")
         if not _normalized:
             num, den = self._reduce(num, den, len(self.params))
@@ -264,7 +212,7 @@ class FieldElem:
 
     @staticmethod
     def _reduce(num, den, nv):
-        if mp_is_zero(num):
+        if not num:
             return {}, mp_const(Fraction(1), nv)
         g = mp_gcd(num, den, nv)
         if not (len(g) == 1 and sum(next(iter(g))) == 0 and g[next(iter(g))] == 1):
@@ -343,17 +291,13 @@ class FieldElem:
         return o / self
 
     def __pow__(self, k: int):
-        out = FieldElem.from_fraction(1, self.params)
-        base = self
+        one = FieldElem.from_fraction(1, self.params)
         if k < 0:
-            base = FieldElem.from_fraction(1, self.params) / self
-            k = -k
-        for _ in range(k):
-            out = out * base
-        return out
+            return power(one / self, -k, one)
+        return power(self, k, one)
 
     def __bool__(self):
-        return not mp_is_zero(self.num)
+        return bool(self.num)
 
     def __eq__(self, other):
         o = self._lift(other)
@@ -370,14 +314,14 @@ class FieldElem:
     def is_rational(self) -> bool:
         nv = len(self.params)
         den_one = self.den == mp_const(Fraction(1), nv)
-        num_const = mp_is_zero(self.num) or (
+        num_const = not self.num or (
             len(self.num) == 1 and sum(next(iter(self.num))) == 0)
         return den_one and num_const
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not a plain rational: %s" % self)
-        if mp_is_zero(self.num):
+        if not self.num:
             return Fraction(0)
         return next(iter(self.num.values()))
 
@@ -407,7 +351,7 @@ class FieldElem:
 
 
 def _mp_str(f, params):
-    if mp_is_zero(f):
+    if not f:
         return "0"
     parts = []
     for e in sorted(f, key=_deglex_key, reverse=True):
@@ -429,10 +373,7 @@ def _mp_str(f, params):
             else:
                 term = "%s*%s" % (_frac_str(c), mono)
         parts.append(term)
-    s = parts[0]
-    for t in parts[1:]:
-        s += " - " + t[1:] if t.startswith("-") else " + " + t
-    return s
+    return join_terms(parts)
 
 
 def _frac_str(c: Fraction) -> str:

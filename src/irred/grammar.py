@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .field import FieldElem
-from .poly import Poly, RatFun
+from .poly import RatFun
 
 
 class ParseError(ValueError):

@@ -16,7 +16,7 @@ from .field import FieldElem
 from .grammar import ParseError, _Parser, parse_ratfun, tokenize
 from .linear import solve
 from .linops import sym_power_matrix, sym_power_rep
-from .mpoly import MPoly
+from .mpoly import MPoly, _one_like
 from .poly import Poly, RatFun, ratfun
 
 
@@ -136,11 +136,10 @@ class JetSystem:
 
 def prolong(X: VectorFieldSpec, k: int) -> JetSystem:
     """Jet prolongation to order k; k=0 returns the base field itself."""
-    jet_coords = X.coords if X.indep is None else X.coords
     universe = list(X.deps)
     order = {c: 0 for c in X.deps}
     for l in range(1, k + 1):
-        for c in jet_coords:
+        for c in X.coords:
             universe.append(jet_name(c, l))
             order[jet_name(c, l)] = l
     universe = tuple(universe)
@@ -492,7 +491,7 @@ def vf_decompose(A: MPoly, B: MPoly):
             raise ValueError("components must be homogeneous of equal degree")
     inv = Fraction(1, n + 1)
     G = (A.diff(xn) + B.diff(yn)).scale(inv)
-    one = _one_of(A)
+    one = _one_like(A.czero)
     x = MPoly.gen(xn, A.vars, one, A.czero)
     y = MPoly.gen(yn, A.vars, one, A.czero)
     K = (y * A - x * B).scale(inv)
@@ -500,10 +499,6 @@ def vf_decompose(A: MPoly, B: MPoly):
     if not (G * x + K.diff(yn) == A and G * y - K.diff(xn) == B):
         raise ArithmeticError("decomposition identity failed")
     return G, K
-
-
-def _one_of(p: MPoly):
-    return p.czero + 1
 
 
 # ---------------------------------------------------------------------------

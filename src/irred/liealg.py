@@ -11,14 +11,8 @@ from __future__ import annotations
 import warnings
 
 from .field import FieldElem
-from .linear import mat_bracket, mat_shape, rref, solve
-from .poly import Poly, RatFun
-
-
-def bracket(M, N):
-    if mat_shape(M) != mat_shape(N):
-        raise ValueError("bracket of mismatched sizes")
-    return mat_bracket(M, N)
+from .linear import mat_bracket, rref, solve
+from .poly import Poly, RatFun, common_denominator
 
 
 def _flat(M):
@@ -103,12 +97,7 @@ def associated_lie_algebra(A):
     m = len(A[0])
     var = A[0][0].var
     params = A[0][0].params
-    # common denominator
-    den = Poly.const(1, var, params)
-    for row in A:
-        for x in row:
-            g = den.gcd(x.den)
-            den = den * (x.den // g)
+    den = common_denominator([x for row in A for x in row], var, params)
     nums = [[(x * RatFun(den)).as_poly() for x in row] for row in A]
     deg = 0
     for row in nums:

@@ -14,6 +14,7 @@ from fractions import Fraction
 from .field import FieldElem
 from .grammar import ParseError, _Parser, tokenize
 from .linear import (inverse, mat_mul, mat_shape, mat_sub, rank, solve)
+from .mpoly import join_terms, power
 from .poly import Poly, RatFun, ratfun
 
 
@@ -183,10 +184,7 @@ class DiffOp:
         return o * self
 
     def __pow__(self, k: int):
-        out = DiffOp([RatFun.const(1, self.var, self.params)])
-        for _ in range(k):
-            out = out * self
-        return out
+        return power(self, k, DiffOp([RatFun.const(1, self.var, self.params)]))
 
     def monic(self):
         lc = self.coeffs[-1]
@@ -243,12 +241,7 @@ class DiffOp:
             else:
                 wrap = (" " in cs) or ("/" in cs)
                 parts.append("%s*%s" % ("(%s)" % cs if wrap else cs, dk))
-        if not parts:
-            return "0"
-        s = parts[0]
-        for t in parts[1:]:
-            s += " - " + t[1:] if t.startswith("-") else " + " + t
-        return s
+        return join_terms(parts) if parts else "0"
 
 
 class _OpParser(_Parser):
@@ -407,7 +400,3 @@ def sym_power_operator(L: DiffOp, m: int) -> DiffOp:
 
 def adjoint_operator(L: DiffOp) -> DiffOp:
     return L.adjoint()
-
-
-def apply_operator(L: DiffOp, f) -> RatFun:
-    return L.apply(f)

@@ -1,11 +1,77 @@
 """Sparse multivariate polynomials over an arbitrary coefficient ring.
 
-Used for jet-space right-hand sides: variables are jet coordinates,
-coefficients are rational functions of the independent variable.  The
-coefficient type only needs +, -, *, and truthiness for zero tests.
+The kernels below work on {exponent tuple: coeff} dicts whose
+coefficients are never zero; they only need +, -, * and truthiness of
+the coefficients.  The parameter field (field.py) runs them over
+Fraction coefficients, and MPoly over rational functions of the
+independent variable for jet-space right-hand sides.
 """
 
 from __future__ import annotations
+
+
+def mp_add(f, g):
+    out = dict(f)
+    for e, c in g.items():
+        s = out.get(e)
+        if s is None:
+            out[e] = c
+        else:
+            s = s + c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
+
+
+def mp_neg(f):
+    return {e: -c for e, c in f.items()}
+
+
+def mp_mul(f, g):
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = out.get(e)
+            if s is None:
+                out[e] = c1 * c2
+            else:
+                s = s + c1 * c2
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+    return out
+
+
+def mp_scale(f, c):
+    if not c:
+        return {}
+    return {e: k * c for e, k in f.items()}
+
+
+def power(x, k: int, one):
+    """x**k by repeated squaring; one is returned for k = 0."""
+    if k < 0:
+        raise ValueError("negative exponent %d" % k)
+    out = None
+    while k:
+        if k & 1:
+            out = x if out is None else out * x
+        k >>= 1
+        if k:
+            x = x * x
+    return one if out is None else out
+
+
+def join_terms(parts):
+    """Join printed terms with " + ", or " - " before a negated term."""
+    s = parts[0]
+    for t in parts[1:]:
+        s += " - " + t[1:] if t.startswith("-") else " + " + t
+    return s
 
 
 class MPoly:
@@ -49,18 +115,10 @@ class MPoly:
         if not isinstance(other, MPoly):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, self.czero) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return MPoly(self.vars, out, self.czero)
+        return MPoly(self.vars, mp_add(self.terms, other.terms), self.czero)
 
     def __neg__(self):
-        return MPoly(self.vars, {e: -c for e, c in self.terms.items()},
-                     self.czero)
+        return MPoly(self.vars, mp_neg(self.terms), self.czero)
 
     def __sub__(self, other):
         return self + (-other)
@@ -69,46 +127,25 @@ class MPoly:
         if not isinstance(other, MPoly):
             return self.scale(other)
         self._check(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, self.czero) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return MPoly(self.vars, out, self.czero)
+        return MPoly(self.vars, mp_mul(self.terms, other.terms), self.czero)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c):
-        if not c:
-            return MPoly.zero(self.vars, self.czero)
-        return MPoly(self.vars, {e: c * k for e, k in self.terms.items()},
-                     self.czero)
+        return MPoly(self.vars, mp_scale(self.terms, c), self.czero)
 
     def __pow__(self, k: int):
-        out = MPoly.const(_one_like(self.czero), self.vars, self.czero)
-        for _ in range(k):
-            out = out * self
-        return out
+        return power(self, k, MPoly.const(_one_like(self.czero), self.vars,
+                                          self.czero))
 
     def diff(self, name):
         """Partial derivative with respect to one variable."""
         i = self.vars.index(name)
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            e2 = e[:i] + (e[i] - 1,) + e[i + 1:]
-            s = out.get(e2, self.czero) + e[i] * c
-            if s:
-                out[e2] = s
-            else:
-                out.pop(e2, None)
-        return MPoly(self.vars, out, self.czero)
+        # e -> e - 1 in slot i is injective, so no two terms collide
+        return MPoly(self.vars, {e[:i] + (e[i] - 1,) + e[i + 1:]: e[i] * c
+                                 for e, c in self.terms.items() if e[i]},
+                     self.czero)
 
     def map_coeffs(self, f):
         return MPoly(self.vars, {e: f(c) for e, c in self.terms.items()},
@@ -126,28 +163,6 @@ class MPoly:
             out[tuple(e2)] = c
         return MPoly(varnames, out, self.czero)
 
-    def subs(self, assignment):
-        """Substitute MPoly values (same variable list) for named variables.
-
-        Variables missing from assignment stay themselves.
-        """
-        gens = {}
-        one = _one_like(self.czero)
-        for v in self.vars:
-            gens[v] = assignment.get(
-                v, MPoly.gen(v, self.vars, one, self.czero))
-        acc = MPoly.zero(self.vars, self.czero)
-        for e, c in self.terms.items():
-            term = MPoly.const(c, self.vars, self.czero)
-            for v, k in zip(self.vars, e):
-                for _ in range(k):
-                    term = term * gens[v]
-            acc = acc + term
-        return acc
-
-    def coeff_of(self, exps):
-        return self.terms.get(tuple(exps), self.czero)
-
     def total_degree(self, weights=None):
         """Max weighted degree; None for zero."""
         if not self.terms:
@@ -155,10 +170,6 @@ class MPoly:
         if weights is None:
             weights = [1] * len(self.vars)
         return max(sum(w * k for w, k in zip(weights, e)) for e in self.terms)
-
-    def involves(self, name):
-        i = self.vars.index(name)
-        return any(e[i] for e in self.terms)
 
     def as_coeff(self):
         """The constant term, if the polynomial is constant."""
@@ -196,10 +207,7 @@ class MPoly:
             else:
                 wrap = (" " in cs) or ("/" in cs)
                 parts.append("%s*%s" % ("(%s)" % cs if wrap else cs, mono))
-        s = parts[0]
-        for t in parts[1:]:
-            s += " - " + t[1:] if t.startswith("-") else " + " + t
-        return s
+        return join_terms(parts)
 
 
 def _one_like(czero):

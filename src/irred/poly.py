@@ -7,7 +7,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .field import FieldElem, QQ, _frac_str
+from .field import FieldElem
+from .mpoly import join_terms, power
 
 
 class Poly:
@@ -111,10 +112,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        out = Poly.const(1, self.var, self.params)
-        for _ in range(k):
-            out = out * self
-        return out
+        return power(self, k, Poly.const(1, self.var, self.params))
 
     def divmod(self, other: "Poly"):
         o = self._lift(other)
@@ -245,10 +243,7 @@ class Poly:
                 parts.append("-" + mono)
             else:
                 parts.append("%s*%s" % ("(%s)" % cs if wrap else cs, mono))
-        s = parts[0]
-        for t in parts[1:]:
-            s += " - " + t[1:] if t.startswith("-") else " + " + t
-        return s
+        return join_terms(parts)
 
 
 def _rational_root_candidates(f: Poly):
@@ -334,10 +329,6 @@ class RatFun:
     def gen(cls, var="t", params=()):
         return cls(Poly.gen(var, params))
 
-    @classmethod
-    def from_poly(cls, p: Poly):
-        return cls(p)
-
     def _lift(self, other):
         if isinstance(other, RatFun):
             return other
@@ -388,12 +379,10 @@ class RatFun:
         return self._lift(other) / self
 
     def __pow__(self, k: int):
+        one = RatFun.const(1, self.var, self.params)
         if k < 0:
-            return (RatFun.const(1, self.var, self.params) / self) ** (-k)
-        out = RatFun.const(1, self.var, self.params)
-        for _ in range(k):
-            out = out * self
-        return out
+            return power(one / self, -k, one)
+        return power(self, k, one)
 
     def derivative(self) -> "RatFun":
         n, d = self.num, self.den
@@ -482,6 +471,14 @@ class RatFun:
         else:
             left = "(%s)" % ns
         return "%s/(%s)" % (left, ds)
+
+
+def common_denominator(fs, var, params=()) -> Poly:
+    """Monic lcm of the denominators of the RatFuns fs; 1 for none."""
+    den = Poly.const(1, var, params)
+    for f in fs:
+        den = den * (f.den // den.gcd(f.den))
+    return den
 
 
 def ratfun(c, var="t", params=()) -> RatFun:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .field import FieldElem
 from .linear import mat_shape, nullspace, solve
 from .linops import DiffOp, cyclic_vector_scalarize
-from .poly import Poly, RatFun, ratfun
+from .poly import Poly, RatFun, common_denominator, ratfun
 
 
 class IndicialData:
@@ -58,10 +58,6 @@ class SolutionSpace:
         self.degree = degree
         self.system_shape = system_shape
 
-    @property
-    def is_empty(self):
-        return self.particular is None
-
     def __repr__(self):
         return "SolutionSpace(particular=%s, dim=%d)" % (
             self.particular, len(self.basis))
@@ -83,14 +79,10 @@ def _clear_denominators(L: DiffOp, g=None):
     derivative and rhs_poly a Poly, after multiplying the equation by
     the least common denominator.
     """
-    var, params = L.var, L.params
-    den = Poly.const(1, var, params)
     items = [L.coeff(i) for i in range(L.order() + 1)]
     if g is not None:
         items.append(g)
-    for c in items:
-        d = den.gcd(c.den)
-        den = den * (c.den // d)
+    den = common_denominator(items, L.var, L.params)
     qs = [(L.coeff(i) * RatFun(den)).as_poly() for i in range(L.order() + 1)]
     rhs = None if g is None else (g * RatFun(den)).as_poly()
     return qs, rhs
@@ -137,35 +129,6 @@ def coprime_basis(polys):
             if q not in base:
                 base.append(q)
     return sorted(base, key=lambda f: (f.degree(), str(f)))
-
-
-def _poly_xgcd(a: Poly, b: Poly):
-    """(g, s, t) with s a + t b = g, g monic."""
-    var, params = a.var, a.params
-    r0, r1 = a, b
-    s0 = Poly.const(1, var, params)
-    s1 = Poly.zero(var, params)
-    t0 = Poly.zero(var, params)
-    t1 = Poly.const(1, var, params)
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    lc = r0.leading()
-    inv = 1 / lc
-    scale = Poly.const(inv.as_fraction() if inv.is_rational() else inv,
-                       var, params)
-    return r0.monic(), s0 * scale, t0 * scale
-
-
-def _inverse_mod(p: Poly, f: Poly) -> Poly:
-    g, s, _ = _poly_xgcd(p % f, f)
-    if g.degree() != 0:
-        raise ValueError("element not invertible modulo the factor")
-    return s % f
 
 
 def _indicial_finite(qs, f: Poly) -> IndicialData:
@@ -223,16 +186,6 @@ def _indicial_infinity(qs) -> IndicialData:
     roots, _ = ind.rational_roots()
     ints = [int(r) for r in roots if r.denominator == 1]
     return IndicialData("inf", ind, ints)
-
-
-def singular_factors(L: DiffOp):
-    """Coprime squarefree factor base of the leading coefficient."""
-    qs, _ = _clear_denominators(L)
-    lead = qs[-1]
-    if lead.is_zero() or lead.degree() == 0:
-        return []
-    base = coprime_basis([q for q in qs if not q.is_zero()])
-    return [f for f in base if _poly_valuation(lead, f)[0] > 0]
 
 
 def indicial_polynomial(L: DiffOp, point) -> IndicialData:
@@ -333,11 +286,7 @@ def _polynomial_solutions(L: DiffOp, rhs, bound):
     for k in range(bound + 1):
         xk = RatFun(Poly([Fraction(0)] * k + [Fraction(1)], var))
         images.append(L.apply(xk))
-    # common denominator of images and rhs
-    den = Poly.const(1, var)
-    for im in images + ([rhs] if rhs else []):
-        d = den.gcd(im.den)
-        den = den * (im.den // d)
+    den = common_denominator(images + ([rhs] if rhs else []), var)
     cols = [(im * RatFun(den)).as_poly() for im in images]
     rp = ((rhs if rhs else zero) * RatFun(den)).as_poly()
     deg = max([c.degree() for c in cols if not c.is_zero()] +

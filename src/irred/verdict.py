@@ -20,13 +20,14 @@ from fractions import Fraction
 
 from .field import FieldElem
 from .grammar import parse_ratfun
-from .jets import EquationFamily, build_lnve_airy_family, build_p3_chain
+from .jets import (EquationFamily, _cinf_c0, build_lnve_airy_family,
+                   build_p3_chain)
 from .liealg import (adjoint_action_matrix, associated_lie_algebra,
                      block_e_matrices, classify_lnve_lie_algebra,
                      lie_closure)
 from .linear import (mat_bracket, mat_identity, mat_shape, mat_transpose,
                      solve)
-from .linops import (DiffOp, cyclic_vector_scalarize, parse_operator,
+from .linops import (cyclic_vector_scalarize, parse_operator,
                      sym_power_matrix, sym_power_operator)
 from .poly import RatFun, ratfun
 from .ratsolve import (_clear_denominators, _indicial_infinity,
@@ -467,11 +468,6 @@ def _p3_g_display(params=("mu",)):
         " - 256*(31*mu + 3)*mu^4/x^4 + 768*mu^4/x^5", "x", params)
 
 
-def _split_cinf_c0(M, var, params):
-    from .jets import _cinf_c0
-    return _cinf_c0(M)
-
-
 def _const_to_rat(M, var, params):
     one = RatFun.const(1, var, params)
     return [[x * one for x in row] for row in M]
@@ -504,7 +500,7 @@ def p3_psi_and_b(chain=None):
     if b is None:
         raise RuntimeError("off-diagonal block outside the N span")
     Psi = adjoint_action_matrix(diag, Ns)
-    Cinf, C0 = _split_cinf_c0(Psi, var, params)
+    Cinf, C0 = _cinf_c0(Psi)
     mu = FieldElem.parameter("mu", params) if params else None
     Psi1 = C0
     if mu is not None:
@@ -560,7 +556,7 @@ def check_p3(mus=(Fraction(1, 2),)) -> Certificate:
     # each gauged matrix splits as C_inf + C_0 / x
     consts = {}
     for name in ("At1", "At2", "At3"):
-        Ci, C0 = _split_cinf_c0(getattr(ch, name), var, params)
+        Ci, C0 = _cinf_c0(getattr(ch, name))
         consts[name] = (Ci, C0)
         cert.add("decomposition", matrix=_mat_str(getattr(ch, name)),
                  cinf=_mat_str(_const_to_rat(Ci, var, params)),

@@ -24,6 +24,14 @@ def test_family_bad_poly(capsys):
     assert main(["family", "--n", "2", "--P", "1/y"]) == 1
 
 
+def test_family_negative_power_of_y(capsys, tmp_path):
+    out = tmp_path / "cert.json"
+    code = main(["family", "--n", "2", "--P", "y^-1", "--json", str(out)])
+    assert code == 1
+    assert "P must be polynomial in y" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_p3_integer_mu_rejected(capsys):
     assert main(["p3", "--mu", "2"]) == 1
     err = capsys.readouterr().err

@@ -1,10 +1,13 @@
 """Exact arithmetic: parameter field, polynomials, rational functions."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from irred.field import FieldElem, QQ, mp_gcd
+from irred.mpoly import mp_add, mp_mul, mp_neg, mp_scale, power
 from irred.grammar import ParseError, parse_ratfun
 from irred.poly import Poly, RatFun, ratfun
 
@@ -124,3 +127,147 @@ def test_ratfun_coercion():
     f = ratfun(3, "t")
     assert f.is_constant()
     assert f.constant_value().as_fraction() == 3
+
+
+# ---------------------------------------------------------------------------
+# the shared sparse kernels and power (irred.mpoly)
+
+def _dense_add(f, g, zero):
+    out = {}
+    for e in set(f) | set(g):
+        s = f.get(e, zero) + g.get(e, zero)
+        if s:
+            out[e] = s
+    return out
+
+
+def _dense_mul(f, g, zero):
+    """Coefficient of every exponent in the bounding box, by convolution."""
+    if not f or not g:
+        return {}
+    nv = len(next(iter(f)))
+    top = [max(e[i] for e in f) + max(e[i] for e in g) for i in range(nv)]
+    out = {}
+    for e in itertools.product(*(range(d + 1) for d in top)):
+        s = zero
+        for e1, c1 in f.items():
+            e2 = tuple(a - b for a, b in zip(e, e1))
+            if e2 in g:
+                s = s + c1 * g[e2]
+        if s:
+            out[e] = s
+    return out
+
+
+def _random_dict(rng, coeff):
+    out = {}
+    for _ in range(rng.randint(0, 5)):
+        out[(rng.randint(0, 3), rng.randint(0, 2))] = coeff(rng)
+    return out
+
+
+def _rand_fraction(rng):
+    return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+
+
+def _rand_ratfun(rng):
+    x = RatFun.gen("x")
+    return (rng.randint(1, 3) * x - rng.randint(-2, 2)) / (x + rng.randint(1, 4))
+
+
+@pytest.mark.parametrize("coeff,zero", [(_rand_fraction, Fraction(0)),
+                                        (_rand_ratfun, RatFun.zero("x"))],
+                         ids=["Q", "RatFun"])
+def test_kernels_match_dense_reference(coeff, zero):
+    rng = random.Random(7)
+    for _ in range(40):
+        f, g = _random_dict(rng, coeff), _random_dict(rng, coeff)
+        assert mp_add(f, g) == _dense_add(f, g, zero)
+        assert mp_mul(f, g) == _dense_mul(f, g, zero)
+        assert mp_add(f, mp_neg(f)) == {}
+        c = coeff(rng)
+        assert mp_scale(f, c) == _dense_mul(f, {(0, 0): c}, zero)
+        assert mp_scale(f, zero) == {}
+
+
+def test_kernels_drop_cancelled_terms():
+    for one in (Fraction(1), RatFun.const(1, "x")):
+        s = {(1, 0): one, (0, 1): one}             # x + y
+        d = {(1, 0): one, (0, 1): -one}            # x - y
+        assert mp_add(s, mp_neg(s)) == {}
+        assert mp_mul(s, d) == {(2, 0): one, (0, 2): -one}
+
+
+def _kfold(x, k, one):
+    out = one
+    for _ in range(k):
+        out = out * x
+    return out
+
+
+def test_power_is_repeated_multiplication():
+    mu = FieldElem.parameter("mu", ("mu",))
+    t = Poly.gen("t")
+    x = RatFun.gen("x")
+    cases = [((mu + 1) / (2 * mu - 3), FieldElem.from_fraction(1, ("mu",))),
+             (t - Fraction(2, 3), Poly.const(1)),
+             ((x ** 2 - 1) / (3 * x + 1), RatFun.const(1, "x"))]
+    for base, one in cases:
+        for k in range(8):
+            want = _kfold(base, k, one)
+            assert base ** k == want
+            assert str(base ** k) == str(want)
+            assert power(base, k, one) == want
+
+
+def test_negative_powers():
+    mu = FieldElem.parameter("mu", ("mu",))
+    x = RatFun.gen("x")
+    for base in ((mu + 1) / (2 * mu - 3), (x ** 2 - 1) / (3 * x + 1)):
+        for k in range(1, 4):
+            assert base ** -k == 1 / base ** k
+    with pytest.raises(ValueError):
+        Poly.gen("t") ** -1
+    with pytest.raises(ValueError):
+        power(Fraction(2), -1, Fraction(1))
+    assert parse_ratfun("x^-2", "x") == 1 / x ** 2
+
+
+def test_field_ops_match_sympy_cancel():
+    """FieldElem + - * / over Q(a, b) equal sympy.cancel of the same."""
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+    params = ("a", "b")
+    sa, sb = sympy.symbols(params)
+
+    def to_sympy(f):
+        def poly(d):
+            return sum(c * sa ** i * sb ** j for (i, j), c in d.items())
+        return poly(f.num) / poly(f.den)
+
+    terms = st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        st.integers(-3, 3).filter(bool), min_size=1, max_size=3)
+
+    def elem(num, den):
+        return FieldElem(params, {e: Fraction(c) for e, c in num.items()},
+                         {e: Fraction(c) for e, c in den.items()})
+
+    @hypothesis.settings(max_examples=25, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(terms, terms, terms, terms,
+                      st.sampled_from("+-*/"))
+    def check(n1, d1, n2, d2, op):
+        f, g = elem(n1, d1), elem(n2, d2)
+        if op == "/" and not g:
+            return
+        got = {"+": f + g, "-": f - g, "*": f * g, "/": f / g}[op]
+        sf, sg = to_sympy(f), to_sympy(g)
+        want = {"+": sf + sg, "-": sf - sg, "*": sf * sg, "/": sf / sg}[op]
+        assert sympy.cancel(to_sympy(got) - want) == 0
+        # reduced: numerator and denominator share no factor
+        num, den = sympy.fraction(to_sympy(got))
+        assert sympy.gcd(sympy.expand(num), sympy.expand(den)).is_number
+
+    check()

@@ -91,8 +91,9 @@ def test_family_p_value():
 
 
 def test_family_rejects_pole_along_y0():
-    with pytest.raises(ValueError):
-        EquationFamily(2, "1/y")
+    for P in ("1/y", "y^-1"):
+        with pytest.raises(ValueError, match="P must be polynomial in y"):
+            EquationFamily(2, P)
 
 
 def _bivar(expr):
@@ -143,3 +144,32 @@ def test_p3_chain_specialized():
     ch = build_p3_chain(Fraction(1, 2))
     At1 = [[str(x) for x in row] for row in ch.At1]
     assert At1 == [["0", "(2*x + 1)/(x)"], ["2", "0"]]
+
+
+def test_mpoly_power_is_repeated_multiplication():
+    x = RatFun.gen("x")
+    zero, one = RatFun.zero("x"), RatFun.const(1, "x")
+    y = MPoly.gen("y", ("y", "z"), one, zero)
+    z = MPoly.gen("z", ("y", "z"), one, zero)
+    base = y * MPoly.const(x, ("y", "z"), zero) - z.scale(1 / (x + 1)) + y
+    unit = MPoly.const(one, ("y", "z"), zero)
+    want = unit
+    for k in range(8):
+        assert base ** k == want
+        assert str(base ** k) == str(want)
+        want = want * base
+    with pytest.raises(ValueError):
+        base ** -1
+
+
+def test_mpoly_ring_ops_cancel():
+    x = RatFun.gen("x")
+    zero, one = RatFun.zero("x"), RatFun.const(1, "x")
+    y = MPoly.gen("y", ("y", "z"), one, zero)
+    z = MPoly.gen("z", ("y", "z"), one, zero).scale(x)
+    f = y * y - z + MPoly.const(x / (x - 1), ("y", "z"), zero)
+    assert (f + (-f)).is_zero()
+    assert (f - f).terms == {}
+    # (y + x z)(y - x z): the y*z terms cancel
+    assert ((y + z) * (y - z)).terms == {(2, 0): one, (0, 2): -x * x}
+    assert f.diff("y") == y.scale(2)

@@ -105,3 +105,22 @@ def test_diffop_specialize():
     L = parse_operator("D^2 - 4 - 4*mu/x", "x", ("mu",))
     Lm = L.specialize({"mu": Fraction(1, 2)})
     assert Lm == parse_operator("D^2 - 4 - 2/x", "x")
+
+
+def test_operator_power_is_repeated_composition():
+    # D + t does not commute with its coefficients
+    L = parse_operator("D + t")
+    want = DiffOp([RatFun.const(1, "t")])
+    for k in range(8):
+        assert L ** k == want
+        assert str(L ** k) == str(want)
+        want = want * L
+
+
+def test_negative_operator_power_rejected():
+    with pytest.raises(ValueError):
+        parse_operator("D^-2 - t")
+    with pytest.raises(ValueError):
+        DiffOp.identity_d() ** -1
+    t = RatFun.gen("t")
+    assert parse_ratfun("t^-2") == 1 / t ** 2

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .mpoly import join_terms, mp_add, mp_mul, mp_neg, mp_scale, power
+from .mpoly import (_trim, dense_gcd, join_terms, mp_add, mp_mul, mp_neg,
+                    mp_scale, power)
 
 # ---------------------------------------------------------------------------
 # Q-specific parts of the sparse {exponent-tuple: Fraction} polynomials;
@@ -76,11 +77,6 @@ def _uv_deg(coeffs):
     return d
 
 
-def _uv_trim(coeffs):
-    d = _uv_deg(coeffs)
-    return coeffs[:d + 1]
-
-
 def _uv_sub(a, b):
     n = max(len(a), len(b))
     out = []
@@ -88,7 +84,7 @@ def _uv_sub(a, b):
         ca = a[i] if i < len(a) else {}
         cb = b[i] if i < len(b) else {}
         out.append(mp_add(ca, mp_neg(cb)))
-    return _uv_trim(out)
+    return _trim(out)
 
 
 def _uv_pseudo_rem(a, b, nv):
@@ -101,42 +97,12 @@ def _uv_pseudo_rem(a, b, nv):
         a = [mp_mul(c, lb) for c in a]
         shift = [{} for _ in range(da - db)] + [mp_mul(c, la) for c in b]
         a = _uv_sub(a, shift)
-        a = _uv_trim(a)
-        if not a:
-            break
     return a
 
 
-def _gcd_one_var(f, g):
-    """Monic Euclid for one-variable polys; pseudo-remainders blow up here."""
-
-    def to_list(h):
-        d = max(e[0] for e in h)
-        out = [Fraction(0)] * (d + 1)
-        for e, c in h.items():
-            out[e[0]] = c
-        return out
-
-    a, b = to_list(f), to_list(g)
-    while b:
-        lb = b[-1]
-        if lb != 1:
-            b = [c / lb for c in b]
-        while len(a) >= len(b):
-            la = a[-1]
-            sh = len(a) - len(b)
-            a = [c - la * b[i - sh] if i >= sh else c
-                 for i, c in enumerate(a[:-1])]
-            while a and not a[-1]:
-                a.pop()
-            if not a:
-                break
-        a, b = b, a
-    return {(d,): c for d, c in enumerate(a) if c}
-
-
 def mp_gcd(f, g, nvars: int):
-    """Multivariate gcd over Q via primitive pseudo-remainder sequences."""
+    """Gcd over Q: monic Euclid in one variable, primitive
+    pseudo-remainder sequences in more."""
     if not f:
         return dict(g)
     if not g:
@@ -144,7 +110,9 @@ def mp_gcd(f, g, nvars: int):
     if nvars == 0:
         return {(): Fraction(1)}
     if nvars == 1:
-        return _gcd_one_var(f, g)
+        f, g = [[h.get((d,), Fraction(0)) for d in range(max(h)[0] + 1)]
+                for h in (f, g)]
+        return {(d,): c for d, c in enumerate(dense_gcd(f, g)) if c}
     fu = _mp_to_univar(f, nvars)
     gu = _mp_to_univar(g, nvars)
     if _uv_deg(fu) == 0 and _uv_deg(gu) == 0:

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from .field import FieldElem
 from .grammar import ParseError, _Parser, tokenize
-from .linear import (inverse, mat_mul, mat_shape, mat_sub, rank, solve)
-from .mpoly import join_terms, power
+from .linear import inverse, mat_mul, mat_shape, mat_sub
+from .mpoly import dense_add, dense_mul, join_terms, power
 from .poly import Poly, RatFun, ratfun
 
 
@@ -69,22 +69,14 @@ def sym_power_rep(Q, m: int):
         raise ValueError("sym_power_rep expects a 2x2 matrix")
     (a, b), (c, d) = Q
     zero = a - a
-    one = zero + 1
     S = [[zero] * (m + 1) for _ in range(m + 1)]
     for k in range(m + 1):
         # expand C(m,k) (a u + b v)^(m-k) (c u + d v)^k in powers of u
-        p1 = [zero] * (m - k + 1)
-        for i in range(m - k + 1):
-            p1[i] = math.comb(m - k, i) * a ** i * b ** (m - k - i)
-        p2 = [zero] * (k + 1)
-        for l in range(k + 1):
-            p2[l] = math.comb(k, l) * c ** l * d ** (k - l)
-        conv = [zero] * (m + 1)
-        for i, x in enumerate(p1):
-            for l, y in enumerate(p2):
-                conv[i + l] = conv[i + l] + x * y
-        for j in range(m + 1):
-            S[k][j] = math.comb(m, k) * conv[m - j] * Fraction(1, math.comb(m, j))
+        p1 = [math.comb(m - k, i) * a ** i * b ** (m - k - i)
+              for i in range(m - k + 1)]
+        p2 = [math.comb(k, l) * c ** l * d ** (k - l) for l in range(k + 1)]
+        for i, x in enumerate(dense_mul(p1, p2)):
+            S[k][m - i] = math.comb(m, k) * x * Fraction(1, math.comb(m, i))
     return S
 
 
@@ -132,8 +124,8 @@ class DiffOp:
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return DiffOp([self.coeff(i) + o.coeff(i) for i in range(n)])
+        return DiffOp(dense_add(self.coeffs, o.coeffs)
+                      or [RatFun.zero(self.var, self.params)])
 
     __radd__ = __add__
 
@@ -309,7 +301,7 @@ class ScalarizeResult(tuple):
         return self[1]
 
 
-def cyclic_vector_scalarize(A, b=None, v=None, retries=0, seed=0):
+def cyclic_vector_scalarize(A, b=None, v=None, retries=0):
     """Turn the system F' = A F + b into one scalar equation M(f) = h.
 
     f = v.F for the covector v; solvability in rational functions is
@@ -330,26 +322,23 @@ def cyclic_vector_scalarize(A, b=None, v=None, retries=0, seed=0):
         v = [one if i == 0 else zero for i in range(n)]
     v = [ratfun(x, zero.var, zero.params) for x in v]
 
-    rng = random.Random(seed)
-    attempts = [list(v)]
-    for r in range(retries):
-        # low-degree polynomial covectors; a generic one is cyclic for
-        # any system, which plain constants are not (e.g. A = 0)
-        deg = 0 if r < retries // 2 else n - 1
-        cand = []
-        for _ in range(n):
-            p = Poly([Fraction(rng.randint(-3, 3)) for _ in range(deg + 1)],
-                     zero.var, zero.params)
-            cand.append(RatFun(p))
-        attempts.append(cand)
+    def attempts():
+        yield v
+        rng = random.Random(0)
+        for r in range(retries):
+            # low-degree polynomial covectors; a generic one is cyclic for
+            # any system, which plain constants are not (e.g. A = 0)
+            deg = 0 if r < retries // 2 else n - 1
+            yield [RatFun(Poly([Fraction(rng.randint(-3, 3))
+                                for _ in range(deg + 1)],
+                               zero.var, zero.params))
+                   for _ in range(n)]
 
-    last_err = None
-    for cand in attempts:
+    for cand in attempts():
         res = _scalarize_once(A, b, cand, zero, one, n)
         if res is not None:
             return res
-        last_err = ValueError("cyclic vector failed")
-    raise last_err
+    raise ValueError("cyclic vector failed")
 
 
 def _scalarize_once(A, b, v, zero, one, n):
@@ -362,19 +351,14 @@ def _scalarize_once(A, b, v, zero, one, n):
         rows.append([dvi[j] + vA[j] for j in range(n)])
         ws.append(ws[-1].derivative()
                   + sum((vi[k] * b[k] for k in range(n)), zero))
-    V = rows[:n]
-    if rank([list(r) for r in V]) < n:
-        return None
-    # solve sum_i c_i v_i = -v_n for c_0..c_{n-1}
-    m = [[rows[i][j] for i in range(n)] for j in range(n)]
-    rhs = [-rows[n][j] for j in range(n)]
-    c = solve(m, rhs, one)
-    if c is None:
-        return None
+    try:
+        Vinv = inverse(rows[:n], one)
+    except ValueError:
+        return None          # v_0..v_{n-1} do not span: v is not cyclic
+    # c_0..c_{n-1} with sum_i c_i v_i = -v_n
+    c = [-x for x in mat_mul([rows[n]], Vinv)[0]]
     op = DiffOp(c + [one])
     h = ws[n] + sum((c[i] * ws[i] for i in range(n)), zero)
-
-    Vinv = inverse(V, one)
 
     def back(f):
         f = ratfun(f, zero.var, zero.params)

@@ -1,10 +1,16 @@
-"""Sparse multivariate polynomials over an arbitrary coefficient ring.
+"""Polynomial kernels over an arbitrary coefficient ring.
 
-The kernels below work on {exponent tuple: coeff} dicts whose
+The sparse kernels (mp_*) work on {exponent tuple: coeff} dicts whose
 coefficients are never zero; they only need +, -, * and truthiness of
 the coefficients.  The parameter field (field.py) runs them over
 Fraction coefficients, and MPoly over rational functions of the
 independent variable for jet-space right-hand sides.
+
+The dense kernels (dense_*) work on ascending coefficient lists in one
+variable and return them trimmed.  Division and gcd need a coefficient
+field (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 3).  Poly
+and DiffOp run them over FieldElem and RatFun, the one-parameter gcd of
+field.py over Fraction.
 """
 
 from __future__ import annotations
@@ -50,6 +56,78 @@ def mp_scale(f, c):
     if not c:
         return {}
     return {e: k * c for e, k in f.items()}
+
+
+def _trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def dense_add(a, b):
+    """Sum; the slots past the shorter operand are copied, not added."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = out[i] + c
+    return _trim(out)
+
+
+def dense_mul(a, b):
+    """Product; terms with a zero factor are skipped.
+
+    A slot with no surviving term is a zero of the type of a[0] * b[0],
+    the type the full sum would have.
+    """
+    if not a or not b:
+        return []
+    out = [None] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in enumerate(b):
+            if y:
+                s = out[i + j]
+                out[i + j] = x * y if s is None else s + x * y
+    if any(s is None for s in out):
+        z = a[0] * b[0]
+        z = z - z
+        out = [z if s is None else s for s in out]
+    return _trim(out)
+
+
+def dense_divmod(a, b):
+    """(q, r) with a = q b + r and len(r) < len(b); b must be nonzero."""
+    b = _trim(list(b))
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = _trim(list(a))
+    db = len(b) - 1
+    if len(r) <= db:
+        return [], r
+    lb = b[-1]
+    q = [None] * (len(r) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + db] / lb
+        if c:
+            # slot k + db cancels exactly; it is cut off below
+            for j in range(db):
+                if b[j]:
+                    r[k + j] = r[k + j] - c * b[j]
+    del r[db:]
+    return q, _trim(r)
+
+
+def dense_gcd(a, b):
+    """Monic gcd by Euclid; [] when both are zero."""
+    a, b = _trim(list(a)), _trim(list(b))
+    while b:
+        a, b = b, dense_divmod(a, b)[1]
+    if not a:
+        return a
+    lc = a[-1]
+    return [c / lc for c in a]
 
 
 def power(x, k: int, one):

@@ -5,10 +5,12 @@ arithmetic requires matching variables.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .field import FieldElem
-from .mpoly import join_terms, power
+from .mpoly import (dense_add, dense_divmod, dense_gcd, dense_mul, join_terms,
+                    power)
 
 
 class Poly:
@@ -76,9 +78,7 @@ class Poly:
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Poly([self.coeff(i) + o.coeff(i) for i in range(n)],
-                    self.var, self.params)
+        return Poly(dense_add(self.coeffs, o.coeffs), self.var, self.params)
 
     __radd__ = __add__
 
@@ -98,16 +98,7 @@ class Poly:
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.is_zero() or o.is_zero():
-            return Poly.zero(self.var, self.params)
-        out = [FieldElem.from_fraction(0, self.params)] * (
-            len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(out, self.var, self.params)
+        return Poly(dense_mul(self.coeffs, o.coeffs), self.var, self.params)
 
     __rmul__ = __mul__
 
@@ -115,20 +106,8 @@ class Poly:
         return power(self, k, Poly.const(1, self.var, self.params))
 
     def divmod(self, other: "Poly"):
-        o = self._lift(other)
-        if o.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q = Poly.zero(self.var, self.params)
-        r = self
-        dlo = o.degree()
-        lo = o.leading()
-        while not r.is_zero() and r.degree() >= dlo:
-            k = r.degree() - dlo
-            c = r.leading() / lo
-            mono = Poly([0] * k + [c], self.var, self.params)
-            q = q + mono
-            r = r - mono * o
-        return q, r
+        q, r = dense_divmod(self.coeffs, self._lift(other).coeffs)
+        return Poly(q, self.var, self.params), Poly(r, self.var, self.params)
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -147,10 +126,8 @@ class Poly:
                     self.var, self.params)
 
     def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, self._lift(other)
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        return Poly(dense_gcd(self.coeffs, self._lift(other).coeffs),
+                    self.var, self.params)
 
     def evaluate(self, x: FieldElem) -> FieldElem:
         if isinstance(x, (int, Fraction)):
@@ -199,6 +176,10 @@ class Poly:
         """Rational roots (over Q only), with multiplicities via division."""
         if self.params:
             raise ValueError("rational root extraction needs Q coefficients")
+        if self.degree() == 1:
+            # no divisor search: the root of c1 x + c0 is -c0/c1
+            root = (-self.coeffs[0] / self.coeffs[1]).as_fraction()
+            return [root], Poly(self.coeffs[1:], self.var, self.params)
         roots = []
         f = self
         for cand in _rational_root_candidates(f):
@@ -248,10 +229,7 @@ class Poly:
 
 def _rational_root_candidates(f: Poly):
     """Candidate rational roots of f over Q by the rational root theorem."""
-    lcm = 1
-    for c in f.coeffs:
-        lcm = lcm * c.as_fraction().denominator // _gcd_int(
-            lcm, c.as_fraction().denominator)
+    lcm = math.lcm(*(c.as_fraction().denominator for c in f.coeffs))
     ints = [int(c.as_fraction() * lcm) for c in f.coeffs]
     k = 0
     while k < len(ints) and ints[k] == 0:
@@ -265,12 +243,6 @@ def _rational_root_candidates(f: Poly):
             cands.add(Fraction(p, q))
             cands.add(Fraction(-p, q))
     return sorted(cands)
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):
@@ -410,7 +382,7 @@ class RatFun:
             raise ValueError("not a constant rational function: %s" % self)
         if self.num.is_zero():
             return FieldElem.from_fraction(0, self.params)
-        return self.num.coeffs[0] / self.den.coeffs[0]
+        return self.num.coeffs[0]
 
     def is_polynomial(self):
         return self.den.degree() == 0
@@ -418,8 +390,7 @@ class RatFun:
     def as_poly(self) -> Poly:
         if not self.is_polynomial():
             raise ValueError("not a polynomial: %s" % self)
-        lc = self.den.coeffs[0]
-        return Poly([c / lc for c in self.num.coeffs], self.var, self.params)
+        return self.num           # the denominator is monic, so it is 1
 
     def evaluate(self, x):
         d = self.den.evaluate(x)

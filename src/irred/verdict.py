@@ -402,6 +402,11 @@ def check_p2() -> Certificate:
     cert = Certificate({"equation": "y'' = x*y + 2*y^3", "name": "P2",
                         "variable": "t"})
 
+    # route 2, the scalar criterion, runs first: it solves the same
+    # obstruction system that route 1 records
+    sub = criterion_airy_family(fam)
+    system, = sub.find("rational_system")
+
     # route 1: third variational system, Lie closure, obstruction system
     A = build_lnve_airy_family(3, p)
     cert.add("matrix", name="third normal variational system", var="t",
@@ -413,19 +418,10 @@ def check_p2() -> Certificate:
              generators=[_mat_str(M) for M in mats],
              coefficients=[str(c) for c in coeffs],
              dimension=alg.dimension, classification=cls)
-    Psi, b, space = reduced_form_obstruction(3, p)
-    cert.add("rational_system", matrix=_mat_str(Psi),
-             rhs=[str(x) for x in b], var="t",
-             solvable=space.particular is not None,
-             homogeneous_dimension=len(space.basis))
-    route1 = (alg.dimension > 5 and space.particular is None)
+    cert.evidence.append(dict(system))
+    route1 = (alg.dimension > 5 and not system["solvable"])
 
-    # route 2: the scalar criterion
-    sub = criterion_airy_family(fam)
-    for rec in sub.evidence:
-        rec = dict(rec)
-        rec.pop("hash", None)
-        cert.add(rec.pop("kind"), **rec)
+    cert.evidence += [dict(rec) for rec in sub.evidence]
     route2 = sub.verdict == IRREDUCIBLE
 
     if route1 != route2:

@@ -1,6 +1,10 @@
 """Exit codes and output of the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from irred.cli import main
 
@@ -30,6 +34,20 @@ def test_family_negative_power_of_y(capsys, tmp_path):
     assert code == 1
     assert "P must be polynomial in y" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_family_huge_linear_pole_finishes():
+    """The root of a linear factor is read off; no divisors of 10^20."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "irred.cli", "family", "--n", "2",
+         "--P", "1/(x - 100000000000000000000)"],
+        capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 0
+    assert "verdict: IRREDUCIBLE" in proc.stdout
 
 
 def test_p3_integer_mu_rejected(capsys):

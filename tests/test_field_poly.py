@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from irred.field import FieldElem, QQ, mp_gcd
-from irred.mpoly import mp_add, mp_mul, mp_neg, mp_scale, power
+from irred.mpoly import (dense_add, dense_divmod, dense_gcd, dense_mul, mp_add,
+                         mp_mul, mp_neg, mp_scale, power)
 from irred.grammar import ParseError, parse_ratfun
 from irred.poly import Poly, RatFun, ratfun
 
@@ -175,9 +176,74 @@ def _rand_ratfun(rng):
     return (rng.randint(1, 3) * x - rng.randint(-2, 2)) / (x + rng.randint(1, 4))
 
 
-@pytest.mark.parametrize("coeff,zero", [(_rand_fraction, Fraction(0)),
-                                        (_rand_ratfun, RatFun.zero("x"))],
-                         ids=["Q", "RatFun"])
+def _rand_mu(rng):
+    mu = FieldElem.parameter("mu", ("mu",))
+    return ((rng.choice([-3, -2, -1, 1, 2, 3]) * mu + rng.randint(-2, 2))
+            / (mu + rng.randint(1, 4)))
+
+
+# the dense kernels against references written out in full, each slot
+# filled from an explicit zero
+
+def _trimmed(a):
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _naive_add(a, b, zero):
+    n = max(len(a), len(b))
+    return _trimmed([(a[i] if i < len(a) else zero)
+                     + (b[i] if i < len(b) else zero) for i in range(n)])
+
+
+def _naive_mul(a, b, zero):
+    out = [zero] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _trimmed(out)
+
+
+def _rand_dense(rng, coeff, zero, top=3):
+    """Up to top + 1 slots, some zero, the last one possibly zero too."""
+    return [zero if rng.random() < 0.3 else coeff(rng)
+            for _ in range(rng.randint(0, top + 1))]
+
+
+def _check_dense(a, b, zero):
+    one = zero + 1
+    assert dense_add(a, b) == _naive_add(a, b, zero)
+    prod = dense_mul(a, b)
+    assert prod == _naive_mul(a, b, zero)
+    assert all(type(c) is type(zero) for c in prod)
+    if _trimmed(b):
+        q, r = dense_divmod(a, b)
+        assert _naive_add(_naive_mul(q, b, zero), r, zero) == _trimmed(a)
+        assert len(r) < len(_trimmed(b))
+        assert q == _trimmed(q) and r == _trimmed(r)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            dense_divmod(a, b)
+    g = dense_gcd(a, b)
+    if not _trimmed(a) and not _trimmed(b):
+        assert g == []
+        return g
+    assert g[-1] == one
+    cofactors = []
+    for f in (a, b):
+        cof, rem = dense_divmod(f, g)
+        assert rem == []
+        cofactors.append(cof)
+    assert dense_gcd(*cofactors) == [one]
+    return g
+
+
+@pytest.mark.parametrize("coeff,zero", [
+    (_rand_fraction, Fraction(0)),
+    (_rand_mu, FieldElem.from_fraction(0, ("mu",))),
+    (_rand_ratfun, RatFun.zero("x"))], ids=["Q", "mu", "RatFun"])
 def test_kernels_match_dense_reference(coeff, zero):
     rng = random.Random(7)
     for _ in range(40):
@@ -188,6 +254,75 @@ def test_kernels_match_dense_reference(coeff, zero):
         c = coeff(rng)
         assert mp_scale(f, c) == _dense_mul(f, {(0, 0): c}, zero)
         assert mp_scale(f, zero) == {}
+    for _ in range(20):
+        a, b = _rand_dense(rng, coeff, zero), _rand_dense(rng, coeff, zero)
+        _check_dense(a, b, zero)
+        # a common factor the gcd must keep
+        h = _rand_dense(rng, coeff, zero, 1) + [coeff(rng)]
+        g = _check_dense(_naive_mul(h, a, zero), _naive_mul(h, b, zero), zero)
+        if g:
+            assert dense_divmod(g, h)[1] == []
+
+
+@pytest.mark.parametrize("zero", [
+    Fraction(0), FieldElem.from_fraction(0, ("mu",)), RatFun.zero("x")],
+    ids=["Q", "mu", "RatFun"])
+def test_dense_kernel_edge_cases(zero):
+    one = zero + 1
+    x2m1 = [-one, zero, one]                       # x^2 - 1
+    # zero operands
+    assert dense_add([], []) == [] and dense_add(x2m1, []) == x2m1
+    assert dense_mul([], x2m1) == [] and dense_mul(x2m1, []) == []
+    assert dense_divmod([], x2m1) == ([], [])
+    assert dense_gcd([], []) == []
+    assert dense_gcd([], [2 * one, 4 * one]) == [one / 2, one]
+    with pytest.raises(ZeroDivisionError):
+        dense_divmod(x2m1, [zero])
+    # internal zeros: (1 + x^3) x and (1 + x^3) + x^2
+    assert dense_mul([one, zero, zero, one], [zero, one]) == [
+        zero, one, zero, zero, one]
+    assert dense_add([one, zero, zero, one], [zero, zero, one]) == [
+        one, zero, one, one]
+    # cancellation to zero, also of the top slots only
+    assert dense_add(x2m1, [one, zero, -one]) == []
+    assert dense_add(x2m1, [one, one, -one]) == [zero, one]
+    assert dense_divmod(dense_mul(x2m1, [one, one]), x2m1) == ([one, one], [])
+    # divisor of higher degree than the dividend
+    assert dense_divmod([one, one], x2m1) == ([], [one, one])
+    assert dense_gcd([one, one], x2m1) == [one, one]
+    assert dense_gcd([-one, one], [one, one]) == [one]
+
+
+def test_dense_division_matches_sympy():
+    """dense_divmod and dense_gcd over Q equal sympy div and gcd."""
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+    x = sympy.Symbol("x")
+
+    def to_sympy(a):
+        return sympy.Poly(list(reversed(a)) or [0], x, domain=sympy.QQ)
+
+    def from_sympy(p):
+        return _trimmed(Fraction(int(c.p), int(c.q))
+                        for c in reversed(p.all_coeffs()))
+
+    coeffs = st.lists(st.builds(Fraction, st.integers(-4, 4),
+                                st.integers(1, 3)), max_size=5)
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(coeffs, coeffs, coeffs)
+    def check(h, u, v):
+        a = from_sympy(to_sympy(h) * to_sympy(u))
+        b = from_sympy(to_sympy(h) * to_sympy(v))
+        assert dense_gcd(a, b) == from_sympy(sympy.gcd(to_sympy(a),
+                                                       to_sympy(b)))
+        if b:
+            q, r = sympy.div(to_sympy(a), to_sympy(b))
+            assert dense_divmod(a, b) == (from_sympy(q), from_sympy(r))
+
+    check()
 
 
 def test_kernels_drop_cancelled_terms():

@@ -86,6 +86,39 @@ def test_cyclic_vector_back_substitution():
     assert res.op.monic() == L.monic()
 
 
+def test_cyclic_vector_retries_draw_in_a_fixed_order():
+    # e_0 is not cyclic for A = 0, nor is any constant covector; the first
+    # success is a drawn linear covector, which back_substitute reveals
+    zero = RatFun.zero("t")
+    t = RatFun.gen("t")
+    res = cyclic_vector_scalarize([[zero, zero], [zero, zero]], retries=20)
+    assert [str(x) for x in res.back_substitute(t)] == ["-1/12", "1/4"]
+    assert [str(x) for x in res.back_substitute(t * t)] == [
+        "(-1/4)*t^2 + (-1/6)*t", "(-1/4)*t^2 + (1/2)*t"]
+
+
+def test_cyclic_vector_failure_without_retries():
+    zero = RatFun.zero("t")
+    with pytest.raises(ValueError, match="cyclic vector failed"):
+        cyclic_vector_scalarize([[zero, zero], [zero, zero]])
+
+
+def test_scalarization_eliminates_once(monkeypatch):
+    import irred.linear
+    calls = []
+    rref = irred.linear.rref
+
+    def counting(m):
+        calls.append(len(m))
+        return rref(m)
+
+    monkeypatch.setattr(irred.linear, "rref", counting)
+    L = parse_operator("D^5 - 20*t*D^3 - 30*D^2 + 64*t^2*D + 64*t")
+    res = cyclic_vector_scalarize(companion(L))
+    assert res.op == L
+    assert calls == [5]
+
+
 def test_gauge_transform_shape():
     t = RatFun.gen("t")
     one = RatFun.const(1, "t")
@@ -99,6 +132,12 @@ def test_gauge_transform_shape():
 def test_adjoint_involution_simple():
     L = parse_operator("D^3 + t*D + 1")
     assert adjoint_operator(adjoint_operator(L)) == L
+
+
+def test_diffop_sum_cancels_to_zero_operator():
+    L = parse_operator("D^3 + t*D + 1")
+    assert (L - L).is_zero() and str(L - L) == "0"
+    assert L + parse_operator("-D^3 + D") == parse_operator("(t + 1)*D + 1")
 
 
 def test_diffop_specialize():

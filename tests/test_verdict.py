@@ -105,3 +105,22 @@ def test_certificate_recheck_detects_wrong_claim():
             rec["hash"] = _record_hash(rec)
     with pytest.raises(CertificateError):
         replay(d)
+
+
+def test_check_p2_solves_the_obstruction_system_once(monkeypatch):
+    import irred.verdict as verdict
+    calls = []
+    solve = verdict.system_rational_solutions
+
+    def counting(A, b=None):
+        calls.append(len(A))
+        return solve(A, b)
+
+    monkeypatch.setattr(verdict, "system_rational_solutions", counting)
+    cert = verdict.check_p2()
+    assert cert.verdict == IRREDUCIBLE
+    assert calls == [5]
+    # both routes record the one system
+    first, second = cert.find("rational_system")
+    assert first == second and not first["solvable"]
+    replay(cert)

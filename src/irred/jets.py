@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .field import FieldElem
 from .grammar import ParseError, _Parser, parse_ratfun, tokenize
-from .linear import solve
+from .linear import inverse, mat_mul, mat_transpose, solve_all
 from .linops import sym_power_matrix, sym_power_rep
 from .mpoly import MPoly, _one_like
 from .poly import Poly, RatFun, ratfun
@@ -532,18 +532,10 @@ def _cinf_c0(M):
 
 def _subsystem_matrix(full, S, one):
     """Induced matrix on the invariant row space S: solve S A = B S."""
-    n = len(S)
-    SA = [[sum((S[i][k] * full[k][j] for k in range(len(full))),
-               one - one) for j in range(len(full[0]))] for i in range(n)]
-    B = []
-    for i in range(n):
-        # express row SA[i] in the rows of S
-        m = [[S[j][c] for j in range(n)] for c in range(len(S[0]))]
-        rhs = [SA[i][c] for c in range(len(S[0]))]
-        sol = solve(m, rhs, one)
-        if sol is None:
-            raise ValueError("row space is not invariant")
-        B.append(sol)
+    # row i of B expresses row i of S A in the rows of S
+    B, _ = solve_all(mat_transpose(S), mat_mul(S, full), one)
+    if None in B:
+        raise ValueError("row space is not invariant")
     return B
 
 
@@ -614,7 +606,6 @@ def _scale_conj(A, diag):
 
 def _gauge_const(Q, A, one):
     """Q^{-1} A Q for a constant gauge matrix Q."""
-    from .linear import inverse, mat_mul
     return mat_mul(mat_mul(inverse(Q, one), A), Q)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import warnings
 
 from .field import FieldElem
-from .linear import mat_bracket, rref, solve
+from .linear import mat_bracket, mat_mul, mat_transpose, rref, solve_all
 from .poly import Poly, RatFun, common_denominator
 
 
@@ -122,14 +122,14 @@ def associated_lie_algebra(A):
             v = vecs[r * m + c]
             for i, p in enumerate(pivots):
                 mats[i][r][c] = v[p]
-    # sanity: decomposition reproduces A
-    for r in range(n):
-        for c in range(m):
-            acc = RatFun.zero(var, params)
-            for i in range(s):
-                acc = acc + coeffs[i] * mats[i][r][c]
-            if not (acc == A[r][c]):
-                raise RuntimeError("decomposition failed to reproduce matrix")
+    # sanity: decomposition reproduces A (an empty sum is the zero matrix)
+    flat = _flat(A)
+    if s:
+        ok = mat_mul([coeffs], [_flat(M) for M in mats])[0] == flat
+    else:
+        ok = not any(flat)
+    if not ok:
+        raise RuntimeError("decomposition failed to reproduce matrix")
     return coeffs, mats
 
 
@@ -152,20 +152,16 @@ def adjoint_action_matrix(diag, offbasis):
 
     diag may have rational-function entries; the basis is constant.
     """
-    k = len(offbasis)
     cols = [_flat(B) for B in offbasis]
     sample = diag[0][0]
     one = sample - sample + 1
-    m = [[cols[j][c] * one for j in range(k)] for c in range(len(cols[0]))]
-    Psi = [[None] * k for _ in range(k)]
-    for j, F in enumerate(offbasis):
-        br = mat_bracket(diag, [[x * one for x in row] for row in F])
-        sol = solve(m, _flat(br), one)
-        if sol is None:
-            raise ValueError("not an invariant subspace")
-        for i in range(k):
-            Psi[i][j] = sol[i]
-    return Psi
+    m = [[x * one for x in row] for row in mat_transpose(cols)]
+    brs = [_flat(mat_bracket(diag, [[x * one for x in row] for row in F]))
+           for F in offbasis]
+    sols, _ = solve_all(m, brs, one)
+    if None in sols:
+        raise ValueError("not an invariant subspace")
+    return mat_transpose(sols)
 
 
 def classify_lnve_lie_algebra(basis: LieAlgebraBasis, n: int) -> str:

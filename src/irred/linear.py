@@ -61,9 +61,11 @@ def mat_bracket(a, b):
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
-def rref(m):
+def rref(m, limit=None):
     """Reduced row echelon form, in place on a copy.
 
+    Pivots are taken only in the first limit columns (all by default);
+    the remaining columns are carried along by the row operations.
     Returns (R, pivots) where pivots lists the pivot column of each
     nonzero row.
     """
@@ -71,7 +73,7 @@ def rref(m):
     rows, cols = mat_shape(a)
     pivots = []
     r = 0
-    for c in range(cols):
+    for c in range(cols if limit is None else limit):
         p = None
         for i in range(r, rows):
             if a[i][c]:
@@ -99,48 +101,53 @@ def rank(m):
     return len(rref(m)[1])
 
 
-def nullspace(m, one):
-    """Basis of the right kernel, as a list of vectors."""
-    rows, cols = mat_shape(m)
+def solve_all(m, rhss, one):
+    """Solve m x = b for every b in rhss with one elimination.
+
+    Returns (solutions, kernel): solutions[k] is one solution for
+    rhss[k], or None when that system is inconsistent, and kernel is a
+    basis of the right kernel of m.  Pivots are taken only in m's
+    columns, so an inconsistent right-hand side leaves the others
+    untouched.
+    """
+    cols = mat_shape(m)[1]
     zero = one - one
-    if rows == 0 or cols == 0:
-        return [[one if i == j else zero for j in range(cols)]
-                for i in range(cols)]
-    r, pivots = rref(m)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
+    aug = [list(row) + [b[i] for b in rhss] for i, row in enumerate(m)]
+    r, pivots = rref(aug, cols)
+    solutions = []
+    for k in range(cols, cols + len(rhss)):
+        if any(row[k] for row in r[len(pivots):]):
+            solutions.append(None)
+            continue
+        x = [zero] * cols
+        for row, pc in zip(r, pivots):
+            x[pc] = row[k]
+        solutions.append(x)
+    kernel = []
+    for fc in range(cols):
+        if fc in pivots:
+            continue
         v = [zero] * cols
         v[fc] = one
-        for i, pc in enumerate(pivots):
-            v[pc] = -r[i][fc]
-        basis.append(v)
-    return basis
+        for row, pc in zip(r, pivots):
+            v[pc] = -row[fc]
+        kernel.append(v)
+    return solutions, kernel
 
 
 def solve(m, rhs, one):
     """One solution of m x = rhs, or None when inconsistent."""
-    rows, cols = mat_shape(m)
-    zero = one - one
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(m)]
-    r, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = [zero] * cols
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i][cols]
-    return x
+    return solve_all(m, [rhs], one)[0][0]
 
 
 def inverse(m, one):
     n, n2 = mat_shape(m)
     if n != n2:
         raise ValueError("inverse of a non-square matrix")
-    aug = [list(row) + list(idr) for row, idr in zip(m, mat_identity(n, one))]
-    r, pivots = rref(aug)
-    if pivots != list(range(n)):
+    cols, kernel = solve_all(m, mat_identity(n, one), one)
+    if kernel:
         raise ValueError("matrix is singular")
-    return [row[n:] for row in r]
+    return mat_transpose(cols)
 
 
 def in_span(vectors, v, one):

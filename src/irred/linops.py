@@ -14,7 +14,7 @@ from fractions import Fraction
 from .field import FieldElem
 from .grammar import ParseError, _Parser, tokenize
 from .linear import inverse, mat_mul, mat_shape, mat_sub
-from .mpoly import dense_add, dense_mul, join_terms, power
+from .mpoly import dense_add, dense_mul, power, print_sum
 from .poly import Poly, RatFun, ratfun
 
 
@@ -216,24 +216,9 @@ class DiffOp:
         return "DiffOp(%s)" % self.__str__()
 
     def __str__(self):
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            cs = str(c)
-            if k == 0:
-                parts.append("(%s)" % cs if " " in cs else cs)
-                continue
-            dk = "D" if k == 1 else "D^%d" % k
-            if cs == "1":
-                parts.append(dk)
-            elif cs == "-1":
-                parts.append("-" + dk)
-            else:
-                wrap = (" " in cs) or ("/" in cs)
-                parts.append("%s*%s" % ("(%s)" % cs if wrap else cs, dk))
-        return join_terms(parts) if parts else "0"
+        return print_sum(
+            (str(c), "" if k == 0 else "D" if k == 1 else "D^%d" % k)
+            for k, c in reversed(list(enumerate(self.coeffs))) if c)
 
 
 class _OpParser(_Parser):
@@ -344,13 +329,13 @@ def cyclic_vector_scalarize(A, b=None, v=None, retries=0):
 def _scalarize_once(A, b, v, zero, one, n):
     rows = [list(v)]
     ws = [zero]
+    Ab = [list(row) + [bk] for row, bk in zip(A, b)]
     for _ in range(n):
         vi = rows[-1]
-        dvi = [x.derivative() for x in vi]
-        vA = [sum((vi[k] * A[k][j] for k in range(n)), zero) for j in range(n)]
-        rows.append([dvi[j] + vA[j] for j in range(n)])
-        ws.append(ws[-1].derivative()
-                  + sum((vi[k] * b[k] for k in range(n)), zero))
+        # v_i A and v_i . b in one product
+        vAb = mat_mul([vi], Ab)[0]
+        rows.append([x.derivative() + y for x, y in zip(vi, vAb)])
+        ws.append(ws[-1].derivative() + vAb[n])
     try:
         Vinv = inverse(rows[:n], one)
     except ValueError:
@@ -367,8 +352,7 @@ def _scalarize_once(A, b, v, zero, one, n):
         for i in range(n):
             derivs.append(g - ws[i])
             g = g.derivative()
-        return [sum((Vinv[i][j] * derivs[j] for j in range(n)), zero)
-                for i in range(n)]
+        return [r[0] for r in mat_mul(Vinv, [[d] for d in derivs])]
 
     return ScalarizeResult(op, h, back)
 

@@ -152,6 +152,28 @@ def join_terms(parts):
     return s
 
 
+def print_sum(pairs):
+    """Print a sum of coefficient * monomial terms; "0" for no terms.
+
+    pairs are (coefficient string, monomial), the constant term with an
+    empty monomial.  A constant is wrapped when it contains a space, 1
+    and -1 drop to the monomial, and any other coefficient is wrapped
+    when it contains a space or "/".
+    """
+    parts = []
+    for cs, mono in pairs:
+        if not mono:
+            parts.append("(%s)" % cs if " " in cs else cs)
+        elif cs == "1":
+            parts.append(mono)
+        elif cs == "-1":
+            parts.append("-" + mono)
+        else:
+            wrap = " " in cs or "/" in cs
+            parts.append("%s*%s" % ("(%s)" % cs if wrap else cs, mono))
+    return join_terms(parts) if parts else "0"
+
+
 class MPoly:
     """Polynomial in named variables, terms as {exponent tuple: coeff}."""
 
@@ -267,25 +289,13 @@ class MPoly:
         return "MPoly(%s)" % self.__str__()
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, key=lambda ex: (-sum(ex), tuple(-k for k in ex))):
-            c = self.terms[e]
-            mono = "*".join(
-                v if k == 1 else "%s^%d" % (v, k)
-                for v, k in zip(self.vars, e) if k)
-            cs = str(c)
-            if not mono:
-                parts.append("(%s)" % cs if " " in cs else cs)
-            elif cs == "1":
-                parts.append(mono)
-            elif cs == "-1":
-                parts.append("-" + mono)
-            else:
-                wrap = (" " in cs) or ("/" in cs)
-                parts.append("%s*%s" % ("(%s)" % cs if wrap else cs, mono))
-        return join_terms(parts)
+        order = sorted(self.terms,
+                       key=lambda ex: (-sum(ex), tuple(-k for k in ex)))
+        return print_sum(
+            (str(self.terms[e]),
+             "*".join(v if k == 1 else "%s^%d" % (v, k)
+                      for v, k in zip(self.vars, e) if k))
+            for e in order)
 
 
 def _one_like(czero):

@@ -9,8 +9,8 @@ import math
 from fractions import Fraction
 
 from .field import FieldElem
-from .mpoly import (dense_add, dense_divmod, dense_gcd, dense_mul, join_terms,
-                    power)
+from .mpoly import (dense_add, dense_divmod, dense_gcd, dense_mul, power,
+                    print_sum)
 
 
 class Poly:
@@ -205,26 +205,10 @@ class Poly:
         return "Poly(%s)" % self.__str__()
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            cs = str(c)
-            wrap = (" " in cs) or ("/" in cs and k > 0)
-            if k == 0:
-                parts.append("(%s)" % cs if " " in cs else cs)
-                continue
-            mono = self.var if k == 1 else "%s^%d" % (self.var, k)
-            if cs == "1":
-                parts.append(mono)
-            elif cs == "-1":
-                parts.append("-" + mono)
-            else:
-                parts.append("%s*%s" % ("(%s)" % cs if wrap else cs, mono))
-        return join_terms(parts)
+        return print_sum(
+            (str(c), "" if k == 0 else self.var if k == 1
+             else "%s^%d" % (self.var, k))
+            for k, c in reversed(list(enumerate(self.coeffs))) if c)
 
 
 def _rational_root_candidates(f: Poly):

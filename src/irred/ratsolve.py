@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .field import FieldElem
-from .linear import mat_shape, nullspace, solve
+from .linear import mat_mul, mat_shape, solve_all
 from .linops import DiffOp, cyclic_vector_scalarize
 from .poly import Poly, RatFun, common_denominator, ratfun
 
@@ -50,13 +50,11 @@ class SolutionSpace:
     degree are the universal bounds used, kept for certification.
     """
 
-    def __init__(self, particular, basis, denominator=None, degree=None,
-                 system_shape=None):
+    def __init__(self, particular, basis, denominator=None, degree=None):
         self.particular = particular
         self.basis = list(basis)
         self.denominator = denominator
         self.degree = degree
-        self.system_shape = system_shape
 
     def __repr__(self):
         return "SolutionSpace(particular=%s, dim=%d)" % (
@@ -273,15 +271,14 @@ def degree_bound(L: DiffOp, g=None) -> int:
 
 
 def _polynomial_solutions(L: DiffOp, rhs, bound):
-    """Solve for polynomial y of degree <= bound; returns (part, basis, shape).
+    """Solve for polynomial y of degree <= bound; returns (part, basis).
 
     rhs is a RatFun that must be polynomial for solutions to exist.
     """
     var = L.var
     zero = RatFun.zero(var)
-    one = RatFun.const(1, var)
     if bound < 0:
-        return (zero if not rhs else None), [], (0, 0)
+        return (zero if not rhs else None), []
     images = []
     for k in range(bound + 1):
         xk = RatFun(Poly([Fraction(0)] * k + [Fraction(1)], var))
@@ -296,17 +293,16 @@ def _polynomial_solutions(L: DiffOp, rhs, bound):
         for r in range(deg + 1):
             m[r][j] = c.coeff(r)
     b = [rp.coeff(r) for r in range(deg + 1)]
-    fone = FieldElem.from_fraction(1)
+    (sol,), kernel = solve_all(m, [b], FieldElem.from_fraction(1))
     part = None
-    sol = solve(m, b, fone)
     if sol is not None:
         part = RatFun(Poly([c.as_fraction() for c in sol], var))
     basis = []
-    for v in nullspace(m, fone):
+    for v in kernel:
         p = Poly([c.as_fraction() for c in v], var)
         if not p.is_zero():
             basis.append(RatFun(p))
-    return part, basis, (len(m), bound + 1)
+    return part, basis
 
 
 def rational_solutions(L: DiffOp, g=None) -> SolutionSpace:
@@ -325,10 +321,12 @@ def rational_solutions(L: DiffOp, g=None) -> SolutionSpace:
     D = denominator_bound(L, g)
     # substitute y = z / D and clear: polynomial-solution problem for z
     M = L * DiffOp([RatFun(Poly.const(1, var), D)], var)
+    # clearing g's denominator multiplies every coefficient of M by one
+    # monic factor, so the indicial data at infinity, and with them the
+    # homogeneous degree candidates, are those of degree_bound(M, None)
     bound = degree_bound(M, g)
-    hbound = degree_bound(M, None)
-    part, basis, shape = _polynomial_solutions(
-        M, g if g is not None else RatFun.zero(var), max(bound, hbound))
+    part, basis = _polynomial_solutions(
+        M, g if g is not None else RatFun.zero(var), bound)
     Dr = RatFun(Poly.const(1, var), D)
     if part is not None:
         part = part * Dr
@@ -343,8 +341,7 @@ def rational_solutions(L: DiffOp, g=None) -> SolutionSpace:
     basis.sort(key=lambda y: (y.den.degree(), y.num.degree(), str(y)))
     if g is None and part is None:
         part = RatFun.zero(var)
-    return SolutionSpace(part, basis, denominator=D, degree=max(bound, hbound),
-                         system_shape=shape)
+    return SolutionSpace(part, basis, denominator=D, degree=bound)
 
 
 def system_rational_solutions(A, b=None) -> SolutionSpace:
@@ -365,12 +362,12 @@ def system_rational_solutions(A, b=None) -> SolutionSpace:
     bvec = b if b is not None else [RatFun.zero(var)] * n
 
     def check(F, rhs_on):
+        AF = mat_mul(A, [[x] for x in F])
         for i in range(n):
-            lhs = F[i].derivative()
-            rhs = sum((A[i][j] * F[j] for j in range(n)), RatFun.zero(var))
+            rhs = AF[i][0]
             if rhs_on:
                 rhs = rhs + ratfun(bvec[i], var)
-            if not (lhs == rhs):
+            if not (F[i].derivative() == rhs):
                 return False
         return True
 
@@ -390,4 +387,4 @@ def system_rational_solutions(A, b=None) -> SolutionSpace:
             raise RuntimeError("back substitution produced a wrong solution")
         basis.append(F)
     return SolutionSpace(part, basis, denominator=space.denominator,
-                         degree=space.degree, system_shape=space.system_shape)
+                         degree=space.degree)

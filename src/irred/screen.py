@@ -204,7 +204,7 @@ def exponential_solutions_restricted(L: DiffOp):
             bound = degree_bound(M, None)
             if bound < 0:
                 continue
-            _, basis, _ = _polynomial_solutions(M, RatFun.zero(var), bound)
+            _, basis = _polynomial_solutions(M, RatFun.zero(var), bound)
             for P in basis:
                 wit = ExpWitness(lam, dict(zip(points, combo)), P.as_poly())
                 _verify_witness(L, wit)

@@ -11,3 +11,18 @@ def p3_certificate_text(tmp_path_factory):
     code = main(["p3", "--mu", "1/2", "--json", str(out)])
     assert code == 0
     return out.read_text(encoding="utf-8")
+
+
+@pytest.fixture
+def rref_calls(monkeypatch):
+    """Row counts of the matrices eliminated by irred.linear.rref."""
+    import irred.linear
+    calls = []
+    rref = irred.linear.rref
+
+    def counting(m, *args):
+        calls.append(len(m))
+        return rref(m, *args)
+
+    monkeypatch.setattr(irred.linear, "rref", counting)
+    return calls

@@ -173,3 +173,21 @@ def test_mpoly_ring_ops_cancel():
     # (y + x z)(y - x z): the y*z terms cancel
     assert ((y + z) * (y - z)).terms == {(2, 0): one, (0, 2): -x * x}
     assert f.diff("y") == y.scale(2)
+
+
+def test_subsystem_matrix_eliminates_once(rref_calls):
+    from irred.jets import _subsystem_matrix
+    from irred.linear import mat_mul
+    t = RatFun.gen("t")
+    one = RatFun.const(1, "t")
+    zero = RatFun.zero("t")
+    full = [[t, one, zero, zero], [zero, 1 / t, zero, zero],
+            [zero, t, 2 * one, zero], [one, t, zero, t * t]]
+    # rows 0..2 of S span e0, e1, e2, whose span is invariant
+    S = [[one, one, zero, zero], [zero, one, zero, zero],
+         [zero, t, one, zero]]
+    B = _subsystem_matrix(full, S, one)
+    assert rref_calls == [4]
+    assert mat_mul(B, S) == mat_mul(S, full)
+    with pytest.raises(ValueError, match="not invariant"):
+        _subsystem_matrix(full, [[zero, zero, zero, one]], one)

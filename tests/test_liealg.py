@@ -165,3 +165,15 @@ def test_lie_closure_self_check_is_reachable(monkeypatch):
     monkeypatch.setattr(liealg, "mat_bracket", faulty)
     with pytest.raises(RuntimeError, match="closure not closed"):
         lie_closure([X, Y])
+
+
+def test_adjoint_action_eliminates_once(rref_calls):
+    t = RatFun.gen("t")
+    one = RatFun.const(1, "t")
+    X, Y, _ = block_xyh(3)
+    diag = [[x * one + t * (y * one) for x, y in zip(rx, ry)]
+            for rx, ry in zip(X, Y)]
+    Psi = adjoint_action_matrix(diag, block_f_matrices(3))
+    assert len(Psi) == 5
+    # one elimination of the 36 flattened entries for all 5 brackets
+    assert rref_calls == [36]

@@ -103,20 +103,11 @@ def test_cyclic_vector_failure_without_retries():
         cyclic_vector_scalarize([[zero, zero], [zero, zero]])
 
 
-def test_scalarization_eliminates_once(monkeypatch):
-    import irred.linear
-    calls = []
-    rref = irred.linear.rref
-
-    def counting(m):
-        calls.append(len(m))
-        return rref(m)
-
-    monkeypatch.setattr(irred.linear, "rref", counting)
+def test_scalarization_eliminates_once(rref_calls):
     L = parse_operator("D^5 - 20*t*D^3 - 30*D^2 + 64*t^2*D + 64*t")
     res = cyclic_vector_scalarize(companion(L))
     assert res.op == L
-    assert calls == [5]
+    assert rref_calls == [5]
 
 
 def test_gauge_transform_shape():

@@ -126,3 +126,32 @@ def test_system_unsolvable():
     b = [1 / t(), zero]
     space = system_rational_solutions(A, b)
     assert space.particular is None
+
+
+def test_polynomial_solutions_eliminates_once(rref_calls):
+    from irred.ratsolve import _polynomial_solutions
+    L = parse_operator("D^2 - D")
+    g = L.apply(t() ** 2 / 2)
+    part, basis = _polynomial_solutions(L, g, 3)
+    assert len(rref_calls) == 1
+    assert L.apply(part) == g
+    assert [str(y) for y in basis] == ["1"]
+
+
+def test_rational_solutions_bounds_the_degree_once(monkeypatch):
+    import irred.ratsolve as ratsolve
+    calls = []
+    bound = ratsolve.degree_bound
+
+    def counting(L, g=None):
+        calls.append(g is None)
+        return bound(L, g)
+
+    monkeypatch.setattr(ratsolve, "degree_bound", counting)
+    L = parse_operator("D^2 + (1/t)*D - 4")
+    g = L.apply((t() ** 2 + 3) / (t() - 1))
+    space = rational_solutions(L, g)
+    assert L.apply(space.particular) == g
+    assert calls == [False]
+    rational_solutions(L)
+    assert calls == [False, True]

@@ -123,4 +123,21 @@ def test_check_p2_solves_the_obstruction_system_once(monkeypatch):
     # both routes record the one system
     first, second = cert.find("rational_system")
     assert first == second and not first["solvable"]
-    replay(cert)
+    # replay checks both hashes but solves the repeated record once
+    assert replay(cert) == len(cert.evidence)
+    assert calls == [5, 5]
+
+
+def test_p3_display_at_rational_mu_is_the_specialized_display():
+    from fractions import Fraction
+    from irred.grammar import parse_ratfun
+    from irred.verdict import _p3_g_display
+    symbolic = parse_ratfun(
+        "8192*mu^4/x + 5120*(4*mu + 1)*mu^4/x^2"
+        " + 512*(24*mu^2 + 16*mu - 7)*mu^4/x^3"
+        " - 256*(31*mu + 3)*mu^4/x^4 + 768*mu^4/x^5", "x", ("mu",))
+    for m in (Fraction(1, 2), Fraction(-3, 2), Fraction(7, 3)):
+        want = symbolic.specialize({"mu": m})
+        got = _p3_g_display(m)
+        assert got == want and str(got) == str(want)
+        assert got.params == ()

@@ -288,24 +288,6 @@ def _multinomial(e):
     return n
 
 
-def _weight_k_exponents(weights, k):
-    """All exponent tuples with sum weights[i]*e[i] == k."""
-    out = []
-
-    def rec(i, rem, cur):
-        if i == len(weights):
-            if rem == 0:
-                out.append(tuple(cur))
-            return
-        w = weights[i]
-        top = rem // w
-        for e in range(top + 1):
-            rec(i + 1, rem - e * w, cur + [e])
-
-    rec(0, k, [])
-    return [e for e in out if any(e)]
-
-
 def _basis_sort_key(e):
     # blocks by number of factors, descending; then lexicographic descending
     return (-sum(e), tuple(-k for k in e))
@@ -318,21 +300,20 @@ def monomial_label(e, varnames):
     return mono if n == 1 else "%d*%s" % (n, mono)
 
 
-def linearize(J: JetSystem, reduce=True) -> LinearizedSystem:
+def linearize(J: JetSystem) -> LinearizedSystem:
     """Linear system satisfied by the weight-k monomials in jet variables.
 
     Monomial variables are normalized by the number of orderings,
-    z_e = multinomial(e) * prod v^e.  With reduce=True only the invariant
-    subsystem generated by the top-order jets is kept (this reproduces
-    the displayed reduced systems); with reduce=False all weight-k
-    monomials appear.
+    z_e = multinomial(e) * prod v^e.  Only the invariant subsystem
+    generated by the top-order jets is kept: the monomials reached from
+    them by repeated differentiation.  This reproduces the displayed
+    reduced systems.
     """
     X = J.field
     if J.curve is None and any(J.jet_order[v] == 0 for v in J.vars):
         raise ValueError("linearize needs the system restricted along a curve")
     k = J.k
     vars_ = J.vars
-    weights = [J.jet_order[v] for v in vars_]
 
     def derivative_poly(e):
         acc = MPoly.zero(vars_, X.czero)
@@ -344,25 +325,19 @@ def linearize(J: JetSystem, reduce=True) -> LinearizedSystem:
             acc = acc + MPoly(vars_, rest, X.czero) * J.rhs[v]
         return acc.scale(RatFun.const(_multinomial(e), X.cvar, X.params))
 
-    if reduce:
-        seeds = []
-        for i, v in enumerate(vars_):
-            if weights[i] == k:
-                seeds.append(tuple(1 if j == i else 0
-                                   for j in range(len(vars_))))
-        basis = set(seeds)
-        frontier = list(seeds)
-        while frontier:
-            nxt = []
-            for e in frontier:
-                for e2 in derivative_poly(e).terms:
-                    if e2 not in basis:
-                        basis.add(e2)
-                        nxt.append(e2)
-            frontier = nxt
-        basis = sorted(basis, key=_basis_sort_key)
-    else:
-        basis = sorted(_weight_k_exponents(weights, k), key=_basis_sort_key)
+    seeds = [tuple(1 if j == i else 0 for j in range(len(vars_)))
+             for i, v in enumerate(vars_) if J.jet_order[v] == k]
+    basis = set(seeds)
+    frontier = seeds
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for e2 in derivative_poly(e).terms:
+                if e2 not in basis:
+                    basis.add(e2)
+                    nxt.append(e2)
+        frontier = nxt
+    basis = sorted(basis, key=_basis_sort_key)
 
     index = {e: i for i, e in enumerate(basis)}
     n = len(basis)
@@ -382,50 +357,40 @@ def linearize(J: JetSystem, reduce=True) -> LinearizedSystem:
 # the family y'' = x y + y^n P(x,y)
 
 class EquationFamily:
-    """y'' = x y + y^n P(x,y), with P polynomial in y, rational in x and
-    finite along y = 0.  The obstruction datum is p(t) = n! P(t,0)."""
+    """y'' = x y + y^n P(x,y) over Q, with P polynomial in y, rational in
+    x and finite along y = 0.  The obstruction datum is p(t) = n! P(t,0)."""
 
-    def __init__(self, n, P, params=()):
+    def __init__(self, n, P):
         if n < 2:
             raise ValueError("family needs n >= 2")
         self.n = n
-        self.params = tuple(params)
         if isinstance(P, str):
             try:
-                P = parse_component(P, ("y",), "x", self.params)
+                P = parse_component(P, ("y",), "x")
             except ParseError as e:
                 raise ValueError("P must be polynomial in y and finite "
                                  "along y=0: %s" % e)
         elif not isinstance(P, MPoly):
-            P = MPoly.const(ratfun(P, "x", self.params), ("y",),
-                            RatFun.zero("x", self.params))
+            P = MPoly.const(ratfun(P, "x"), ("y",), RatFun.zero("x"))
         self.P = P
 
     def p(self) -> RatFun:
         """n! * P(t, 0), in the variable t."""
-        czero = RatFun.zero("x", self.params)
-        c = self.P.terms.get((0,), czero)
+        c = self.P.terms.get((0,), RatFun.zero("x"))
         return rename_ratfun(c * math.factorial(self.n), "t")
 
     def field(self) -> VectorFieldSpec:
-        yn = MPoly.gen("y", ("y", "z"), RatFun.const(1, "x", self.params),
-                       RatFun.zero("x", self.params)) ** self.n
-        P2 = MPoly(("y", "z"),
-                   {(e[0], 0): c for e, c in self.P.terms.items()},
-                   RatFun.zero("x", self.params))
-        x = MPoly.const(RatFun.gen("x", self.params), ("y", "z"),
-                        RatFun.zero("x", self.params))
-        y = MPoly.gen("y", ("y", "z"), RatFun.const(1, "x", self.params),
-                      RatFun.zero("x", self.params))
-        one = MPoly.const(RatFun.const(1, "x", self.params), ("y", "z"),
-                          RatFun.zero("x", self.params))
-        az = x * y + yn * P2
-        return VectorFieldSpec(("x", "y", "z"), [one,
-                                                 MPoly.gen("z", ("y", "z"),
-                                                           RatFun.const(1, "x", self.params),
-                                                           RatFun.zero("x", self.params)),
-                                                 az],
-                               params=self.params, indep="x")
+        deps = ("y", "z")
+        zero, one = RatFun.zero("x"), RatFun.const(1, "x")
+        y = MPoly.gen("y", deps, one, zero)
+        z = MPoly.gen("z", deps, one, zero)
+        P2 = MPoly(deps, {(e[0], 0): c for e, c in self.P.terms.items()},
+                   zero)
+        x = MPoly.const(RatFun.gen("x"), deps, zero)
+        az = x * y + y ** self.n * P2
+        return VectorFieldSpec(("x", "y", "z"),
+                               [MPoly.const(one, deps, zero), z, az],
+                               indep="x")
 
 
 def build_lnve_airy_family(n: int, p) -> list:
@@ -437,11 +402,10 @@ def build_lnve_airy_family(n: int, p) -> list:
     """
     if n < 2:
         raise ValueError("needs n >= 2")
-    p = ratfun(p, "t", getattr(p, "params", ()))
-    params = p.params
-    zero = RatFun.zero("t", params)
-    one = RatFun.const(1, "t", params)
-    t = RatFun.gen("t", params)
+    p = ratfun(p, "t")
+    zero = RatFun.zero("t")
+    one = RatFun.const(1, "t")
+    t = RatFun.gen("t")
     A1 = [[zero, one], [t, zero]]
     S = sym_power_matrix(A1, n)
     m = n + 3
@@ -455,15 +419,13 @@ def build_lnve_airy_family(n: int, p) -> list:
     return A
 
 
-def lnve_airy_family_pipeline(n: int, P, params=()) -> LinearizedSystem:
+def lnve_airy_family_pipeline(n: int, P) -> LinearizedSystem:
     """Same matrix through prolong -> restrict -> normal -> linearize."""
-    fam = EquationFamily(n, P, params)
-    X = fam.field()
+    X = EquationFamily(n, P).field()
     J = prolong(X, n)
-    J = restrict_along_curve(J, {"y": RatFun.zero("x", params),
-                                 "z": RatFun.zero("x", params)})
-    J = normal_restrict(J)
-    return linearize(J, reduce=True)
+    zero = RatFun.zero("x")
+    J = restrict_along_curve(J, {"y": zero, "z": zero})
+    return linearize(normal_restrict(J))
 
 
 # ---------------------------------------------------------------------------
@@ -539,25 +501,23 @@ def _subsystem_matrix(full, S, one):
     return B
 
 
-def p3_field(params=("mu",)) -> VectorFieldSpec:
+def p3_field() -> VectorFieldSpec:
     """Hamiltonian vector field of the Painleve III case, x H =
     2 y^2 z^2 - (x y^2 - 2 mu y - x) z - mu x y."""
     ay = "(4*y^2*z - x*y^2 + 2*mu*y + x)/x"
     az = "(-4*y*z^2 + 2*x*y*z - 2*mu*z + mu*x)/x"
     return VectorFieldSpec(("x", "y", "z"), ["1", ay, az],
-                           params=params, indep="x")
+                           params=("mu",), indep="x")
 
 
-def build_p3_chain(mu=None) -> P3Chain:
+def build_p3_chain() -> P3Chain:
     """Variational chain along y=1, z=-mu/2 with gauges Q1, Q2, Q3.
 
-    mu=None keeps the parameter symbolic; a rational mu specializes every
-    matrix.  mu = 0 is rejected (the gauge Q1 degenerates).
+    Every matrix is over Q(mu)(x), with mu symbolic; specialize the
+    entries for a rational mu.  The gauge Q1 degenerates at mu = 0.
     """
     params = ("mu",)
-    if mu is not None and Fraction(mu) == 0:
-        raise ValueError("Q1 singular")
-    X = p3_field(params)
+    X = p3_field()
     muv = parse_ratfun("mu", "x", params)
     zero = RatFun.zero("x", params)
     one = RatFun.const(1, "x", params)
@@ -567,15 +527,14 @@ def build_p3_chain(mu=None) -> P3Chain:
     J1 = normal_restrict(restrict_along_curve(prolong(X, 1), curve))
     J2 = normal_restrict(restrict_along_curve(prolong(X, 2), curve))
 
-    A1 = linearize(J1, reduce=True).matrix
+    A1 = linearize(J1).matrix
     # order-l jet variables carry a 1/l! (Taylor coefficient) normalization
     # in this chain; the middle block of A3 uses the polarized quadratic
     # basis.  Both are constant diagonal gauges of the linearize output.
-    A2 = _scale_conj(linearize(J2, reduce=True).matrix,
+    A2 = _scale_conj(linearize(J2).matrix,
                      [1, 1, 1, Fraction(1, 2), Fraction(1, 2)])
 
-    L3 = linearize(J3, reduce=False)
-    A3 = _scale_conj(_p3_third_matrix(L3, one),
+    A3 = _scale_conj(_p3_third_matrix(linearize(J3), one),
                      [1, 1, 1, 1,
                       Fraction(1, 3), Fraction(1, 3), Fraction(1, 3),
                       Fraction(1, 6), Fraction(1, 6)])
@@ -588,14 +547,8 @@ def build_p3_chain(mu=None) -> P3Chain:
     At2 = _gauge_const(Q2, A2, one)
     At3 = _gauge_const(Q3, A3, one)
 
-    ch = P3Chain(A1=A1, Q1=Q1, At1=At1, A2=A2, Q2=Q2, At2=At2,
-                 A3=A3, Q3=Q3, At3=At3, mu=mu)
-    if mu is not None:
-        sub = {"mu": Fraction(mu)}
-        for name in ("A1", "Q1", "At1", "A2", "Q2", "At2", "A3", "Q3", "At3"):
-            M = getattr(ch, name)
-            setattr(ch, name, [[f.specialize(sub) for f in row] for row in M])
-    return ch
+    return P3Chain(A1=A1, Q1=Q1, At1=At1, A2=A2, Q2=Q2, At2=At2,
+                   A3=A3, Q3=Q3, At3=At3)
 
 
 def _scale_conj(A, diag):
@@ -622,7 +575,7 @@ def _blockdiag(blocks, zero):
 
 
 def _p3_third_matrix(L3: LinearizedSystem, one):
-    """Extract the 9x9 third variational matrix from the full weight-3
+    """Extract the 9x9 third variational matrix from the weight-3
     monomial system: cubic block, polarized mixed block, jet block."""
     vars_ = L3.vars
     idx = {e: i for i, e in enumerate(L3.basis)}

@@ -12,6 +12,7 @@ import warnings
 
 from .field import FieldElem
 from .linear import mat_bracket, mat_mul, mat_transpose, rref, solve_all
+from .linops import sym_power_matrix
 from .poly import Poly, RatFun, common_denominator
 
 
@@ -50,16 +51,20 @@ def lie_closure(gens) -> LieAlgebraBasis:
     """Smallest bracket-closed linear span containing the generators.
 
     The flattened basis matrices are kept as a reduced echelon basis;
-    a candidate joins the basis when it does not reduce to zero.
+    a candidate joins the basis when it does not reduce to zero.  Each
+    unordered pair of basis matrices is bracketed once:
+    [B_j, B_i] = -[B_i, B_j] and [B_i, B_i] = 0 give the rest.
     """
     gens = [list(map(list, G)) for G in gens]
     if not gens:
         raise ValueError("need at least one generator")
     basis = []
     rows = []
+    candidates = []
 
     def insert(M):
-        v = _reduce(rows, _flat(M))
+        candidates.append(_flat(M))
+        v = _reduce(rows, candidates[-1])
         p = next((k for k, x in enumerate(v) if x), None)
         if p is None:
             return
@@ -71,18 +76,13 @@ def lie_closure(gens) -> LieAlgebraBasis:
 
     for G in gens:
         insert(G)
-    i = 0
-    while i < len(basis):
-        j = 0
-        while j <= i:
-            insert(mat_bracket(basis[i], basis[j]))
-            j += 1
-        i += 1
+    for i, Bi in enumerate(basis):  # basis grows while it is walked
+        for Bj in basis[:i]:
+            insert(mat_bracket(Bi, Bj))
 
-    for Bi in basis:
-        for Bj in basis:
-            if any(_reduce(rows, _flat(mat_bracket(Bi, Bj)))):
-                raise RuntimeError("closure not closed (internal error)")
+    # the span only grows, so every candidate must still reduce to zero
+    if any(any(_reduce(rows, v)) for v in candidates):
+        raise RuntimeError("closure not closed (internal error)")
     return LieAlgebraBasis(basis)
 
 
@@ -180,21 +180,9 @@ def classify_lnve_lie_algebra(basis: LieAlgebraBasis, n: int) -> str:
 # ---------------------------------------------------------------------------
 # standard generators of the block system Lie algebra (size (n+3) x (n+3))
 
-def _sym_nilpotent(n, upper, params=()):
-    """sym^n of [[0,1],[0,0]] (upper) or [[0,0],[1,0]] (lower)."""
-    zero = FieldElem.from_fraction(0, params)
-    S = [[zero] * (n + 1) for _ in range(n + 1)]
-    for k in range(n + 1):
-        if upper and k + 1 <= n:
-            S[k][k + 1] = FieldElem.from_fraction(k + 1, params)
-        if not upper and k - 1 >= 0:
-            S[k][k - 1] = FieldElem.from_fraction(n - k + 1, params)
-    return S
-
-
-def block_xyh(n, params=()):
+def block_xyh(n):
     """The sl2 triplet X, Y, H acting on Sym^n + standard blocks."""
-    zero = FieldElem.from_fraction(0, params)
+    zero = FieldElem.from_fraction(0)
     m = n + 3
 
     def embed(top, bot):
@@ -207,36 +195,36 @@ def block_xyh(n, params=()):
                 M[n + 1 + i][n + 1 + j] = bot[i][j]
         return M
 
-    one = FieldElem.from_fraction(1, params)
+    one = FieldElem.from_fraction(1)
     up = [[zero, one], [zero, zero]]
     lo = [[zero, zero], [one, zero]]
-    X = embed(_sym_nilpotent(n, True, params), up)
-    Y = embed(_sym_nilpotent(n, False, params), lo)
+    X = embed(sym_power_matrix(up, n), up)
+    Y = embed(sym_power_matrix(lo, n), lo)
     H = mat_bracket(X, Y)
     return X, Y, H
 
 
-def block_e_matrices(n, params=()):
+def block_e_matrices(n):
     """Off-diagonal ideal basis E_0..E_{n+1}: bottom-left 2 x (n+1) blocks.
 
     Normalized so that [X,E_i]=(i+1)E_{i+1}, [Y,E_i]=(n+2-i)E_{i-1},
     [H,E_i]=(2i-n-1)E_i with the block_xyh triplet: the nonzero entries
     are +-1 with alternating signs.
     """
-    zero = FieldElem.from_fraction(0, params)
+    zero = FieldElem.from_fraction(0)
     m = n + 3
     out = []
     for i in range(n + 2):
         M = [[zero] * m for _ in range(m)]
         if i >= 1:
-            M[n + 1][i - 1] = FieldElem.from_fraction((-1) ** (i + 1), params)
+            M[n + 1][i - 1] = FieldElem.from_fraction((-1) ** (i + 1))
         if i <= n:
-            M[n + 2][i] = FieldElem.from_fraction((-1) ** i, params)
+            M[n + 2][i] = FieldElem.from_fraction((-1) ** i)
         out.append(M)
     return out
 
 
-def block_f_matrices(n, params=()):
+def block_f_matrices(n):
     """Alternating-sign variant F_i = (-1)^i E_i of the ideal basis.
 
     On this basis the adjoint action of the block system matrix
@@ -244,7 +232,7 @@ def block_f_matrices(n, params=()):
     (the dual of the symmetric power system).
     """
     out = []
-    for i, E in enumerate(block_e_matrices(n, params)):
+    for i, E in enumerate(block_e_matrices(n)):
         s = (-1) ** i
         out.append([[s * x for x in row] for row in E])
     return out

@@ -45,11 +45,9 @@ def sym_power_matrix(A, m: int):
     """
     if mat_shape(A) != (2, 2):
         raise ValueError("sym_power_matrix expects a 2x2 matrix")
-    zero, one = _zero_one_of(A[0][0])
-    if m == 0:
-        return [[zero]]
     (a, b), (c, d) = A
-    M = [[zero for _ in range(m + 1)] for _ in range(m + 1)]
+    zero = a - a
+    M = [[zero] * (m + 1) for _ in range(m + 1)]
     for k in range(m + 1):
         M[k][k] = (m - k) * a + k * d
         if k + 1 <= m:
@@ -358,13 +356,19 @@ def _scalarize_once(A, b, v, zero, one, n):
 
 
 def sym_power_operator(L: DiffOp, m: int) -> DiffOp:
-    """Monic operator annihilating all products of m solutions of L."""
+    """Monic operator annihilating all products of m solutions of L.
+
+    For monic L = D^2 + a D + b: L_0 = 1, L_1 = D and
+    L_{i+1} = D L_i + i a L_i + i (m - i + 1) b L_{i-1}; Sym^m(L) is
+    L_{m+1} (Bronstein, Mulders & Weil, ISSAC 1997).
+    """
     if L.order() != 2:
         raise ValueError("symmetric power of operators implemented for order 2")
-    M = sym_power_matrix(companion(L), m)
-    op, _ = cyclic_vector_scalarize(M)
-    return op.monic()
-
-
-def adjoint_operator(L: DiffOp) -> DiffOp:
-    return L.adjoint()
+    Lm = L.monic()
+    a, b = Lm.coeff(1), Lm.coeff(0)
+    D = DiffOp.identity_d(L.var, L.params)
+    prev, cur = DiffOp([RatFun.const(1, L.var, L.params)]), D
+    for i in range(1, m + 1):
+        prev, cur = cur, ((D + i * a) * cur
+                          + DiffOp([i * (m - i + 1) * b]) * prev)
+    return cur

@@ -61,10 +61,10 @@ class SolutionSpace:
             self.particular, len(self.basis))
 
 
-def _falling(i, var="e"):
+def _falling(i):
     """e (e-1) ... (e-i+1) as a Poly in e."""
-    p = Poly.const(1, var)
-    e = Poly.gen(var)
+    p = Poly.const(1, "e")
+    e = Poly.gen("e")
     for k in range(i):
         p = p * (e - Fraction(k))
     return p

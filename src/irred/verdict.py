@@ -108,6 +108,13 @@ class Certificate:
 
     @classmethod
     def from_dict(cls, d):
+        if not (isinstance(d, dict) and isinstance(d.get("input"), dict)
+                and isinstance(d.get("evidence"), list)
+                and all(isinstance(r, dict) for r in d["evidence"])
+                and "verdict" in d):
+            raise CertificateError(
+                "a certificate is an object with an input object, an "
+                "evidence list of objects and a verdict")
         cert = cls(d["input"])
         cert.evidence = [dict(r) for r in d["evidence"]]
         cert.verdict = d["verdict"]
@@ -115,7 +122,11 @@ class Certificate:
 
     @classmethod
     def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
+        try:
+            d = json.loads(text)
+        except ValueError as e:
+            raise CertificateError("certificate is not JSON: %s" % e)
+        return cls.from_dict(d)
 
     def replay(self):
         """Re-run every embedded check; raises CertificateError on any
@@ -137,7 +148,7 @@ class Certificate:
                 raise
             except Exception as e:
                 raise CertificateError("record %d (%s): %s"
-                                       % (i, rec["kind"], e))
+                                       % (i, rec.get("kind"), e))
             verified.add(h)
         return len(self.evidence)
 
@@ -268,22 +279,22 @@ def _finite_pole_orders(p: RatFun):
 # ---------------------------------------------------------------------------
 # the reduced-form obstruction for the Airy family
 
-def _family_psi(n, var="t"):
+def _family_psi(n):
     """Adjoint action of the block system matrix on the recursion basis.
 
     In closed form: -transpose(sym^(n+1)([[0, 1], [t, 0]])).
     """
-    zero, one = RatFun.zero(var), RatFun.const(1, var)
-    S = sym_power_matrix([[zero, one], [RatFun.gen(var), zero]], n + 1)
+    zero, one = RatFun.zero("t"), RatFun.const(1, "t")
+    S = sym_power_matrix([[zero, one], [RatFun.gen("t"), zero]], n + 1)
     return [[-x for x in row] for row in mat_transpose(S)]
 
 
-def reduction_matrix(n, F, var="t"):
+def reduction_matrix(n, F):
     """Gauge P = Id + sum F_i E_i removing the off-diagonal block."""
     m = n + 3
     flat = mat_mul([F], [_flat(E) for E in block_e_matrices(n)])[0]
     return [[x + flat[i * m + j] for j, x in enumerate(row)]
-            for i, row in enumerate(mat_identity(m, RatFun.const(1, var)))]
+            for i, row in enumerate(mat_identity(m, RatFun.const(1, "t")))]
 
 
 def reduced_form_obstruction(n, p):
@@ -441,8 +452,9 @@ def check_p2() -> Certificate:
 # ---------------------------------------------------------------------------
 # the Painleve III chain
 
-def _p3_n_basis(params=("mu",)):
+def _p3_n_basis():
     """Constant 9x9 matrices N_1..N_5 spanning the bottom-left block."""
+    params = ("mu",)
     zero = FieldElem.from_fraction(0, params)
     blocks = [
         [[0, 0, 0, 0], [1, 0, 0, 0]],
@@ -476,16 +488,14 @@ def _const_to_rat(M, var, params):
     return [[x * one for x in row] for row in M]
 
 
-def p3_psi_and_b(chain=None):
+def p3_psi_and_b(chain):
     """(Psi, Psi1, Psi2, b) of the order-3 off-diagonal reduction.
 
     Psi is the adjoint action of the block part of the third gauged
-    variational matrix on N_1..N_5; b collects the off-block
-    coefficients.  Entries are rational in x over the parameter mu
-    (or specialized, when the chain is).
+    variational matrix of the chain on N_1..N_5; b collects the
+    off-block coefficients.  Entries are rational in x over the
+    parameter mu.
     """
-    if chain is None:
-        chain = build_p3_chain(None)
     At3 = chain.At3
     sample = At3[0][0]
     var, params = sample.var, sample.params
@@ -495,7 +505,7 @@ def p3_psi_and_b(chain=None):
         for j in range(4):
             diag[i][j] = zero
     off = [[At3[i][j] - diag[i][j] for j in range(9)] for i in range(9)]
-    Ns = _p3_n_basis(params)
+    Ns = _p3_n_basis()
     one = RatFun.const(1, var, params)
     cols = [[x * one for row in N for x in row] for N in Ns]
     m = [[cols[j][c] for j in range(5)] for c in range(81)]
@@ -504,14 +514,10 @@ def p3_psi_and_b(chain=None):
         raise RuntimeError("off-diagonal block outside the N span")
     Psi = adjoint_action_matrix(diag, Ns)
     Cinf, C0 = _cinf_c0(Psi)
-    mu = FieldElem.parameter("mu", params) if params else None
-    Psi1 = C0
-    if mu is not None:
-        Psi2 = [[(ci - c0 / mu) / (4 * mu) for ci, c0 in zip(ri, r0)]
-                for ri, r0 in zip(Cinf, C0)]
-    else:
-        Psi2 = None
-    return Psi, Psi1, Psi2, b
+    mu = FieldElem.parameter("mu", params)
+    Psi2 = [[(ci - c0 / mu) / (4 * mu) for ci, c0 in zip(ri, r0)]
+            for ri, r0 in zip(Cinf, C0)]
+    return Psi, C0, Psi2, b
 
 
 def check_p3(mus=(Fraction(1, 2),)) -> Certificate:
@@ -538,7 +544,7 @@ def check_p3(mus=(Fraction(1, 2),)) -> Certificate:
         "mu_values": [str(m) for m in mus],
     })
 
-    ch = build_p3_chain(None)
+    ch = build_p3_chain()
     for name in ("A1", "Q1", "At1", "At2", "At3"):
         cert.add("matrix", name=name, var=var, params=list(params),
                  rows=_mat_str(getattr(ch, name)))

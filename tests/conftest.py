@@ -13,6 +13,13 @@ def p3_certificate_text(tmp_path_factory):
     return out.read_text(encoding="utf-8")
 
 
+@pytest.fixture(scope="session")
+def p3_chain():
+    """The symbolic Painleve III chain over Q(mu), built once per session."""
+    from irred.jets import build_p3_chain
+    return build_p3_chain()
+
+
 @pytest.fixture
 def rref_calls(monkeypatch):
     """Row counts of the matrices eliminated by irred.linear.rref."""

@@ -12,12 +12,11 @@ from fractions import Fraction
 import pytest
 
 from irred.grammar import parse_ratfun
-from irred.jets import (EquationFamily, VectorFieldSpec, build_p3_chain,
-                        _cinf_c0)
+from irred.jets import EquationFamily, VectorFieldSpec, _cinf_c0
 from irred.liealg import (block_e_matrices, block_xyh, lie_closure)
 from irred.linear import mat_bracket, mat_mul
-from irred.linops import (DiffOp, adjoint_operator, gauge_transform,
-                          parse_operator, sym_power_operator)
+from irred.linops import (DiffOp, gauge_transform, parse_operator,
+                          sym_power_operator)
 from irred.poly import Poly, RatFun
 from irred.ratsolve import rational_solutions
 from irred.screen import exponential_solutions_restricted
@@ -26,11 +25,6 @@ from irred.field import FieldElem
 
 
 L4_TEXT = "D^5 - 20*t*D^3 - 30*D^2 + 64*t^2*D + 64*t"
-
-
-@pytest.fixture(scope="module")
-def p3_chain():
-    return build_p3_chain(None)
 
 
 @pytest.fixture(scope="module")
@@ -281,7 +275,7 @@ def test_criterion_10_property_suite():
         order = rng.randint(1, 3)
         L = DiffOp([RatFun(rand_poly(rng.randint(0, 2)))
                     for _ in range(order)] + [one], "t")
-        assert adjoint_operator(adjoint_operator(L)) == L
+        assert L.adjoint().adjoint() == L
 
     # (e) Jacobi identity on random constant matrices
     for _ in range(20):

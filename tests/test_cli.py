@@ -56,6 +56,11 @@ def test_p3_integer_mu_rejected(capsys):
     assert "exponential solution" in err
 
 
+def test_p3_mu_zero_rejected(capsys):
+    assert main(["p3", "--mu", "0"]) == 1
+    assert "Q1 singular" in capsys.readouterr().err
+
+
 def test_p3_bad_rational(capsys):
     assert main(["p3", "--mu", "x"]) == 1
 

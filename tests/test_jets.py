@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from irred.jets import (EquationFamily, VectorFieldSpec,
-                        build_lnve_airy_family, build_p3_chain, jet_name,
+                        build_lnve_airy_family, jet_name,
                         linearize, lnve_airy_family_pipeline, normal_restrict,
                         parse_component, prolong, rename_ratfun,
                         restrict_along_curve, vf_decompose)
@@ -122,8 +122,8 @@ def test_vf_decompose_rejects_mixed_degrees():
         vf_decompose(_bivar("x^2"), _bivar("y"))
 
 
-def test_p3_chain_first_level():
-    ch = build_p3_chain(None)
+def test_p3_chain_first_level(p3_chain):
+    ch = p3_chain
     A1 = [[str(x) for x in row] for row in ch.A1]
     assert A1 == [["(-2*x - 2*mu)/(x)", "4/(x)"],
                   ["(-mu*x - mu^2)/(x)", "(2*x + 2*mu)/(x)"]]
@@ -135,14 +135,9 @@ def test_p3_chain_first_level():
     assert Q1 == [["-2*mu", "1"], ["-mu^2", "0"]]
 
 
-def test_p3_chain_rejects_mu_zero():
-    with pytest.raises(ValueError):
-        build_p3_chain(0)
-
-
-def test_p3_chain_specialized():
-    ch = build_p3_chain(Fraction(1, 2))
-    At1 = [[str(x) for x in row] for row in ch.At1]
+def test_p3_chain_specialized(p3_chain):
+    sub = {"mu": Fraction(1, 2)}
+    At1 = [[str(x.specialize(sub)) for x in row] for row in p3_chain.At1]
     assert At1 == [["0", "(2*x + 1)/(x)"], ["2", "0"]]
 
 

@@ -146,25 +146,40 @@ def test_lie_closure_keeps_insertion_order():
 
 
 def test_lie_closure_self_check_is_reachable(monkeypatch):
-    # a bracket that leaves the span must trip the internal self-check;
-    # the closure of sl2 from X, Y takes six brackets, so the seventh is
-    # the first one of the check.  Entry (0, -1) is zero on the algebra.
+    # a reduction that wrongly sends [Y, X] to zero keeps H out of the
+    # basis; the closing check reduces the stored bracket again and trips
     import irred.liealg as liealg
     X, Y, _ = block_xyh(2)
+    target = [x for row in mat_bracket(Y, X) for x in row]
+    skipped = []
+    real = liealg._reduce
+
+    def faulty(rows, v):
+        if v == target and not skipped:
+            skipped.append(v)
+            return [x - x for x in v]
+        return real(rows, v)
+
+    monkeypatch.setattr(liealg, "_reduce", faulty)
+    with pytest.raises(RuntimeError, match="closure not closed"):
+        lie_closure([X, Y])
+    assert skipped
+
+
+def test_lie_closure_brackets_each_pair_once(monkeypatch):
+    # 8 basis matrices give 8 * 7 / 2 = 28 unordered pairs
+    import irred.liealg as liealg
+    gens, dim = _closure_case("p2")
     calls = []
     real = liealg.mat_bracket
 
-    def faulty(a, b):
+    def counting(a, b):
         calls.append(1)
-        out = real(a, b)
-        if len(calls) > 6:
-            out = [list(row) for row in out]
-            out[0][-1] = out[0][-1] + 1
-        return out
+        return real(a, b)
 
-    monkeypatch.setattr(liealg, "mat_bracket", faulty)
-    with pytest.raises(RuntimeError, match="closure not closed"):
-        lie_closure([X, Y])
+    monkeypatch.setattr(liealg, "mat_bracket", counting)
+    assert lie_closure(gens).dimension == dim == 8
+    assert len(calls) == 28
 
 
 def test_adjoint_action_eliminates_once(rref_calls):

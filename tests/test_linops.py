@@ -5,9 +5,8 @@ from fractions import Fraction
 import pytest
 
 from irred.grammar import parse_ratfun
-from irred.linops import (DiffOp, adjoint_operator, companion,
-                          cyclic_vector_scalarize, gauge_transform,
-                          parse_operator, sym_power_matrix,
+from irred.linops import (DiffOp, companion, cyclic_vector_scalarize,
+                          gauge_transform, parse_operator, sym_power_matrix,
                           sym_power_operator)
 from irred.poly import Poly, RatFun
 
@@ -69,6 +68,28 @@ def test_sym_power_operator_annihilates_products():
     assert res.op.monic() == L2.monic()
 
 
+@pytest.mark.parametrize("text, var, ms", [
+    ("D^2 - t", "t", range(1, 10)),
+    ("D^2 - 4 - 2/x", "x", range(1, 6)),
+    ("D^2 - 4 - 3/x", "x", [4]),
+    ("D^2 + (1/t)*D - (t^2 + 1)/t^2", "t", range(1, 6)),
+])
+def test_sym_power_recurrence_matches_cyclic_vector_route(text, var, ms):
+    L = parse_operator(text, var)
+    for m in ms:
+        route = cyclic_vector_scalarize(
+            sym_power_matrix(companion(L), m)).op.monic()
+        got = sym_power_operator(L, m)
+        assert got == route
+        assert str(got) == str(route)
+
+
+def test_sym_power_operator_eliminates_nothing(rref_calls):
+    L9 = sym_power_operator(parse_operator("D^2 - t"), 9)
+    assert L9.order() == 10
+    assert rref_calls == []
+
+
 def test_cyclic_vector_zero_matrix():
     zero = RatFun.zero("t")
     A = [[zero, zero], [zero, zero]]
@@ -122,7 +143,7 @@ def test_gauge_transform_shape():
 
 def test_adjoint_involution_simple():
     L = parse_operator("D^3 + t*D + 1")
-    assert adjoint_operator(adjoint_operator(L)) == L
+    assert L.adjoint().adjoint() == L
 
 
 def test_diffop_sum_cancels_to_zero_operator():

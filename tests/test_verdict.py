@@ -8,7 +8,7 @@ from irred.jets import EquationFamily
 from irred.linops import parse_operator, sym_power_operator
 from irred.poly import Poly, RatFun
 from irred.verdict import (Certificate, CertificateError, INCONCLUSIVE,
-                           IRREDUCIBLE, criterion_airy_family,
+                           IRREDUCIBLE, check_p3, criterion_airy_family,
                            lnve_group_dimension, reduced_form_obstruction,
                            replay)
 
@@ -91,6 +91,24 @@ def test_certificate_tamper_detected():
             rec["applies"] = not rec["applies"]
     with pytest.raises(CertificateError):
         replay(d)
+
+
+@pytest.mark.parametrize("text", [
+    "{}",
+    "[]",
+    '{"input": {}, "evidence": 5, "verdict": null}',
+    '{"input": {}, "evidence": [1], "verdict": null}',
+    "not json",
+])
+def test_malformed_certificate_raises_certificate_error(text):
+    with pytest.raises(CertificateError):
+        replay(text)
+
+
+def test_p3_rejects_mu_zero():
+    # the gauge Q1 degenerates at mu = 0
+    with pytest.raises(ValueError, match="Q1 singular"):
+        check_p3([0])
 
 
 def test_certificate_recheck_detects_wrong_claim():

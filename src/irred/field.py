@@ -4,6 +4,11 @@ Elements are reduced fractions of multivariate polynomials in the declared
 parameters, with Fraction coefficients.  The zero-parameter case degenerates
 to plain rationals.  Canonical form: gcd-reduced, denominator leading
 coefficient (degree-lexicographic order) equal to 1.
+
+Sums and products of reduced operands are reduced by Henrici's rules
+(JACM 1956; Knuth, TAOCP vol. 2, 4.5.1), which take gcds only of factors
+that can share something; the canonical form is the same as that of the
+full-gcd reduction `FieldElem(params, num, den)` applies.
 """
 
 from __future__ import annotations
@@ -149,6 +154,24 @@ def mp_gcd(f, g, nvars: int):
     return mp_scale(res, 1 / lc)
 
 
+def _is_const(f):
+    """Whether the nonzero polynomial f is a constant."""
+    return len(f) == 1 and not any(next(iter(f)))
+
+
+def _cancel(f, g, nvars: int):
+    """(f/h, g/h, h) for the monic h = gcd(f, g) of nonzero f and g.
+
+    h is None when it is 1; a constant f or g needs no gcd for that.
+    """
+    if _is_const(f) or _is_const(g):
+        return f, g, None
+    h = mp_gcd(f, g, nvars)
+    if _is_const(h):
+        return f, g, None
+    return mp_div_exact(f, h), mp_div_exact(g, h), h
+
+
 def mp_eval(f, values):
     """Substitute Fractions for all variables."""
     total = Fraction(0)
@@ -182,10 +205,7 @@ class FieldElem:
     def _reduce(num, den, nv):
         if not num:
             return {}, mp_const(Fraction(1), nv)
-        g = mp_gcd(num, den, nv)
-        if not (len(g) == 1 and sum(next(iter(g))) == 0 and g[next(iter(g))] == 1):
-            num = mp_div_exact(num, g)
-            den = mp_div_exact(den, g)
+        num, den, _ = _cancel(num, den, nv)
         _, lc = mp_leading(den)
         if lc != 1:
             num = mp_scale(num, 1 / lc)
@@ -196,7 +216,10 @@ class FieldElem:
     @classmethod
     def from_fraction(cls, c, params=()):
         params = tuple(params)
-        return cls(params, mp_const(Fraction(c), len(params)))
+        nv = len(params)
+        # a constant over 1 is born reduced
+        return cls(params, mp_const(c, nv), mp_const(1, nv),
+                   _normalized=True)
 
     @classmethod
     def parameter(cls, name, params):
@@ -219,8 +242,26 @@ class FieldElem:
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        num = mp_add(mp_mul(self.num, o.den), mp_mul(o.num, self.den))
-        return FieldElem(self.params, num, mp_mul(self.den, o.den))
+        if not o.num:
+            return self
+        if not self.num:
+            return o
+        b, d = self.den, o.den
+        if _is_const(b) and _is_const(d):
+            return FieldElem(self.params, mp_add(self.num, o.num), b,
+                             _normalized=True)
+        # Henrici: with g = gcd(b, d), a/b + c/d = t / (b/g * d) for
+        # t = a d/g + c b/g, and only gcd(t, g) can still cancel
+        nv = len(self.params)
+        bq, dq, g = _cancel(b, d, nv)
+        t = mp_add(mp_mul(self.num, dq), mp_mul(o.num, bq))
+        if not t:
+            return FieldElem(self.params, t)
+        if g is not None:
+            t, _, h = _cancel(t, g, nv)
+            if h is not None:
+                d = mp_div_exact(d, h)
+        return FieldElem(self.params, t, mp_mul(bq, d), _normalized=True)
 
     __radd__ = __add__
 
@@ -240,8 +281,14 @@ class FieldElem:
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        return FieldElem(self.params, mp_mul(self.num, o.num),
-                         mp_mul(self.den, o.den))
+        if not self.num or not o.num:
+            return FieldElem(self.params, {})
+        # Henrici: cancel gcd(a, d) and gcd(c, b); what is left is coprime
+        nv = len(self.params)
+        a, d, _ = _cancel(self.num, o.den, nv)
+        c, b, _ = _cancel(o.num, self.den, nv)
+        return FieldElem(self.params, mp_mul(a, c), mp_mul(b, d),
+                         _normalized=True)
 
     __rmul__ = __mul__
 
@@ -251,8 +298,10 @@ class FieldElem:
             return NotImplemented
         if not o:
             raise ZeroDivisionError("division by zero field element")
-        return FieldElem(self.params, mp_mul(self.num, o.den),
-                         mp_mul(self.den, o.num))
+        _, lc = mp_leading(o.num)
+        inverse = FieldElem(self.params, mp_scale(o.den, 1 / lc),
+                            mp_scale(o.num, 1 / lc), _normalized=True)
+        return self * inverse
 
     def __rtruediv__(self, other):
         o = self._lift(other)

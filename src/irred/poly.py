@@ -1,6 +1,12 @@
 """Univariate polynomials and reduced rational functions over the
 parameter field.  The main variable (t, x, ...) is carried for printing;
 arithmetic requires matching variables.
+
+`RatFun` sums and products of reduced operands are reduced by Henrici's
+rules (JACM 1956; Knuth, TAOCP vol. 2, 4.5.1), which take gcds only of
+factors that can share something; the canonical form (coprime, monic
+denominator) is the same as that of the full-gcd reduction
+`RatFun(num, den)` applies.
 """
 
 from __future__ import annotations
@@ -32,6 +38,13 @@ class Poly:
         self.var = var
         self.params = params
         self.coeffs = tuple(cs)
+
+    @classmethod
+    def _trusted(cls, coeffs, var, params):
+        """A Poly of trimmed coefficients taken from checked Polys."""
+        p = cls.__new__(cls)
+        p.var, p.params, p.coeffs = var, params, tuple(coeffs)
+        return p
 
     # constructors ---------------------------------------------------------
     @classmethod
@@ -78,12 +91,13 @@ class Poly:
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        return Poly(dense_add(self.coeffs, o.coeffs), self.var, self.params)
+        return Poly._trusted(dense_add(self.coeffs, o.coeffs), self.var,
+                             self.params)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs], self.var, self.params)
+        return Poly._trusted([-c for c in self.coeffs], self.var, self.params)
 
     def __sub__(self, other):
         o = self._lift(other)
@@ -98,7 +112,8 @@ class Poly:
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        return Poly(dense_mul(self.coeffs, o.coeffs), self.var, self.params)
+        return Poly._trusted(dense_mul(self.coeffs, o.coeffs), self.var,
+                             self.params)
 
     __rmul__ = __mul__
 
@@ -107,7 +122,8 @@ class Poly:
 
     def divmod(self, other: "Poly"):
         q, r = dense_divmod(self.coeffs, self._lift(other).coeffs)
-        return Poly(q, self.var, self.params), Poly(r, self.var, self.params)
+        return (Poly._trusted(q, self.var, self.params),
+                Poly._trusted(r, self.var, self.params))
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -119,15 +135,17 @@ class Poly:
         if self.is_zero():
             return self
         lc = self.leading()
-        return Poly([c / lc for c in self.coeffs], self.var, self.params)
+        return Poly._trusted([c / lc for c in self.coeffs], self.var,
+                             self.params)
 
     def derivative(self):
-        return Poly([self.coeffs[i] * i for i in range(1, len(self.coeffs))],
-                    self.var, self.params)
+        return Poly._trusted([self.coeffs[i] * i
+                              for i in range(1, len(self.coeffs))],
+                             self.var, self.params)
 
     def gcd(self, other: "Poly") -> "Poly":
-        return Poly(dense_gcd(self.coeffs, self._lift(other).coeffs),
-                    self.var, self.params)
+        return Poly._trusted(dense_gcd(self.coeffs, self._lift(other).coeffs),
+                             self.var, self.params)
 
     def evaluate(self, x: FieldElem) -> FieldElem:
         if isinstance(x, (int, Fraction)):
@@ -176,18 +194,14 @@ class Poly:
         """Rational roots (over Q only), with multiplicities via division."""
         if self.params:
             raise ValueError("rational root extraction needs Q coefficients")
-        if self.degree() == 1:
-            # no divisor search: the root of c1 x + c0 is -c0/c1
-            root = (-self.coeffs[0] / self.coeffs[1]).as_fraction()
-            return [root], Poly(self.coeffs[1:], self.var, self.params)
         roots = []
         f = self
-        for cand in _rational_root_candidates(f):
-            while not f.is_zero() and f.degree() >= 1 and not f.evaluate(cand):
-                roots.append(cand)
-                lin = Poly([-cand, 1], self.var, self.params)
+        for r in _distinct_rational_roots(self):
+            lin = Poly([-r, 1], self.var, self.params)
+            while f.degree() and not f.evaluate(r):
+                roots.append(r)
                 f = f // lin
-        return sorted(roots), f
+        return roots, f
 
     def __bool__(self):
         return not self.is_zero()
@@ -211,35 +225,75 @@ class Poly:
             for k, c in reversed(list(enumerate(self.coeffs))) if c)
 
 
-def _rational_root_candidates(f: Poly):
-    """Candidate rational roots of f over Q by the rational root theorem."""
+def _distinct_rational_roots(f: Poly):
+    """The distinct rational roots of f over Q, ascending.
+
+    Scaled to integer coefficients a_0..a_n and with the root 0 split
+    off, f becomes the monic g(y) = a_n^(n-1) f(y / a_n) with integer
+    coefficients a_i a_n^(n-1-i), whose rational roots are integers.  Its
+    real roots are isolated by Sturm sequences between half-integers,
+    which are never roots of g, and the one integer of each unit interval
+    that holds a root is tested; no divisor is searched for.
+    """
+    if not f.degree():
+        return []
     lcm = math.lcm(*(c.as_fraction().denominator for c in f.coeffs))
     ints = [int(c.as_fraction() * lcm) for c in f.coeffs]
-    k = 0
-    while k < len(ints) and ints[k] == 0:
-        k += 1
-    if k == len(ints):
-        return []
-    a0, an = abs(ints[k]), abs(ints[-1])
-    cands = {Fraction(0)} if k > 0 else set()
-    for p in _divisors(a0):
-        for q in _divisors(an):
-            cands.add(Fraction(p, q))
-            cands.add(Fraction(-p, q))
-    return sorted(cands)
+    k = next(i for i, c in enumerate(ints) if c)
+    ints = ints[k:]
+    n, an = len(ints) - 1, ints[-1]
+    g = [c * an ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
+    roots = [Fraction(y, an) for y in _integer_roots(g)] if n else []
+    return sorted(roots + [Fraction(0)] if k else roots)
 
 
-def _divisors(n):
-    n = abs(n)
+def _integer_roots(g):
+    """Integer roots, ascending, of a monic integer polynomial g of
+    positive degree (ascending coefficients) with g(0) != 0."""
+    chain = [[Fraction(c) for c in g]]
+    chain.append([i * c for i, c in enumerate(chain[0]) if i])
+    while True:
+        r = dense_divmod(chain[-2], chain[-1])[1]
+        if not r:
+            break
+        chain.append([-c for c in r])
+    # the same chain with integer coefficients, scaled by positive integers
+    chain = [[int(c * math.lcm(*(x.denominator for x in p))) for c in p]
+             for p in chain]
+
+    def variations(m):
+        """Sign changes of the chain at the half-integer m / 2."""
+        signs = []
+        for p in chain:
+            v, pw = p[-1], 1
+            for c in reversed(p[:-1]):
+                pw *= 2
+                v = v * m + c * pw
+            if v:
+                signs.append(v > 0)
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    # Fujiwara: every root y has |y| <= 2 max |g_(n-i)|^(1/i), below the
+    # power of two `bound`; endpoints are doubled
+    n = len(g) - 1
+    bound = 2 ** (1 + max(-(-abs(c).bit_length() // (n - i))
+                          for i, c in enumerate(g[:-1])))
+    lo, hi = -2 * bound - 1, 2 * bound + 1
     out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    stack = [(lo, hi, variations(lo), variations(hi))]
+    while stack:
+        lo, hi, vlo, vhi = stack.pop()
+        if vlo == vhi:
+            continue
+        if hi - lo == 2:
+            y = (lo + 1) // 2
+            if not sum(c * y ** i for i, c in enumerate(g)):
+                out.append(y)
+            continue
+        mid = lo + 2 * ((hi - lo) // 4)
+        vmid = variations(mid)
+        stack += [(mid, hi, vmid, vhi), (lo, mid, vlo, vmid)]
+    return out
 
 
 class RatFun:
@@ -253,14 +307,15 @@ class RatFun:
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if not _normalized:
-            g = num.gcd(den)
-            if not g.is_zero() and g.degree() > 0:
-                num = num // g
-                den = den // g
-            lc = den.leading()
-            if not (lc == 1):
-                num = Poly([c / lc for c in num.coeffs], num.var, num.params)
-                den = den.monic()
+            if num.is_zero():
+                den = Poly.const(1, num.var, num.params)
+            else:
+                num, den, _ = _cancel(num, den)
+                lc = den.leading()
+                if not (lc == 1):
+                    num = Poly._trusted([c / lc for c in num.coeffs],
+                                        num.var, num.params)
+                    den = den.monic()
         self.num = num
         self.den = den
 
@@ -287,6 +342,9 @@ class RatFun:
 
     def _lift(self, other):
         if isinstance(other, RatFun):
+            if other.var != self.var or other.params != self.params:
+                raise ValueError("mixing rational functions in different "
+                                 "variables")
             return other
         if isinstance(other, Poly):
             return RatFun(other)
@@ -299,7 +357,24 @@ class RatFun:
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        return RatFun(self.num * o.den + o.num * self.den, self.den * o.den)
+        if not o:
+            return self
+        if not self:
+            return o
+        b, d = self.den, o.den
+        if b.degree() == 0 and d.degree() == 0:
+            return RatFun(self.num + o.num, b, _normalized=True)
+        # Henrici: with g = gcd(b, d), a/b + c/d = t / (b/g * d) for
+        # t = a d/g + c b/g, and only gcd(t, g) can still cancel
+        bq, dq, g = _cancel(b, d)
+        t = self.num * dq + o.num * bq
+        if t.is_zero():
+            return RatFun(t)
+        if g is not None:
+            t, _, h = _cancel(t, g)
+            if h is not None:
+                d = d // h
+        return RatFun(t, bq * d, _normalized=True)
 
     __radd__ = __add__
 
@@ -319,7 +394,12 @@ class RatFun:
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        return RatFun(self.num * o.num, self.den * o.den)
+        if not self or not o:
+            return RatFun.zero(self.var, self.params)
+        # Henrici: cancel gcd(a, d) and gcd(c, b); what is left is coprime
+        a, d, _ = _cancel(self.num, o.den)
+        c, b, _ = _cancel(o.num, self.den)
+        return RatFun(a * c, b * d, _normalized=True)
 
     __rmul__ = __mul__
 
@@ -329,7 +409,11 @@ class RatFun:
             return NotImplemented
         if o.num.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RatFun(self.num * o.den, self.den * o.num)
+        lc = o.num.leading()
+        inverse = RatFun(Poly._trusted([c / lc for c in o.den.coeffs],
+                                       self.var, self.params),
+                         o.num.monic(), _normalized=True)
+        return self * inverse
 
     def __rtruediv__(self, other):
         return self._lift(other) / self
@@ -426,6 +510,19 @@ class RatFun:
         else:
             left = "(%s)" % ns
         return "%s/(%s)" % (left, ds)
+
+
+def _cancel(f: Poly, g: Poly):
+    """(f/h, g/h, h) for the monic h = gcd(f, g) of nonzero f and g.
+
+    h is None when it is 1; a constant f or g needs no gcd for that.
+    """
+    if f.degree() == 0 or g.degree() == 0:
+        return f, g, None
+    h = f.gcd(g)
+    if h.degree() == 0:
+        return f, g, None
+    return f // h, g // h, h
 
 
 def common_denominator(fs, var, params=()) -> Poly:

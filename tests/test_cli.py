@@ -36,16 +36,27 @@ def test_family_negative_power_of_y(capsys, tmp_path):
     assert not out.exists()
 
 
-def test_family_huge_linear_pole_finishes():
-    """The root of a linear factor is read off; no divisors of 10^20."""
+def _run_family_n2(P):
+    """`irred family --n 2 --P P` in a subprocess, killed after 30 s."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=src if not path else src + os.pathsep + path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "irred.cli", "family", "--n", "2",
-         "--P", "1/(x - 100000000000000000000)"],
+    return subprocess.run(
+        [sys.executable, "-m", "irred.cli", "family", "--n", "2", "--P", P],
         capture_output=True, text=True, env=env, timeout=30)
+
+
+def test_family_huge_linear_pole_finishes():
+    """The root of a linear factor is found; no divisors of 10^20."""
+    proc = _run_family_n2("1/(x - 100000000000000000000)")
+    assert proc.returncode == 0
+    assert "verdict: IRREDUCIBLE" in proc.stdout
+
+
+def test_family_huge_quadratic_pole_finishes():
+    """Roots are isolated by Sturm sequences; no divisors of 10^20."""
+    proc = _run_family_n2("1/(x^2 - 100000000000000000000)")
     assert proc.returncode == 0
     assert "verdict: IRREDUCIBLE" in proc.stdout
 

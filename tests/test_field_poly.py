@@ -1,6 +1,7 @@
 """Exact arithmetic: parameter field, polynomials, rational functions."""
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -74,6 +75,41 @@ def test_rational_roots():
     roots, rem = p.rational_roots()
     assert sorted(roots) == [Fraction(-1, 2), Fraction(2)]
     assert rem.degree() == 2
+
+
+def test_rational_roots_match_sympy():
+    """rational_roots equals sympy.roots over QQ, with planted roots p/q
+    whose p and q run to 10^15 and 10^12, so no divisor search could end."""
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+    x = sympy.Symbol("x")
+    planted = st.lists(st.builds(Fraction, st.integers(-10 ** 15, 10 ** 15),
+                                 st.integers(1, 10 ** 12)),
+                       max_size=4)
+    cofactor = st.lists(st.integers(-5, 5), min_size=1, max_size=3).filter(
+        lambda c: c[-1] != 0)
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(planted, cofactor, st.integers(0, 2))
+    def check(roots, cof, zeros):
+        t = Poly.gen("x")
+        p = Poly([Fraction(c) for c in cof], "x") * t ** zeros
+        for r in roots:
+            p = p * Poly([-r.numerator, r.denominator], "x")
+        got, rem = p.rational_roots()
+        sp = sympy.Poly([sympy.Rational(c.as_fraction().numerator,
+                                        c.as_fraction().denominator)
+                         for c in reversed(p.coeffs)], x, domain=sympy.QQ)
+        want = sympy.roots(sp, filter="Q")
+        assert got == sorted(Fraction(int(r.p), int(r.q))
+                             for r, k in want.items() for _ in range(k))
+        for r in got:
+            rem = rem * Poly([-r, 1], "x")
+        assert rem == p
+
+    check()
 
 
 def test_ratfun_normalization():
@@ -406,3 +442,154 @@ def test_field_ops_match_sympy_cancel():
         assert sympy.gcd(sympy.expand(num), sympy.expand(den)).is_number
 
     check()
+
+    # one parameter, with a factor h planted in both denominators and a
+    # factor p in the first numerator and the second denominator, so
+    # that Henrici's rules have something to cancel
+    smu = sympy.Symbol("mu")
+    upoly = st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any)
+    factor = st.lists(st.integers(-3, 3), min_size=1, max_size=2).map(
+        lambda cs: cs + [1])
+
+    def dense(cs):
+        return {(i,): Fraction(c) for i, c in enumerate(cs) if c}
+
+    def mu_sympy(d):
+        return sum(c * smu ** e for (e,), c in d.items())
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(upoly, upoly, upoly, upoly, factor, factor,
+                      st.sampled_from("+-*/"))
+    def check_mu(n1, d1, n2, d2, h, p, op):
+        n1, d1, n2, d2, h, p = map(dense, (n1, d1, n2, d2, h, p))
+        f = FieldElem(("mu",), mp_mul(n1, p), mp_mul(d1, h))
+        g = FieldElem(("mu",), n2, mp_mul(mp_mul(d2, h), p))
+        got = _OPS[op](f, g)
+        a, b, c, d = f.num, f.den, g.num, g.den
+        num, den = {"+": (mp_add(mp_mul(a, d), mp_mul(c, b)), mp_mul(b, d)),
+                    "-": (mp_add(mp_mul(a, d), mp_neg(mp_mul(c, b))),
+                          mp_mul(b, d)),
+                    "*": (mp_mul(a, c), mp_mul(b, d)),
+                    "/": (mp_mul(a, d), mp_mul(b, c))}[op]
+        old = FieldElem(("mu",), num, den)         # one full-gcd reduction
+        assert got == old and str(got) == str(old)
+        assert max(got.den.items())[1] == 1
+        want = mu_sympy(num) / mu_sympy(den)
+        assert sympy.cancel(mu_sympy(got.num) / mu_sympy(got.den) - want) == 0
+        assert sympy.gcd(mu_sympy(got.num), mu_sympy(got.den)).is_number
+
+    check_mu()
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        "/": operator.truediv}
+
+
+def _old_route(op, f, g):
+    """f op g by one full-gcd reduction of the unreduced fraction."""
+    a, b, c, d = f.num, f.den, g.num, g.den
+    num, den = {"+": (a * d + c * b, b * d), "-": (a * d - c * b, b * d),
+                "*": (a * c, b * d), "/": (a * d, b * c)}[op]
+    return RatFun(num, den)
+
+
+@pytest.mark.parametrize("params", [(), ("mu",)], ids=["Q", "mu"])
+def test_ratfun_ops_match_full_gcd_and_sympy(params):
+    """RatFun + - * / by Henrici's rules equal sympy.cancel and, by ==
+    and str, the full-gcd reduction of the unreduced result."""
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+    sx, smu = sympy.symbols("x mu")
+    if params:
+        mu = FieldElem.parameter("mu", params)
+        coeff = st.builds(lambda a, b: a * mu + b,
+                          st.integers(-2, 2), st.integers(-2, 2))
+    else:
+        coeff = st.integers(-3, 3).map(QQ)
+    # degree at most 1, and monic factors of degree 1, planted below: the
+    # full-gcd reference runs Euclid over Q(mu), whose coefficients swell
+    poly = st.lists(coeff, max_size=2).map(lambda cs: Poly(cs, "x", params))
+    nonzero = poly.filter(bool)
+    factor = coeff.map(lambda c: Poly([c, 1], "x", params))
+
+    def field_sympy(c):
+        def part(d):
+            return sum(k * smu ** e[0] if e else k for e, k in d.items())
+        return part(c.num) / part(c.den)
+
+    def to_sympy(r):
+        def part(p):
+            return sum(field_sympy(c) * sx ** i for i, c in enumerate(p.coeffs))
+        return part(r.num) / part(r.den)
+
+    @hypothesis.settings(max_examples=25, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(poly, nonzero, poly, nonzero, factor, factor,
+                      st.booleans(), st.sampled_from("+-*/"))
+    def check(n1, d1, n2, d2, h, p, cancel, op):
+        # h divides both denominators; p the first numerator and the
+        # second denominator
+        f = RatFun(n1 * p, d1 * h)
+        g = RatFun(n2, d2 * h * p)
+        if cancel:
+            # f + g = g0 then drops factors of f's denominator, so gcd(t, g)
+            # is not 1 in Henrici's sum
+            g = _old_route("-", g, f)
+        if op == "/" and not g:
+            return
+        got = _OPS[op](f, g)
+        old = _old_route(op, f, g)
+        assert got == old and str(got) == str(old)
+        assert got.den.leading() == 1
+        assert got.num.gcd(got.den).degree() == 0
+        want = sympy.cancel(_OPS[op](to_sympy(f), to_sympy(g)))
+        assert sympy.cancel(to_sympy(got)) == want
+
+    check()
+
+
+@pytest.fixture
+def gcd_calls(monkeypatch):
+    """Calls of Poly.gcd and of irred.field.mp_gcd, by name."""
+    import irred.field
+    calls = {"Poly.gcd": 0, "mp_gcd": 0}
+    poly_gcd, mp = Poly.gcd, irred.field.mp_gcd
+
+    def counting_gcd(self, other):
+        calls["Poly.gcd"] += 1
+        return poly_gcd(self, other)
+
+    def counting_mp(*args):
+        calls["mp_gcd"] += 1
+        return mp(*args)
+
+    monkeypatch.setattr(Poly, "gcd", counting_gcd)
+    monkeypatch.setattr(irred.field, "mp_gcd", counting_mp)
+    return calls
+
+
+def test_polynomial_ratfun_ops_take_no_gcd(gcd_calls):
+    mu = FieldElem.parameter("mu", ("mu",))
+    x = RatFun.gen("x", ("mu",))
+    f, g = x ** 2 + mu, mu * x - 1
+    gcd_calls.update({"Poly.gcd": 0, "mp_gcd": 0})
+    f + g
+    f * g
+    assert gcd_calls == {"Poly.gcd": 0, "mp_gcd": 0}
+
+
+def test_sum_of_parameter_polynomials_takes_no_gcd(gcd_calls):
+    mu = FieldElem.parameter("mu", ("mu",))
+    a, b = mu ** 2 + 3 * mu, 2 * mu - 1
+    gcd_calls.update({"Poly.gcd": 0, "mp_gcd": 0})
+    assert a + b == mu ** 2 + 5 * mu - 1
+    assert gcd_calls["mp_gcd"] == 0
+
+
+def test_zero_ratfun_takes_no_gcd(gcd_calls):
+    den = Poly.gen("x") ** 2 + 1
+    f = RatFun(Poly.zero("x"), den)
+    assert gcd_calls["Poly.gcd"] == 0
+    assert f == 0 and f.den == 1

@@ -1,10 +1,11 @@
 """Command line interface.
 
 Subcommands: family (the y'' = x*y + y^n*P(x,y) criterion), p2 and p3
-(the two worked cases), ve (print variational matrices for a field
-restricted along a curve), oracle (numeric cross-validation of the jet
-machinery).  Exit codes: 0 a verdict or report was produced, 1 bad
-input, 2 an internal consistency check failed.
+(the two worked cases), replay (re-check a certificate file), ve (print
+variational matrices for a field restricted along a curve), oracle
+(numeric cross-validation of the jet machinery).  Exit codes: 0 a
+verdict or report was produced, 1 bad input (a certificate that does
+not replay included), 2 an internal consistency check failed.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .grammar import ParseError
 from .jets import (EquationFamily, VectorFieldSpec, linearize,
                    normal_restrict, prolong, restrict_along_curve)
 from .verdict import (CertificateError, check_p2, check_p3,
-                      criterion_airy_family)
+                      criterion_airy_family, replay)
 
 
 class InputError(ValueError):
@@ -109,6 +110,20 @@ def cmd_p3(args):
     return 0
 
 
+def cmd_replay(args):
+    try:
+        with open(args.file, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise InputError("cannot read certificate: %s" % e)
+    try:
+        count = replay(text)
+    except CertificateError as e:
+        raise InputError("certificate does not replay: %s" % e)
+    print("replay: %d records verified" % count)
+    return 0
+
+
 def cmd_ve(args):
     X = _parse_field(args.field, tuple(args.param or ()), args.indep)
     J = prolong(X, args.order)
@@ -166,6 +181,11 @@ def build_parser():
                    help="rational non-integer; repeatable; default 1/2")
     p.add_argument("--json", metavar="FILE")
     p.set_defaults(func=cmd_p3)
+
+    p = sub.add_parser("replay", help="re-check every record of a "
+                       "certificate file")
+    p.add_argument("file", metavar="FILE")
+    p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("ve", help="print a (linearized) variational system")
     p.add_argument("--field", required=True,

@@ -291,6 +291,13 @@ def cyclic_vector_scalarize(A, b=None, v=None, retries=0):
     preserved both ways.  The returned object unpacks as (M, h) and has a
     back_substitute(f) method recovering the full vector F.
 
+    Without v the covector is read off A.  If A is upper Hessenberg with
+    a nonzero constant subdiagonal, it is e_n: the Krylov rows v_k are
+    then anti-triangular with a nonzero constant anti-diagonal, so e_n
+    is cyclic, det V is a nonzero constant and M has no singularity that
+    A lacks (for the family matrix Psi(n), M is Sym^(n+1)(D^2 - t)).
+    Otherwise it is e_1.
+
     Raises ValueError("cyclic vector failed") if v (and, when retries > 0,
     a handful of random small-integer covectors) never spans.
     """
@@ -302,7 +309,10 @@ def cyclic_vector_scalarize(A, b=None, v=None, retries=0):
         b = [zero] * n
     b = [ratfun(x, zero.var, zero.params) for x in b]
     if v is None:
-        v = [one if i == 0 else zero for i in range(n)]
+        hessenberg = all(A[i][i - 1].is_constant() and A[i][i - 1]
+                         and not any(A[i][:i - 1]) for i in range(1, n))
+        k = n - 1 if hessenberg else 0
+        v = [one if i == k else zero for i in range(n)]
     v = [ratfun(x, zero.var, zero.params) for x in v]
 
     def attempts():

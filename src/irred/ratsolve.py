@@ -242,7 +242,7 @@ def denominator_bound(L: DiffOp, g=None) -> Poly:
         N = max(cand)
         if N > 0:
             D = D * f ** N
-    if g is not None and g:
+    if g is not None and g.den.degree() > 0:
         # poles of g away from the singular locus: at an ordinary point a
         # solution pole of order d maps to one of order exactly d + n
         gden = g.den.monic()

@@ -124,7 +124,7 @@ class Certificate:
     def from_json(cls, text):
         try:
             d = json.loads(text)
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:
             raise CertificateError("certificate is not JSON: %s" % e)
         return cls.from_dict(d)
 

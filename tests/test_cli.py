@@ -76,6 +76,45 @@ def test_p3_bad_rational(capsys):
     assert main(["p3", "--mu", "x"]) == 1
 
 
+def _golden_family_certificate(tmp_path, capsys):
+    """`irred family --n 4 --P x^2 --json FILE`; returns FILE."""
+    out = tmp_path / "cert.json"
+    assert main(["family", "--n", "4", "--P", "x^2", "--json", str(out)]) == 0
+    capsys.readouterr()
+    return out
+
+
+def test_replay_golden_certificate(capsys, tmp_path):
+    path = _golden_family_certificate(tmp_path, capsys)
+    records = len(json.loads(path.read_text())["evidence"])
+    assert main(["replay", str(path)]) == 0
+    assert capsys.readouterr().out == "replay: %d records verified\n" % records
+
+
+def test_replay_truncated_certificate(capsys, tmp_path):
+    path = _golden_family_certificate(tmp_path, capsys)
+    path.write_text(path.read_text()[:200])
+    assert main(["replay", str(path)]) == 1
+    assert "certificate is not JSON" in capsys.readouterr().err
+
+
+def test_replay_edited_record_with_kept_hash(capsys, tmp_path):
+    from irred.verdict import _record_hash
+    path = _golden_family_certificate(tmp_path, capsys)
+    doc = json.loads(path.read_text())
+    rec, = [r for r in doc["evidence"] if r["kind"] == "rational_system"]
+    rec["solvable"] = not rec["solvable"]
+    rec["hash"] = _record_hash(rec)
+    path.write_text(json.dumps(doc))
+    assert main(["replay", str(path)]) == 1
+    assert "system solvability changed" in capsys.readouterr().err
+
+
+def test_replay_missing_file(capsys, tmp_path):
+    assert main(["replay", str(tmp_path / "absent.json")]) == 1
+    assert "cannot read certificate" in capsys.readouterr().err
+
+
 def test_ve_linearized(capsys):
     code = main(["ve", "--field", "x = 1; y = z; z = x*y + 2*y^3",
                  "--curve", "y = 0; z = 0", "--order", "3",

@@ -1,5 +1,6 @@
 """Differential operators, companion systems, cyclic vectors, sym powers."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -129,6 +130,38 @@ def test_scalarization_eliminates_once(rref_calls):
     res = cyclic_vector_scalarize(companion(L))
     assert res.op == L
     assert rref_calls == [5]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_family_system_scalarizes_to_the_symmetric_power(n):
+    """Psi(n) is upper Hessenberg with a constant subdiagonal, so the
+    default covector is e_last and the scalar equation is exactly
+    Sym^(n+1)(D^2 - t) with rhs (-1)^(n+1) (n+1)! p."""
+    from irred.verdict import _family_psi
+    p = RatFun.gen("t") ** 2 + 1
+    zero = RatFun.zero("t")
+    op, rhs = cyclic_vector_scalarize(_family_psi(n), [p] + [zero] * (n + 1))
+    want = sym_power_operator(parse_operator("D^2 - t"), n + 1)
+    assert op == want
+    assert str(op) == str(want)
+    assert rhs == (-1) ** (n + 1) * math.factorial(n + 1) * p
+
+
+def test_p3_shaped_system_keeps_the_first_covector():
+    # constant superdiagonal, rational subdiagonal: not upper Hessenberg
+    # with a constant subdiagonal, so the default covector is e_1
+    x = RatFun.gen("x")
+    zero, one = RatFun.zero("x"), RatFun.const(1, "x")
+    A = [[zero] * 5 for _ in range(5)]
+    for i in range(4):
+        A[i][i + 1] = (4 * i - 16) * one
+        A[i + 1][i] = (-1) ** i * (i + 1) * (2 + 1 / x)
+    default = cyclic_vector_scalarize(A)
+    explicit = cyclic_vector_scalarize(A, v=[one] + [zero] * 4)
+    assert default.op == explicit.op
+    assert str(default.op) == str(explicit.op)
+    assert [str(f) for f in default.back_substitute(x)] == [
+        str(f) for f in explicit.back_substitute(x)]
 
 
 def test_gauge_transform_shape():

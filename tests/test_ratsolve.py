@@ -155,3 +155,59 @@ def test_rational_solutions_bounds_the_degree_once(monkeypatch):
     assert calls == [False]
     rational_solutions(L)
     assert calls == [False, True]
+
+
+def test_hessenberg_systems_scalarize_without_new_singularities():
+    """Upper Hessenberg polynomial systems with a nonzero constant
+    subdiagonal: the default covector e_last gives polynomial
+    coefficients, back substitution recovers a planted solution, and the
+    solver agrees with the route through the covector e_1."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from irred.linops import cyclic_vector_scalarize
+    entry = st.lists(st.integers(-2, 2), min_size=2, max_size=2)
+    sub = st.integers(-3, 3).filter(bool)
+
+    @st.composite
+    def systems(draw):
+        n = draw(st.integers(2, 5))
+        zero = RatFun.zero("t")
+        A = [[zero] * n for _ in range(n)]
+        for i in range(n):
+            if i:
+                A[i][i - 1] = RatFun.const(draw(sub), "t")
+            for j in range(i, n):
+                A[i][j] = RatFun(Poly([Fraction(c) for c in draw(entry)], "t"))
+        F = [RatFun(Poly([Fraction(c) for c in draw(entry)], "t"))
+             for _ in range(n)]
+        if draw(st.booleans()):
+            # planted: F solves F' = A F + b
+            AF = [sum((a * f for a, f in zip(row, F)), zero) for row in A]
+            b = [f.derivative() - af for f, af in zip(F, AF)]
+        else:
+            b, F = F, None
+        return A, b, F
+
+    @hypothesis.settings(max_examples=25, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(systems())
+    def check(system):
+        A, b, F = system
+        n = len(A)
+        res = cyclic_vector_scalarize(A, b)
+        assert all(c.den.degree() == 0 for c in res.op.coeffs)
+        if F is not None:
+            assert res.op.apply(F[-1]) == res.rhs
+            assert res.back_substitute(F[-1]) == F
+        space = system_rational_solutions(A, b)
+        assert F is None or space.particular is not None
+        # e_1 need not be cyclic here (say A[0] = 0); the drawn covectors
+        # of the retries then stand in for it
+        zero, one = RatFun.zero("t"), RatFun.const(1, "t")
+        e1 = cyclic_vector_scalarize(A, b, v=[one] + [zero] * (n - 1),
+                                     retries=20)
+        other = rational_solutions(e1.op, e1.rhs)
+        assert (space.particular is None) == (other.particular is None)
+        assert len(space.basis) == len(other.basis)
+
+    check()

@@ -146,6 +146,27 @@ def test_check_p2_solves_the_obstruction_system_once(monkeypatch):
     assert calls == [5, 5]
 
 
+def test_family_system_replay_splits_no_denominators(monkeypatch):
+    """The family system scalarizes with the covector e_last to a monic
+    operator with polynomial coefficients, so the denominator bound of
+    its replay has no singular factor to split."""
+    import irred.ratsolve as ratsolve
+    calls = []
+    split = ratsolve.coprime_basis
+
+    def counting(polys):
+        calls.append(len(polys))
+        return split(polys)
+
+    monkeypatch.setattr(ratsolve, "coprime_basis", counting)
+    cert = criterion_airy_family(EquationFamily(4, "x^2"))
+    calls.clear()
+    d = json.loads(cert.to_json())
+    d["evidence"] = [r for r in d["evidence"] if r["kind"] == "rational_system"]
+    assert replay(d) == 1
+    assert calls == []
+
+
 def test_p3_display_at_rational_mu_is_the_specialized_display():
     from fractions import Fraction
     from irred.grammar import parse_ratfun

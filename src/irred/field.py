@@ -1,9 +1,10 @@
-"""Exact coefficient field: rational functions in named parameters over Q.
+"""Exact coefficient field Q(params): rational functions in named
+parameters over Q, at least one.  Q itself is plain Fraction, never a
+FieldElem; `scalar(c, params)` gives the constant c in either field.
 
 Elements are reduced fractions of multivariate polynomials in the declared
-parameters, with Fraction coefficients.  The zero-parameter case degenerates
-to plain rationals.  Canonical form: gcd-reduced, denominator leading
-coefficient (degree-lexicographic order) equal to 1.
+parameters, with Fraction coefficients.  Canonical form: gcd-reduced,
+denominator leading coefficient (degree-lexicographic order) equal to 1.
 
 Sums and products of reduced operands are reduced by Henrici's rules
 (JACM 1956; Knuth, TAOCP vol. 2, 4.5.1), which take gcds only of factors
@@ -112,8 +113,6 @@ def mp_gcd(f, g, nvars: int):
         return dict(g)
     if not g:
         return dict(f)
-    if nvars == 0:
-        return {(): Fraction(1)}
     if nvars == 1:
         f, g = [[h.get((d,), Fraction(0)) for d in range(max(h)[0] + 1)]
                 for h in (f, g)]
@@ -185,13 +184,22 @@ def mp_eval(f, values):
 
 # ---------------------------------------------------------------------------
 
+def scalar(c, params=()):
+    """The rational constant c in Q(params): a Fraction over Q, a
+    FieldElem when there are parameters."""
+    return FieldElem.from_fraction(c, params) if params else Fraction(c)
+
+
 class FieldElem:
-    """Element of Q(params): a reduced fraction of parameter polynomials."""
+    """Element of Q(params), params not empty: a reduced fraction of
+    parameter polynomials."""
 
     __slots__ = ("params", "num", "den")
 
     def __init__(self, params, num, den=None, _normalized=False):
         self.params = tuple(params)
+        if not self.params:
+            raise ValueError("Q is represented by Fraction, not FieldElem")
         if den is None:
             den = mp_const(Fraction(1), len(self.params))
         if not den:
@@ -214,7 +222,7 @@ class FieldElem:
 
     # constructors ---------------------------------------------------------
     @classmethod
-    def from_fraction(cls, c, params=()):
+    def from_fraction(cls, c, params):
         params = tuple(params)
         nv = len(params)
         # a constant over 1 is born reduced
@@ -328,22 +336,8 @@ class FieldElem:
                      frozenset(self.den.items())))
 
     # queries --------------------------------------------------------------
-    def is_rational(self) -> bool:
-        nv = len(self.params)
-        den_one = self.den == mp_const(Fraction(1), nv)
-        num_const = not self.num or (
-            len(self.num) == 1 and sum(next(iter(self.num))) == 0)
-        return den_one and num_const
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("element is not a plain rational: %s" % self)
-        if not self.num:
-            return Fraction(0)
-        return next(iter(self.num.values()))
-
-    def specialize(self, assignment: dict):
-        """Substitute rationals for all parameters; returns a Q element."""
+    def specialize(self, assignment: dict) -> Fraction:
+        """Substitute rationals for all parameters."""
         values = []
         for p in self.params:
             if p not in assignment:
@@ -353,8 +347,7 @@ class FieldElem:
         if d == 0:
             raise ZeroDivisionError(
                 "denominator %s vanishes under %s" % (_mp_str(self.den, self.params), assignment))
-        n = mp_eval(self.num, values)
-        return FieldElem.from_fraction(n / d, ())
+        return mp_eval(self.num, values) / d
 
     def __repr__(self):
         return "FieldElem(%s)" % self.__str__()
@@ -380,7 +373,7 @@ def _mp_str(f, params):
             elif k > 1:
                 factors.append("%s^%d" % (name, k))
         if not factors:
-            term = _frac_str(c)
+            term = str(c)
         else:
             mono = "*".join(factors)
             if c == 1:
@@ -388,17 +381,7 @@ def _mp_str(f, params):
             elif c == -1:
                 term = "-" + mono
             else:
-                term = "%s*%s" % (_frac_str(c), mono)
+                term = "%s*%s" % (c, mono)
         parts.append(term)
     return join_terms(parts)
 
-
-def _frac_str(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return "%d/%d" % (c.numerator, c.denominator)
-
-
-def QQ(c=0) -> FieldElem:
-    """Shortcut for plain rational constants (no parameters)."""
-    return FieldElem.from_fraction(Fraction(c), ())

@@ -101,8 +101,11 @@ class _Parser:
                 self.next()
                 neg = True
             k = self.expect("int")[1]
-            v = v ** (-k if neg else k)
+            v = self.power(v, -k if neg else k)
         return v if sign == 1 else -v
+
+    def power(self, v, k):
+        return v ** k
 
     def atom(self):
         kind, val = self.next()

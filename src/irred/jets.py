@@ -32,7 +32,11 @@ def rename_ratfun(f: RatFun, var: str) -> RatFun:
 
 class _MPParser(_Parser):
     """Parses expressions into MPoly in the dependent coordinates with
-    rational-function coefficients in the independent variable."""
+    rational-function coefficients in the independent variable.  A power
+    or product of degree above MAX_DEGREE in the coordinates or in the
+    variable is rejected before it is computed."""
+
+    MAX_DEGREE = 64
 
     def __init__(self, toks, deps, cvar, params):
         super().__init__(toks, cvar, params)
@@ -62,11 +66,27 @@ class _MPParser(_Parser):
             return v
         raise ParseError("unexpected token %r" % val)
 
+    def _within_degree(self, *parts):
+        """Raise unless sum k deg(v) over the (v, k) parts is at most
+        MAX_DEGREE in the coordinates and in the variable; the degree of
+        a coefficient is that of its numerator or denominator."""
+        d = max(sum(k * (v.total_degree() or 0) for v, k in parts),
+                sum(k * max((max(c.num.degree() or 0, c.den.degree())
+                             for c in v.terms.values()), default=0)
+                    for v, k in parts))
+        if d > self.MAX_DEGREE:
+            raise ParseError("degree %d exceeds %d" % (d, self.MAX_DEGREE))
+
+    def power(self, v, k):
+        self._within_degree((v, abs(k)))
+        return v ** k
+
     def term(self):
         v = self.factor()
         while self.peek() in "*/":
             op = self.next()[0]
             w = self.factor()
+            self._within_degree((v, 1), (w, 1))
             if op == "*":
                 v = v * w
             else:
@@ -358,11 +378,14 @@ def linearize(J: JetSystem) -> LinearizedSystem:
 
 class EquationFamily:
     """y'' = x y + y^n P(x,y) over Q, with P polynomial in y, rational in
-    x and finite along y = 0.  The obstruction datum is p(t) = n! P(t,0)."""
+    x and finite along y = 0.  The obstruction datum is p(t) = n! P(t,0).
+    n is at most MAX_N: the criterion's work grows steeply with n."""
+
+    MAX_N = 32
 
     def __init__(self, n, P):
-        if n < 2:
-            raise ValueError("family needs n >= 2")
+        if not 2 <= n <= self.MAX_N:
+            raise ValueError("family needs 2 <= n <= %d" % self.MAX_N)
         self.n = n
         if isinstance(P, str):
             try:

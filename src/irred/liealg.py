@@ -1,16 +1,16 @@
 """Lie algebra computations on constant matrices.
 
-Constant means: entries in the coefficient field (FieldElem), no
-dependence on the main variable.  The Lie algebra associated to a
-system matrix A(x) is generated by the constant matrices of its minimal
-decomposition A = sum a_i(x) M_i.
+Constant means: entries in the coefficient field (Fraction over Q,
+FieldElem over Q(params)), no dependence on the main variable.  The Lie
+algebra associated to a system matrix A(x) is generated by the constant
+matrices of its minimal decomposition A = sum a_i(x) M_i.
 """
 
 from __future__ import annotations
 
 import warnings
+from fractions import Fraction
 
-from .field import FieldElem
 from .linear import mat_bracket, mat_mul, mat_transpose, rref, solve_all
 from .linops import sym_power_matrix
 from .poly import Poly, RatFun, common_denominator
@@ -115,13 +115,8 @@ def associated_lie_algebra(A):
     for i in range(s):
         num = Poly([R[i][k] for k in range(deg + 1)], var, params)
         coeffs.append(RatFun(num, den))
-    zero = FieldElem.from_fraction(0, params)
-    mats = [[[zero] * m for _ in range(n)] for _ in range(s)]
-    for r in range(n):
-        for c in range(m):
-            v = vecs[r * m + c]
-            for i, p in enumerate(pivots):
-                mats[i][r][c] = v[p]
+    mats = [[[vecs[r * m + c][p] for c in range(m)] for r in range(n)]
+            for p in pivots]
     # sanity: decomposition reproduces A (an empty sum is the zero matrix)
     flat = _flat(A)
     if s:
@@ -182,7 +177,7 @@ def classify_lnve_lie_algebra(basis: LieAlgebraBasis, n: int) -> str:
 
 def block_xyh(n):
     """The sl2 triplet X, Y, H acting on Sym^n + standard blocks."""
-    zero = FieldElem.from_fraction(0)
+    zero = Fraction(0)
     m = n + 3
 
     def embed(top, bot):
@@ -195,7 +190,7 @@ def block_xyh(n):
                 M[n + 1 + i][n + 1 + j] = bot[i][j]
         return M
 
-    one = FieldElem.from_fraction(1)
+    one = Fraction(1)
     up = [[zero, one], [zero, zero]]
     lo = [[zero, zero], [one, zero]]
     X = embed(sym_power_matrix(up, n), up)
@@ -211,15 +206,15 @@ def block_e_matrices(n):
     [H,E_i]=(2i-n-1)E_i with the block_xyh triplet: the nonzero entries
     are +-1 with alternating signs.
     """
-    zero = FieldElem.from_fraction(0)
+    zero = Fraction(0)
     m = n + 3
     out = []
     for i in range(n + 2):
         M = [[zero] * m for _ in range(m)]
         if i >= 1:
-            M[n + 1][i - 1] = FieldElem.from_fraction((-1) ** (i + 1))
+            M[n + 1][i - 1] = Fraction((-1) ** (i + 1))
         if i <= n:
-            M[n + 2][i] = FieldElem.from_fraction((-1) ** i)
+            M[n + 2][i] = Fraction((-1) ** i)
         out.append(M)
     return out
 

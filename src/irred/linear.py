@@ -1,6 +1,6 @@
 """Exact linear algebra over any field whose elements support the usual
 Python arithmetic (+, -, *, /) and truthiness for zero-testing.  Used with
-FieldElem and RatFun coefficients alike.
+Fraction, FieldElem and RatFun coefficients alike.
 
 Matrices are lists of lists.  Every routine needs a zero and one of the
 field, supplied either explicitly or scraped from the matrix entries.

@@ -9,8 +9,8 @@ independent variable for jet-space right-hand sides.
 The dense kernels (dense_*) work on ascending coefficient lists in one
 variable and return them trimmed.  Division and gcd need a coefficient
 field (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 3).  Poly
-and DiffOp run them over FieldElem and RatFun, the one-parameter gcd of
-field.py over Fraction.
+and DiffOp run them over Fraction, FieldElem and RatFun, the
+one-parameter gcd of field.py over Fraction.
 """
 
 from __future__ import annotations

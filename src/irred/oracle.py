@@ -30,7 +30,7 @@ _STENCILS = {
 def _fpoly(p, t):
     acc = 0.0
     for c in reversed(p.coeffs):
-        acc = acc * t + float(c.as_fraction())
+        acc = acc * t + float(c)
     return acc
 
 

@@ -1,6 +1,6 @@
-"""Univariate polynomials and reduced rational functions over the
-parameter field.  The main variable (t, x, ...) is carried for printing;
-arithmetic requires matching variables.
+"""Univariate polynomials and reduced rational functions, with Fraction
+coefficients over Q and FieldElem ones over Q(params).  The main variable
+(t, x, ...) is carried for printing; arithmetic requires matching variables.
 
 `RatFun` sums and products of reduced operands are reduced by Henrici's
 rules (JACM 1956; Knuth, TAOCP vol. 2, 4.5.1), which take gcds only of
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .field import FieldElem
+from .field import FieldElem, scalar
 from .mpoly import (dense_add, dense_divmod, dense_gcd, dense_mul, power,
                     print_sum)
 
@@ -29,9 +29,9 @@ class Poly:
         cs = []
         for c in coeffs:
             if isinstance(c, (int, Fraction)):
-                c = FieldElem.from_fraction(c, params)
-            elif c.params != params:
-                raise ValueError("parameter context mismatch in Poly")
+                c = scalar(c, params)
+            elif not (isinstance(c, FieldElem) and c.params == params):
+                raise ValueError("coefficient %r in another context" % (c,))
             cs.append(c)
         while cs and not cs[-1]:
             cs.pop()
@@ -67,15 +67,15 @@ class Poly:
         """Degree; None for the zero polynomial."""
         return len(self.coeffs) - 1 if self.coeffs else None
 
-    def leading(self) -> FieldElem:
+    def leading(self):
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def coeff(self, k) -> FieldElem:
+    def coeff(self, k):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return FieldElem.from_fraction(0, self.params)
+        return scalar(0, self.params)
 
     def _lift(self, other):
         if isinstance(other, Poly):
@@ -147,10 +147,10 @@ class Poly:
         return Poly._trusted(dense_gcd(self.coeffs, self._lift(other).coeffs),
                              self.var, self.params)
 
-    def evaluate(self, x: FieldElem) -> FieldElem:
+    def evaluate(self, x):
         if isinstance(x, (int, Fraction)):
-            x = FieldElem.from_fraction(x, self.params)
-        acc = FieldElem.from_fraction(0, self.params)
+            x = scalar(x, self.params)
+        acc = scalar(0, self.params)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -191,17 +191,33 @@ class Poly:
         return out
 
     def rational_roots(self):
-        """Rational roots (over Q only), with multiplicities via division."""
+        """(Rational roots, ascending and with multiplicity, and the
+        cofactor free of them) over Q only.
+
+        With integer coefficients a_0..a_n, the rational roots are y / a_n
+        for the integer roots y of the monic g(y) = a_n^(n-1) f(y / a_n),
+        whose coefficients a_i a_n^(n-1-i) are integers; no divisor is
+        searched for.
+        """
         if self.params:
             raise ValueError("rational root extraction needs Q coefficients")
-        roots = []
-        f = self
-        for r in _distinct_rational_roots(self):
-            lin = Poly([-r, 1], self.var, self.params)
-            while f.degree() and not f.evaluate(r):
-                roots.append(r)
-                f = f // lin
+        roots, f = [], self
+        if not self.degree():
+            return roots, f
+        a = _integer_coeffs(self)
+        n = len(a) - 1
+        g = [c * a[-1] ** (n - 1 - i) for i, c in enumerate(a[:-1])] + [1]
+        for r in sorted(Fraction(y, a[-1]) for y in _integer_roots(g)):
+            roots.append(r)
+            f = f // Poly([-r, 1], self.var)
         return roots, f
+
+    def integer_roots(self):
+        """Integer roots (over Q only), ascending, each repeated by its
+        multiplicity."""
+        if self.params:
+            raise ValueError("integer root extraction needs Q coefficients")
+        return _integer_roots(_integer_coeffs(self)) if self.degree() else []
 
     def __bool__(self):
         return not self.is_zero()
@@ -225,31 +241,24 @@ class Poly:
             for k, c in reversed(list(enumerate(self.coeffs))) if c)
 
 
-def _distinct_rational_roots(f: Poly):
-    """The distinct rational roots of f over Q, ascending.
-
-    Scaled to integer coefficients a_0..a_n and with the root 0 split
-    off, f becomes the monic g(y) = a_n^(n-1) f(y / a_n) with integer
-    coefficients a_i a_n^(n-1-i), whose rational roots are integers.  Its
-    real roots are isolated by Sturm sequences between half-integers,
-    which are never roots of g, and the one integer of each unit interval
-    that holds a root is tested; no divisor is searched for.
-    """
-    if not f.degree():
-        return []
-    lcm = math.lcm(*(c.as_fraction().denominator for c in f.coeffs))
-    ints = [int(c.as_fraction() * lcm) for c in f.coeffs]
-    k = next(i for i, c in enumerate(ints) if c)
-    ints = ints[k:]
-    n, an = len(ints) - 1, ints[-1]
-    g = [c * an ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
-    roots = [Fraction(y, an) for y in _integer_roots(g)] if n else []
-    return sorted(roots + [Fraction(0)] if k else roots)
+def _integer_coeffs(f: Poly):
+    """The coefficients of f over Q times the lcm of their denominators."""
+    lcm = math.lcm(*(c.denominator for c in f.coeffs))
+    return [c.numerator * (lcm // c.denominator) for c in f.coeffs]
 
 
 def _integer_roots(g):
-    """Integer roots, ascending, of a monic integer polynomial g of
-    positive degree (ascending coefficients) with g(0) != 0."""
+    """Integer roots, ascending and each repeated by its multiplicity, of
+    an integer polynomial g of positive degree (ascending coefficients
+    g_0..g_n).
+
+    A Sturm chain counts the real roots between the points y + 1/s, for
+    integers y and s the least power of two above |g_n|.  Such a point is
+    never a root: its reduced denominator s does not divide g_n, which a
+    rational root's denominator does.  Bisection in y down to unit
+    intervals leaves one integer to test in each interval with a root;
+    its multiplicity is the number of derivatives vanishing there.
+    """
     chain = [[Fraction(c) for c in g]]
     chain.append([i * c for i, c in enumerate(chain[0]) if i])
     while True:
@@ -261,36 +270,43 @@ def _integer_roots(g):
     chain = [[int(c * math.lcm(*(x.denominator for x in p))) for c in p]
              for p in chain]
 
-    def variations(m):
-        """Sign changes of the chain at the half-integer m / 2."""
+    lead = abs(g[-1]).bit_length()
+    s = 1 << lead
+
+    def variations(y):
+        """Sign changes of the chain at y + 1/s."""
+        m = y * s + 1
         signs = []
         for p in chain:
             v, pw = p[-1], 1
             for c in reversed(p[:-1]):
-                pw *= 2
+                pw *= s
                 v = v * m + c * pw
             if v:
                 signs.append(v > 0)
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    # Fujiwara: every root y has |y| <= 2 max |g_(n-i)|^(1/i), below the
-    # power of two `bound`; endpoints are doubled
+    # Fujiwara: every root y has |y| <= 2 max |g_(n-i) / g_n|^(1/i), below
+    # the power of two `bound`, as |g_(n-i) / g_n| < 2^(bits - lead + 1)
     n = len(g) - 1
-    bound = 2 ** (1 + max(-(-abs(c).bit_length() // (n - i))
+    bound = 2 ** (1 + max(max(0, -((lead - 1 - abs(c).bit_length())
+                                   // (n - i)))
                           for i, c in enumerate(g[:-1])))
-    lo, hi = -2 * bound - 1, 2 * bound + 1
+    # the intervals (lo + 1/s, hi + 1/s] hold the integers lo + 1..hi
+    lo, hi = -bound - 1, bound
     out = []
     stack = [(lo, hi, variations(lo), variations(hi))]
     while stack:
         lo, hi, vlo, vhi = stack.pop()
         if vlo == vhi:
             continue
-        if hi - lo == 2:
-            y = (lo + 1) // 2
-            if not sum(c * y ** i for i, c in enumerate(g)):
-                out.append(y)
+        if hi - lo == 1:
+            d = g
+            while not sum(c * hi ** i for i, c in enumerate(d)):
+                out.append(hi)
+                d = [i * c for i, c in enumerate(d) if i]
             continue
-        mid = lo + 2 * ((hi - lo) // 4)
+        mid = (lo + hi) // 2
         vmid = variations(mid)
         stack += [(mid, hi, vmid, vhi), (lo, mid, vlo, vmid)]
     return out
@@ -445,11 +461,11 @@ class RatFun:
         return self.den.degree() == 0 and (self.num.is_zero()
                                            or self.num.degree() == 0)
 
-    def constant_value(self) -> FieldElem:
+    def constant_value(self):
         if not self.is_constant():
             raise ValueError("not a constant rational function: %s" % self)
         if self.num.is_zero():
-            return FieldElem.from_fraction(0, self.params)
+            return scalar(0, self.params)
         return self.num.coeffs[0]
 
     def is_polynomial(self):

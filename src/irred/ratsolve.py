@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .field import FieldElem
 from .linear import mat_mul, mat_shape, solve_all
 from .linops import DiffOp, cyclic_vector_scalarize
 from .poly import Poly, RatFun, common_denominator, ratfun
@@ -144,10 +143,8 @@ def _indicial_finite(qs, f: Poly) -> IndicialData:
         for i, v, cof in data:
             if v - i == m:
                 c = cof.evaluate(a)
-                ind = ind + _falling(i) * Poly.const(c.as_fraction(), "e")
-        roots, _ = ind.rational_roots()
-        ints = [int(r) for r in roots if r.denominator == 1]
-        return IndicialData(a.as_fraction(), ind, ints)
+                ind = ind + _falling(i) * Poly.const(c, "e")
+        return IndicialData(a, ind, ind.integer_roots())
     # cluster of conjugate points: work modulo f
     fp = f.derivative()
     terms = {}  # x-exponent -> Poly in e
@@ -160,18 +157,14 @@ def _indicial_finite(qs, f: Poly) -> IndicialData:
             cj = t.coeff(j)
             if not cj:
                 continue
-            add = fall * Poly.const(cj.as_fraction(), "e")
+            add = fall * Poly.const(cj, "e")
             terms[j] = terms.get(j, Poly.zero("e")) + add
     # integer exponents at any root of f are common integer roots of the
     # x-coefficient polynomials; their gcd carries them all
     g = Poly.zero("e")
     for p in terms.values():
         g = g.gcd(p) if not g.is_zero() else p
-    if g.degree() == 0:
-        return IndicialData(f, g, [])
-    roots, _ = g.rational_roots()
-    ints = [int(r) for r in roots if r.denominator == 1]
-    return IndicialData(f, g, ints)
+    return IndicialData(f, g, g.integer_roots())
 
 
 def _indicial_infinity(qs) -> IndicialData:
@@ -180,10 +173,8 @@ def _indicial_infinity(qs) -> IndicialData:
     for i, q in enumerate(qs):
         if q.is_zero() or q.degree() - i != sigma:
             continue
-        ind = ind + _falling(i) * Poly.const(q.leading().as_fraction(), "e")
-    roots, _ = ind.rational_roots()
-    ints = [int(r) for r in roots if r.denominator == 1]
-    return IndicialData("inf", ind, ints)
+        ind = ind + _falling(i) * Poly.const(q.leading(), "e")
+    return IndicialData("inf", ind, ind.integer_roots())
 
 
 def indicial_polynomial(L: DiffOp, point) -> IndicialData:
@@ -279,29 +270,19 @@ def _polynomial_solutions(L: DiffOp, rhs, bound):
     zero = RatFun.zero(var)
     if bound < 0:
         return (zero if not rhs else None), []
-    images = []
-    for k in range(bound + 1):
-        xk = RatFun(Poly([Fraction(0)] * k + [Fraction(1)], var))
-        images.append(L.apply(xk))
+    images = [L.apply(RatFun(Poly([0] * k + [1], var)))
+              for k in range(bound + 1)]
     den = common_denominator(images + ([rhs] if rhs else []), var)
     cols = [(im * RatFun(den)).as_poly() for im in images]
     rp = ((rhs if rhs else zero) * RatFun(den)).as_poly()
     deg = max([c.degree() for c in cols if not c.is_zero()] +
               [rp.degree() if not rp.is_zero() else 0, 0])
-    m = [[FieldElem.from_fraction(0)] * (bound + 1) for _ in range(deg + 1)]
-    for j, c in enumerate(cols):
-        for r in range(deg + 1):
-            m[r][j] = c.coeff(r)
+    m = [[c.coeff(r) for c in cols] for r in range(deg + 1)]
     b = [rp.coeff(r) for r in range(deg + 1)]
-    (sol,), kernel = solve_all(m, [b], FieldElem.from_fraction(1))
-    part = None
-    if sol is not None:
-        part = RatFun(Poly([c.as_fraction() for c in sol], var))
-    basis = []
-    for v in kernel:
-        p = Poly([c.as_fraction() for c in v], var)
-        if not p.is_zero():
-            basis.append(RatFun(p))
+    (sol,), kernel = solve_all(m, [b], Fraction(1))
+    part = None if sol is None else RatFun(Poly(sol, var))
+    # a kernel vector has a 1 at its free column, so it is never zero
+    basis = [RatFun(Poly(v, var)) for v in kernel]
     return part, basis
 
 

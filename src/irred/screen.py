@@ -84,7 +84,7 @@ def _value_at_infinity(f: RatFun) -> Fraction:
         return Fraction(0)
     if d > 0:
         raise ValueError("no finite value at infinity")
-    return (f.num.leading() / f.den.leading()).as_fraction()
+    return f.num.leading() / f.den.leading()
 
 
 def _pole_order(f: RatFun, s: Fraction) -> int:
@@ -100,7 +100,7 @@ def _limit_scaled(f: RatFun, s: Fraction, k: int) -> Fraction:
     """Value of (x-s)^k f at x=s (pole order of f at most k)."""
     lin = RatFun(Poly([-s, Fraction(1)], f.var))
     g = f * lin ** k
-    return g.evaluate(s).as_fraction()
+    return g.evaluate(s)
 
 
 def _rational_pair_roots(a1: Fraction, a0: Fraction):
@@ -131,7 +131,7 @@ def _finite_singularities(a: RatFun, b: RatFun, var):
             raise UnsupportedOperator(
                 "undetermined (unsupported singularity structure): "
                 "irrational singular points")
-        s = (-f.coeff(0) / f.coeff(1)).as_fraction()
+        s = -f.coeff(0) / f.coeff(1)
         if _pole_order(a, s) > 1 or _pole_order(b, s) > 2:
             raise UnsupportedOperator(
                 "undetermined (unsupported singularity structure): "
@@ -228,16 +228,12 @@ def _taylor_coeffs(f: RatFun, s: Fraction, n: int):
     den = f.den.shift(s)
     if not den.coeff(0):
         raise ValueError("pole at the expansion point")
-    c0 = den.coeff(0)
     out = []
-    prev = []
     for k in range(n + 1):
         acc = num.coeff(k)
         for j in range(k):
-            acc = acc - den.coeff(k - j) * prev[j]
-        ck = acc / c0
-        prev.append(ck)
-        out.append(ck.as_fraction())
+            acc = acc - den.coeff(k - j) * out[j]
+        out.append(acc / den.coeff(0))
     return out
 
 

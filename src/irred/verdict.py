@@ -378,11 +378,13 @@ def criterion_airy_family(family) -> Certificate:
     qs, _ = _clear_denominators(L)
     sigma = max(q.degree() - i for i, q in enumerate(qs) if not q.is_zero())
     ind = _indicial_infinity(qs)
+    space = rational_solutions(L, p)
+    # with denominator bound 1 the solver bounded the degree for L itself
     cert.add("degree_argument", operator=str(L), rhs=str(p), var="t",
              sigma=sigma, indicial_infinity=str(ind.poly),
              integer_roots=list(ind.integer_roots),
-             degree_bound=degree_bound(L, p))
-    space = rational_solutions(L, p)
+             degree_bound=space.degree if space.denominator == 1
+             else degree_bound(L, p))
     cert.add("scalar_rational", operator=str(L), rhs=str(p), var="t",
              solvable=space.particular is not None,
              denominator=str(space.denominator), degree=space.degree,

@@ -255,7 +255,7 @@ def test_criterion_10_property_suite():
         cols = [[p.coeff(i) for i in range(size)] for p in ps[:-1]]
         rhs = [ps[-1].coeff(i) for i in range(size)]
         m = [[cols[j][r] for j in range(len(cols))] for r in range(size)]
-        sol = lin_solve(m, rhs, FieldElem.from_fraction(1))
+        sol = lin_solve(m, rhs, Fraction(1))
         assert sol is not None, "planted solution outside the returned space"
         recovered += 1
     assert recovered == 100
@@ -280,7 +280,7 @@ def test_criterion_10_property_suite():
     # (e) Jacobi identity on random constant matrices
     for _ in range(20):
         def rmat():
-            return [[FieldElem.from_fraction(rng.randint(-4, 4))
+            return [[Fraction(rng.randint(-4, 4))
                      for _ in range(3)] for _ in range(3)]
 
         Ax, B, C = rmat(), rmat(), rmat()

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from irred.cli import main
 
 
@@ -36,29 +38,38 @@ def test_family_negative_power_of_y(capsys, tmp_path):
     assert not out.exists()
 
 
-def _run_family_n2(P):
-    """`irred family --n 2 --P P` in a subprocess, killed after 30 s."""
+def _run_family(P, n=2, timeout=30):
+    """`irred family --n n --P P` in a subprocess, killed after timeout s."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=src if not path else src + os.pathsep + path)
     return subprocess.run(
-        [sys.executable, "-m", "irred.cli", "family", "--n", "2", "--P", P],
-        capture_output=True, text=True, env=env, timeout=30)
+        [sys.executable, "-m", "irred.cli", "family", "--n", str(n),
+         "--P", P], capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def test_family_huge_linear_pole_finishes():
     """The root of a linear factor is found; no divisors of 10^20."""
-    proc = _run_family_n2("1/(x - 100000000000000000000)")
+    proc = _run_family("1/(x - 100000000000000000000)")
     assert proc.returncode == 0
     assert "verdict: IRREDUCIBLE" in proc.stdout
 
 
 def test_family_huge_quadratic_pole_finishes():
     """Roots are isolated by Sturm sequences; no divisors of 10^20."""
-    proc = _run_family_n2("1/(x^2 - 100000000000000000000)")
+    proc = _run_family("1/(x^2 - 100000000000000000000)")
     assert proc.returncode == 0
     assert "verdict: IRREDUCIBLE" in proc.stdout
+
+
+@pytest.mark.parametrize("n,P", [(400, "x"), (2, "x^200000"),
+                                 (2, "((x+1)^64)^64")])
+def test_family_input_budget_fails_fast(n, P):
+    """n and the degree of P are capped before any work is done."""
+    proc = _run_family(P, n=n, timeout=10)
+    assert proc.returncode == 1
+    assert "input error" in proc.stderr
 
 
 def test_p3_integer_mu_rejected(capsys):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from irred.field import FieldElem, QQ, mp_gcd
+from irred.field import FieldElem, mp_gcd, scalar
 from irred.mpoly import (dense_add, dense_divmod, dense_gcd, dense_mul, mp_add,
                          mp_mul, mp_neg, mp_scale, power)
 from irred.grammar import ParseError, parse_ratfun
@@ -26,12 +26,45 @@ def test_field_elem_specialize():
     mu = FieldElem.parameter("mu", ("mu",))
     v = (mu ** 2 + 1) / (mu - 2)
     got = v.specialize({"mu": Fraction(3)})
-    assert got.as_fraction() == Fraction(10)
+    assert type(got) is Fraction and got == Fraction(10)
 
 
 def test_qq_roundtrip():
-    assert QQ(Fraction(3, 4)).as_fraction() == Fraction(3, 4)
-    assert QQ(0).is_rational()
+    assert scalar(Fraction(3, 4)) == Fraction(3, 4)
+    assert type(scalar(0)) is Fraction and not scalar(0)
+    assert isinstance(scalar(2, ("mu",)), FieldElem)
+
+
+def test_field_elem_over_q_raises():
+    with pytest.raises(ValueError):
+        FieldElem((), {(): Fraction(1)})
+    with pytest.raises(ValueError):
+        FieldElem.from_fraction(1, ())
+
+
+def test_q_coefficients_are_fractions():
+    """Over Q every Poly and RatFun result has Fraction coefficients:
+    ints are converted on construction, and no int / int gives a float."""
+    def fractions(p):
+        return all(type(c) is Fraction for c in p.coeffs)
+
+    a = Poly([1, 2, 3], "x")
+    b = Poly([Fraction(1, 2), -1], "x")
+    q, r = a.divmod(b)
+    for p in (a, b, a + b, a - b, a * b, q, r, a.gcd(b), (a * b).gcd(a),
+              a.monic(), a.derivative(), 2 - a, a * 3, Poly.gen("x")):
+        assert fractions(p), p
+    mu = FieldElem.parameter("mu", ("mu",))
+    v = mu / 3 + 1
+    assert type(v.specialize({"mu": 2})) is Fraction
+    assert fractions(Poly([mu, 1, v], "x", ("mu",)).specialize({"mu": 2}))
+    f, g = RatFun(a, b), RatFun(b, a * a)
+    for h in (f + g, f - g, f * g, f / g, f / 3, 1 / f, f + 1):
+        assert fractions(h.num) and fractions(h.den), h
+    with pytest.raises(ValueError):
+        Poly([1.5], "x")
+    with pytest.raises(ValueError):
+        Poly([mu], "x")
 
 
 def test_mp_gcd_one_parameter():
@@ -99,8 +132,7 @@ def test_rational_roots_match_sympy():
         for r in roots:
             p = p * Poly([-r.numerator, r.denominator], "x")
         got, rem = p.rational_roots()
-        sp = sympy.Poly([sympy.Rational(c.as_fraction().numerator,
-                                        c.as_fraction().denominator)
+        sp = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
                          for c in reversed(p.coeffs)], x, domain=sympy.QQ)
         want = sympy.roots(sp, filter="Q")
         assert got == sorted(Fraction(int(r.p), int(r.q))
@@ -110,6 +142,48 @@ def test_rational_roots_match_sympy():
         assert rem == p
 
     check()
+
+
+def test_integer_roots_match_sympy():
+    """integer_roots equals the integer roots of sympy.roots over QQ, with
+    multiplicity, on a non-monic polynomial with planted integer roots up
+    to 10^15 and planted roots p/q, q up to 10^12, that it must skip; a
+    repeated half-integer root must not be taken for a bisection point."""
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+    x = sympy.Symbol("x")
+    ints = st.lists(st.tuples(st.integers(-10 ** 15, 10 ** 15),
+                              st.integers(1, 2)), max_size=3)
+    small_or_big = st.integers(-6, 6) | st.integers(-10 ** 15, 10 ** 15)
+    fracs = st.lists(st.tuples(
+        st.builds(Fraction, small_or_big,
+                  st.integers(2, 4) | st.integers(2, 10 ** 12)),
+        st.integers(1, 2)), max_size=3)
+    cofactor = st.lists(st.integers(-5, 5), min_size=1, max_size=3).filter(
+        lambda c: c[-1] != 0)
+    scale = st.builds(Fraction, st.integers(1, 50), st.integers(1, 50))
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(ints, fracs, cofactor, scale)
+    def check(int_roots, frac_roots, cof, c):
+        p = Poly([c * k for k in cof], "x")
+        for r, k in int_roots:
+            p = p * Poly([-r, 1], "x") ** k
+        for r, k in frac_roots:
+            p = p * Poly([-r.numerator, r.denominator], "x") ** k
+        got = p.integer_roots()
+        sp = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                         for c in reversed(p.coeffs)], x, domain=sympy.QQ)
+        want = sympy.roots(sp, filter="Z")
+        assert got == sorted(int(r) for r, k in want.items()
+                             for _ in range(k))
+        assert all(type(r) is int for r in got)
+
+    check()
+    t = Poly.gen("x")
+    assert ((2 * t - 1) ** 2 * (t - 1) ** 2).integer_roots() == [1, 1]
 
 
 def test_ratfun_normalization():
@@ -163,7 +237,7 @@ def test_parameter_ratfun_subtraction_is_fast():
 def test_ratfun_coercion():
     f = ratfun(3, "t")
     assert f.is_constant()
-    assert f.constant_value().as_fraction() == 3
+    assert type(f.constant_value()) is Fraction and f.constant_value() == 3
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +581,7 @@ def test_ratfun_ops_match_full_gcd_and_sympy(params):
         coeff = st.builds(lambda a, b: a * mu + b,
                           st.integers(-2, 2), st.integers(-2, 2))
     else:
-        coeff = st.integers(-3, 3).map(QQ)
+        coeff = st.integers(-3, 3).map(Fraction)
     # degree at most 1, and monic factors of degree 1, planted below: the
     # full-gcd reference runs Euclid over Q(mu), whose coefficients swell
     poly = st.lists(coeff, max_size=2).map(lambda cs: Poly(cs, "x", params))
@@ -515,6 +589,9 @@ def test_ratfun_ops_match_full_gcd_and_sympy(params):
     factor = coeff.map(lambda c: Poly([c, 1], "x", params))
 
     def field_sympy(c):
+        if isinstance(c, Fraction):
+            return sympy.Rational(c.numerator, c.denominator)
+
         def part(d):
             return sum(k * smu ** e[0] if e else k for e, k in d.items())
         return part(c.num) / part(c.den)

@@ -96,6 +96,18 @@ def test_family_rejects_pole_along_y0():
             EquationFamily(2, P)
 
 
+def test_family_budgets_are_sharp():
+    """n <= 32; a power or product of degree at most 64 in x and in y."""
+    for P in ("x^64", "y^64", "(x+1)^32*(x-1)^32", "y^60*x^64", "1/x^64"):
+        EquationFamily(32, P)
+    with pytest.raises(ValueError, match="n <= 32"):
+        EquationFamily(33, "x")
+    for P in ("x^65", "y^65", "x^64*x", "1/x^64/x", "y^2*y^63",
+              "((x+1)^64)^64", "(1/x)^65"):
+        with pytest.raises(ValueError, match="degree [0-9]+ exceeds 64"):
+            EquationFamily(2, P)
+
+
 def _bivar(expr):
     return parse_component(expr, ("x", "y"), "t")
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from irred.grammar import parse_ratfun
 from irred.jets import EquationFamily
 from irred.linops import parse_operator, sym_power_operator
 from irred.poly import Poly, RatFun
@@ -165,6 +166,50 @@ def test_family_system_replay_splits_no_denominators(monkeypatch):
     d["evidence"] = [r for r in d["evidence"] if r["kind"] == "rational_system"]
     assert replay(d) == 1
     assert calls == []
+
+
+def test_family_bounds_each_solved_degree_once(monkeypatch):
+    """The degree_argument record takes the bound that rational_solutions
+    computed for L y = p (its denominator bound is 1), so a full family
+    build bounds the degree once per solve: the scalar and the system
+    route."""
+    import irred.ratsolve as ratsolve
+    import irred.verdict as verdict
+    calls = []
+    bound = ratsolve.degree_bound
+
+    def counting(L, g=None):
+        calls.append(str(L))
+        return bound(L, g)
+
+    for module in (ratsolve, verdict):
+        monkeypatch.setattr(module, "degree_bound", counting)
+    cert = criterion_airy_family(EquationFamily(4, "x^2"))
+    assert len(calls) == 2
+    rec, = cert.find("degree_argument")
+    assert rec["degree_bound"] == bound(parse_operator(rec["operator"]),
+                                        parse_ratfun(rec["rhs"]))
+    assert replay(cert) == len(cert.evidence)
+
+
+def test_q_workloads_build_no_field_elem_over_q(monkeypatch):
+    """Q is represented by Fractions: check_p2 and family n=4 P=x^2 build
+    and replay without any attempt at a FieldElem with no parameter."""
+    from irred.field import FieldElem
+    from irred.verdict import check_p2
+    contexts = []
+    init = FieldElem.__init__
+
+    def recording(self, params, *args, **kwargs):
+        contexts.append(tuple(params))
+        init(self, params, *args, **kwargs)
+
+    monkeypatch.setattr(FieldElem, "__init__", recording)
+    for cert in (check_p2(), criterion_airy_family(EquationFamily(4, "x^2"))):
+        assert replay(cert) == len(cert.evidence)
+    assert () not in contexts
+    FieldElem.parameter("mu", ("mu",))
+    assert contexts[-1] == ("mu",)
 
 
 def test_p3_display_at_rational_mu_is_the_specialized_display():

@@ -10,7 +10,7 @@ from .jets import (EquationFamily, JetSystem, VectorFieldSpec,
                    vf_decompose)
 from .liealg import (LieAlgebraBasis, adjoint_action_matrix,
                      associated_lie_algebra, classify_lnve_lie_algebra,
-                     lie_closure, sl2_triplet_check)
+                     lie_closure, lie_dimension, sl2_triplet_check)
 from .linops import (DiffOp, companion, cyclic_vector_scalarize,
                      parse_operator, sym_power_matrix, sym_power_operator)
 from .poly import Poly, RatFun, ratfun
@@ -35,7 +35,7 @@ __all__ = [
     "certify_sl2", "check_p2", "check_p3", "classify_lnve_lie_algebra",
     "companion", "criterion_airy_family", "cyclic_vector_scalarize",
     "degree_bound", "denominator_bound", "exponential_solutions_restricted",
-    "has_log_at", "indicial_polynomial", "lie_closure",
+    "has_log_at", "indicial_polynomial", "lie_closure", "lie_dimension",
     "linearize", "lnve_group_dimension", "normal_restrict", "parse_operator",
     "parse_ratfun", "print_ratfun", "prolong", "ratfun",
     "rational_solutions", "reduced_form_obstruction", "replay",

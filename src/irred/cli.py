@@ -212,9 +212,22 @@ def build_parser():
     return ap
 
 
+def _join_dash_values(argv):
+    """`--mu -7/3` as `--mu=-7/3`, `--P -x` as `--P=-x`: argparse takes a
+    value that begins with '-' and is not a plain number for an option."""
+    out = []
+    for a in argv:
+        if out and out[-1] in ("--mu", "--P") and a.startswith("-"):
+            out[-1] += "=" + a
+        else:
+            out.append(a)
+    return out
+
+
 def main(argv=None):
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_join_dash_values(
+        sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ValueError as e:

@@ -46,7 +46,40 @@ def tokenize(text: str):
     return toks
 
 
+def max_size(sizes):
+    """Entrywise maximum of equally long size tuples."""
+    return tuple(map(max, zip(*sizes)))
+
+
+def _coeff_size(c):
+    """(0, degree in the parameters, bit length of the largest integer)
+    of a Fraction or FieldElem."""
+    if isinstance(c, FieldElem):
+        terms = list(c.num.items()) + list(c.den.items())
+        return (0, max(sum(e) for e, _ in terms),
+                max(_coeff_size(x)[2] for _, x in terms))
+    return 0, 0, max(c.numerator.bit_length(), c.denominator.bit_length())
+
+
+def ratfun_size(f: RatFun):
+    """(degree in the variable, degree in the parameters, bits) of f,
+    bits the bit length of the largest integer in its coefficients."""
+    deg = max(len(f.num.coeffs), len(f.den.coeffs)) - 1
+    return max_size([(deg, 0, 0)] + [_coeff_size(c) for c in
+                                     f.num.coeffs + f.den.coeffs])
+
+
 class _Parser:
+    """Recursive-descent parser over RatFun values.
+
+    A power is refused before it is computed when its result could pass
+    MAX_DEGREE in some degree, or MAX_BITS in the bit length of an
+    integer, as bounded by the size of its base (the `size` of a value).
+    """
+
+    MAX_DEGREE = 64
+    MAX_BITS = 4096
+
     def __init__(self, toks, var, params):
         self.toks = toks
         self.pos = 0
@@ -104,7 +137,26 @@ class _Parser:
             v = self.power(v, -k if neg else k)
         return v if sign == 1 else -v
 
+    def size(self, v):
+        """Degrees of a value, each bounded by MAX_DEGREE, then the bit
+        length of its largest integer."""
+        return ratfun_size(v)
+
+    def within_budget(self, *parts):
+        """Raise unless the product of v^k over the (v, k) parts keeps
+        within MAX_DEGREE and MAX_BITS, as the sizes of its factors
+        bound it."""
+        *degs, bits = map(sum, zip(*([k * x for x in self.size(v)]
+                                     for v, k in parts)))
+        if max(degs) > self.MAX_DEGREE:
+            raise ParseError("degree %d exceeds %d"
+                             % (max(degs), self.MAX_DEGREE))
+        if bits > self.MAX_BITS:
+            raise ParseError("a constant of %d bits exceeds %d"
+                             % (bits, self.MAX_BITS))
+
     def power(self, v, k):
+        self.within_budget((v, abs(k)))
         return v ** k
 
     def atom(self):

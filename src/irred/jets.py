@@ -13,8 +13,9 @@ import math
 from fractions import Fraction
 
 from .field import FieldElem
-from .grammar import ParseError, _Parser, parse_ratfun, tokenize
-from .linear import inverse, mat_mul, mat_transpose, solve_all
+from .grammar import (ParseError, _Parser, max_size, parse_ratfun,
+                      ratfun_size, tokenize)
+from .linear import mat_mul, mat_transpose, solve_all
 from .linops import sym_power_matrix, sym_power_rep
 from .mpoly import MPoly, _one_like
 from .poly import Poly, RatFun, ratfun
@@ -33,10 +34,10 @@ def rename_ratfun(f: RatFun, var: str) -> RatFun:
 class _MPParser(_Parser):
     """Parses expressions into MPoly in the dependent coordinates with
     rational-function coefficients in the independent variable.  A power
-    or product of degree above MAX_DEGREE in the coordinates or in the
-    variable is rejected before it is computed."""
-
-    MAX_DEGREE = 64
+    or product past the budgets of _Parser (MAX_DEGREE in the
+    coordinates, the variable or a parameter; MAX_BITS) is rejected
+    before it is computed, and so is a parsed result past them, which
+    sums can build."""
 
     def __init__(self, toks, deps, cvar, params):
         super().__init__(toks, cvar, params)
@@ -66,27 +67,23 @@ class _MPParser(_Parser):
             return v
         raise ParseError("unexpected token %r" % val)
 
-    def _within_degree(self, *parts):
-        """Raise unless sum k deg(v) over the (v, k) parts is at most
-        MAX_DEGREE in the coordinates and in the variable; the degree of
-        a coefficient is that of its numerator or denominator."""
-        d = max(sum(k * (v.total_degree() or 0) for v, k in parts),
-                sum(k * max((max(c.num.degree() or 0, c.den.degree())
-                             for c in v.terms.values()), default=0)
-                    for v, k in parts))
-        if d > self.MAX_DEGREE:
-            raise ParseError("degree %d exceeds %d" % (d, self.MAX_DEGREE))
+    def size(self, v):
+        """Degree in the coordinates, then the largest size of a
+        coefficient."""
+        return (v.total_degree() or 0,) + max_size(
+            [(0, 0, 0)] + [ratfun_size(c) for c in v.terms.values()])
 
-    def power(self, v, k):
-        self._within_degree((v, abs(k)))
-        return v ** k
+    def parse(self):
+        v = super().parse()
+        self.within_budget((v, 1))
+        return v
 
     def term(self):
         v = self.factor()
         while self.peek() in "*/":
             op = self.next()[0]
             w = self.factor()
-            self._within_degree((v, 1), (w, 1))
+            self.within_budget((v, 1), (w, 1))
             if op == "*":
                 v = v * w
             else:
@@ -534,7 +531,8 @@ def p3_field() -> VectorFieldSpec:
 
 
 def build_p3_chain() -> P3Chain:
-    """Variational chain along y=1, z=-mu/2 with gauges Q1, Q2, Q3.
+    """Variational chain along y=1, z=-mu/2 with gauges Q1, Q2, Q3 and
+    their inverses R1, R2, R3; At_k = R_k A_k Q_k.
 
     Every matrix is over Q(mu)(x), with mu symbolic; specialize the
     entries for a rational mu.  The gauge Q1 degenerates at mu = 0.
@@ -565,24 +563,26 @@ def build_p3_chain() -> P3Chain:
     Q1 = [[-2 * muv, one], [-muv * muv, zero]]
     Q2 = _blockdiag([sym_power_rep(Q1, 2), Q1], zero)
     Q3 = _blockdiag([sym_power_rep(Q1, 3), sym_power_rep(Q1, 2), Q1], zero)
+    # R_k = Q_k^-1 in closed form: the adjugate of Q1 (det Q1 = mu^2), and
+    # Sym^j(Q1^-1) = Sym^j(Q1)^-1 block by block
+    (a, b), (c, d) = Q1
+    det = a * d - b * c
+    R1 = [[d / det, -b / det], [-c / det, a / det]]
+    R2 = _blockdiag([sym_power_rep(R1, 2), R1], zero)
+    R3 = _blockdiag([sym_power_rep(R1, 3), sym_power_rep(R1, 2), R1], zero)
 
-    At1 = _gauge_const(Q1, A1, one)
-    At2 = _gauge_const(Q2, A2, one)
-    At3 = _gauge_const(Q3, A3, one)
+    At1 = mat_mul(mat_mul(R1, A1), Q1)
+    At2 = mat_mul(mat_mul(R2, A2), Q2)
+    At3 = mat_mul(mat_mul(R3, A3), Q3)
 
-    return P3Chain(A1=A1, Q1=Q1, At1=At1, A2=A2, Q2=Q2, At2=At2,
-                   A3=A3, Q3=Q3, At3=At3)
+    return P3Chain(A1=A1, Q1=Q1, R1=R1, At1=At1, A2=A2, Q2=Q2, R2=R2,
+                   At2=At2, A3=A3, Q3=Q3, R3=R3, At3=At3)
 
 
 def _scale_conj(A, diag):
     n = len(A)
     return [[A[i][j] * Fraction(diag[i]) / Fraction(diag[j])
              for j in range(n)] for i in range(n)]
-
-
-def _gauge_const(Q, A, one):
-    """Q^{-1} A Q for a constant gauge matrix Q."""
-    return mat_mul(mat_mul(inverse(Q, one), A), Q)
 
 
 def _blockdiag(blocks, zero):

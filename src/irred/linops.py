@@ -12,7 +12,8 @@ import random
 from fractions import Fraction
 
 from .field import FieldElem
-from .grammar import ParseError, _Parser, tokenize
+from .grammar import (ParseError, _Parser, max_size, ratfun_size,
+                      tokenize)
 from .linear import inverse, mat_mul, mat_shape, mat_sub
 from .mpoly import dense_add, dense_mul, power, print_sum
 from .poly import Poly, RatFun, ratfun
@@ -221,6 +222,10 @@ class DiffOp:
 
 class _OpParser(_Parser):
     """Grammar parser whose values live in the operator ring."""
+
+    def size(self, v):
+        """The order, then the largest size of a coefficient."""
+        return (v.order(),) + max_size([ratfun_size(c) for c in v.coeffs])
 
     def atom(self):
         kind, val = self.toks[self.pos]

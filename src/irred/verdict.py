@@ -24,7 +24,7 @@ from .jets import (EquationFamily, _cinf_c0, build_lnve_airy_family,
                    build_p3_chain)
 from .liealg import (_flat, adjoint_action_matrix, associated_lie_algebra,
                      block_e_matrices, classify_lnve_lie_algebra,
-                     lie_closure)
+                     lie_closure, lie_dimension)
 from .linear import (mat_bracket, mat_identity, mat_mul, mat_shape,
                      mat_transpose, solve)
 from .linops import (cyclic_vector_scalarize, parse_operator,
@@ -168,10 +168,10 @@ def _replay_record(rec):
         return
     if kind == "lie_dimension":
         gens = [_parse_const_mat(g, var, params) for g in rec["generators"]]
-        alg = lie_closure(gens)
-        if alg.dimension != rec["dimension"]:
+        dim = lie_dimension(gens)
+        if dim != rec["dimension"]:
             raise CertificateError("lie dimension changed: %d vs %d"
-                                   % (alg.dimension, rec["dimension"]))
+                                   % (dim, rec["dimension"]))
         return
     if kind == "trace_zero":
         M = _parse_mat(rec["matrix"], var, params)
@@ -595,12 +595,12 @@ def check_p3(mus=(Fraction(1, 2),)) -> Certificate:
 
     # order 3: the Lie algebra generated by the constants has dimension 8
     Ci, C0 = consts["At3"]
-    alg = lie_closure([Ci, C0])
+    dim = lie_dimension([Ci, C0])
     cert.add("lie_dimension", var=var, params=list(params),
              generators=[_mat_str(Ci), _mat_str(C0)],
-             dimension=alg.dimension, classification=None)
-    if alg.dimension != 8:
-        raise RuntimeError("order-3 Lie dimension is %d" % alg.dimension)
+             dimension=dim, classification=None)
+    if dim != 8:
+        raise RuntimeError("order-3 Lie dimension is %d" % dim)
 
     # off-diagonal reduction data
     Psi, Psi1, Psi2, b = p3_psi_and_b(ch)

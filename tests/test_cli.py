@@ -38,15 +38,20 @@ def test_family_negative_power_of_y(capsys, tmp_path):
     assert not out.exists()
 
 
-def _run_family(P, n=2, timeout=30):
-    """`irred family --n n --P P` in a subprocess, killed after timeout s."""
+def _run_cli(args, timeout):
+    """`irred *args` in a subprocess, killed after timeout s."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=src if not path else src + os.pathsep + path)
     return subprocess.run(
-        [sys.executable, "-m", "irred.cli", "family", "--n", str(n),
-         "--P", P], capture_output=True, text=True, env=env, timeout=timeout)
+        [sys.executable, "-m", "irred.cli"] + list(args),
+        capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def _run_family(P, n=2, timeout=30):
+    """`irred family --n n --P P` in a subprocess, killed after timeout s."""
+    return _run_cli(["family", "--n", str(n), "--P", P], timeout)
 
 
 def test_family_huge_linear_pole_finishes():
@@ -70,6 +75,37 @@ def test_family_input_budget_fails_fast(n, P):
     proc = _run_family(P, n=n, timeout=10)
     assert proc.returncode == 1
     assert "input error" in proc.stderr
+
+
+def test_family_constant_power_budget_fails_fast():
+    """A power of a constant is capped by its bits, not only by degree."""
+    proc = _run_family("2^100000000", timeout=10)
+    assert proc.returncode == 1
+    assert "a constant of 200000000 bits exceeds 4096" in proc.stderr
+
+
+def test_replay_high_degree_entry_fails_fast(capsys, tmp_path):
+    """A re-hashed certificate entry with a huge power is refused by the
+    grammar's budget before the power is computed."""
+    from irred.verdict import _record_hash
+    path = _golden_family_certificate(tmp_path, capsys)
+    doc = json.loads(path.read_text())
+    rec, = [r for r in doc["evidence"] if r["kind"] == "pole_shortcut"]
+    rec["p"] = "2/t^200000"
+    rec["hash"] = _record_hash(rec)
+    path.write_text(json.dumps(doc))
+    proc = _run_cli(["replay", str(path)], timeout=10)
+    assert proc.returncode == 1
+    assert "degree 200000 exceeds 64" in proc.stderr
+
+
+def test_option_values_may_begin_with_a_dash(capsys, tmp_path):
+    """`--mu -7/3` and `--P -x` are values, not unknown options."""
+    out = tmp_path / "p3m.json"
+    assert main(["p3", "--mu", "1/2", "--mu", "-7/3", "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["input"]["mu_values"] == ["1/2", "-7/3"]
+    assert main(["replay", str(out)]) == 0
+    assert main(["family", "--n", "2", "--P", "-x"]) == 0
 
 
 def test_p3_integer_mu_rejected(capsys):

@@ -224,6 +224,23 @@ def test_grammar_rejects_unknown_name():
         parse_ratfun("t + w")
 
 
+def test_grammar_power_budget():
+    """A power is refused before it is computed when its degree, in the
+    variable or in a parameter, could pass 64 or an integer in it 4096
+    bits; a product or a sum is not capped here."""
+    assert parse_ratfun("2/t^64").den.degree() == 64
+    assert parse_ratfun("(mu*t + 1)^64", "t", ("mu",)).num.degree() == 64
+    assert parse_ratfun("t^40*t^40").num.degree() == 80
+    assert parse_ratfun("3^1024").constant_value() == 3 ** 1024
+    for text, msg in [("2/t^200000", "degree 200000 exceeds 64"),
+                      ("(t^2 + 1)^-33", "degree 66 exceeds 64"),
+                      ("mu^65", "degree 65 exceeds 64"),
+                      ("2^100000000", "200000000 bits exceeds 4096"),
+                      ("(1/3)^2049", "4098 bits exceeds 4096")]:
+        with pytest.raises(ParseError, match=msg):
+            parse_ratfun(text, "t", ("mu",))
+
+
 def test_parameter_ratfun_subtraction_is_fast():
     # large parameter-polynomial coefficients must reduce quickly
     a = parse_ratfun(

@@ -10,7 +10,7 @@ import hashlib
 import pytest
 
 from irred.jets import EquationFamily
-from irred.verdict import check_p2, criterion_airy_family
+from irred.verdict import check_p2, criterion_airy_family, replay
 
 
 def _short_hash(text):
@@ -36,3 +36,18 @@ def test_p3_golden_hash(p3_certificate_text):
     # the CLI writes check_p3([1/2]).to_json() and one newline
     assert p3_certificate_text.endswith("\n")
     assert _short_hash(p3_certificate_text[:-1]) == "6605747844022e72"
+
+
+@pytest.mark.parametrize("n,P", [(2, "x"), (3, "x"), (3, "2"), (4, "x^2"),
+                                 (32, "x"), (2, "x^64")])
+def test_family_certificate_replays_within_parse_budget(n, P):
+    """Certificates of inputs at the family budgets (n = 32, a degree-64
+    p) parse within the grammar's power budget."""
+    cert = criterion_airy_family(EquationFamily(n, P))
+    assert replay(cert.to_json()) == len(cert.evidence)
+
+
+def test_p2_p3_certificates_replay_within_parse_budget(p3_certificate_text):
+    cert = check_p2()
+    assert replay(cert.to_json()) == len(cert.evidence)
+    assert replay(p3_certificate_text) > 0

@@ -10,6 +10,7 @@ from irred.jets import (EquationFamily, VectorFieldSpec,
                         parse_component, prolong, rename_ratfun,
                         restrict_along_curve, vf_decompose)
 from irred.grammar import parse_ratfun
+from irred.linear import mat_identity, mat_mul
 from irred.mpoly import MPoly
 from irred.poly import Poly, RatFun
 
@@ -97,14 +98,19 @@ def test_family_rejects_pole_along_y0():
 
 
 def test_family_budgets_are_sharp():
-    """n <= 32; a power or product of degree at most 64 in x and in y."""
+    """n <= 32; a power, product or result of degree at most 64 in x
+    and in y, with integers of at most 4096 bits by its factors' sizes."""
     for P in ("x^64", "y^64", "(x+1)^32*(x-1)^32", "y^60*x^64", "1/x^64"):
         EquationFamily(32, P)
     with pytest.raises(ValueError, match="n <= 32"):
         EquationFamily(33, "x")
     for P in ("x^65", "y^65", "x^64*x", "1/x^64/x", "y^2*y^63",
-              "((x+1)^64)^64", "(1/x)^65"):
+              "((x+1)^64)^64", "(1/x)^65", "x^64 + 1/x^64"):
         with pytest.raises(ValueError, match="degree [0-9]+ exceeds 64"):
+            EquationFamily(2, P)
+    EquationFamily(2, "2^2048 + 2^2048*x")
+    for P in ("2^2049", "2^2048*2^2048*2", "(3/4)^1366"):
+        with pytest.raises(ValueError, match="bits exceeds 4096"):
             EquationFamily(2, P)
 
 
@@ -151,6 +157,16 @@ def test_p3_chain_specialized(p3_chain):
     sub = {"mu": Fraction(1, 2)}
     At1 = [[str(x.specialize(sub)) for x in row] for row in p3_chain.At1]
     assert At1 == [["0", "(2*x + 1)/(x)"], ["2", "0"]]
+
+
+def test_p3_gauge_inverses_are_closed_forms(p3_chain):
+    """R_k is the inverse of Q_k, and At_k = R_k A_k Q_k."""
+    one = RatFun.const(1, "x", ("mu",))
+    for k in (1, 2, 3):
+        R, Q = getattr(p3_chain, "R%d" % k), getattr(p3_chain, "Q%d" % k)
+        assert mat_mul(R, Q) == mat_identity(len(Q), one)
+        A = getattr(p3_chain, "A%d" % k)
+        assert mat_mul(Q, getattr(p3_chain, "At%d" % k)) == mat_mul(A, Q)
 
 
 def test_mpoly_power_is_repeated_multiplication():

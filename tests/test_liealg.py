@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from irred.jets import EquationFamily, build_lnve_airy_family
-from irred.liealg import (adjoint_action_matrix, associated_lie_algebra,
-                          block_e_matrices, block_f_matrices, block_xyh,
+from irred.field import FieldElem
+from irred.jets import EquationFamily, _cinf_c0, build_lnve_airy_family
+from irred.liealg import (_graded_image, adjoint_action_matrix,
+                          associated_lie_algebra, block_e_matrices,
+                          block_f_matrices, block_xyh,
                           classify_lnve_lie_algebra, lie_closure,
-                          sl2_triplet_check)
+                          lie_dimension, sl2_triplet_check)
 from irred.linear import in_span, mat_bracket, mat_transpose, rank
 from irred.linops import sym_power_matrix
 from irred.poly import Poly, RatFun
@@ -191,3 +193,97 @@ def test_adjoint_action_eliminates_once(rref_calls):
     assert len(Psi) == 5
     # one elimination of the 36 flattened entries for all 5 brackets
     assert rref_calls == [36]
+
+
+MU = ("mu",)
+
+
+def _mu_monomial(c, e):
+    """c * mu^e in Q(mu)."""
+    x = FieldElem.from_fraction(c, MU)
+    return x * FieldElem.parameter("mu", MU) ** e
+
+
+@pytest.mark.parametrize("level", ["At2", "At3"])
+def test_lie_dimension_p3_generators(p3_chain, level):
+    """The P3 constants of orders 2 and 3 over Q(mu) are graded, and the
+    graded route gives the closure's dimension."""
+    gens = list(_cinf_c0(getattr(p3_chain, level)))
+    graded = _graded_image(gens)
+    assert graded is not None
+    assert all(isinstance(x, Fraction) and x.denominator == 1
+               for M in graded for row in M for x in row)
+    assert lie_dimension(gens) == lie_closure(gens).dimension
+    if level == "At3":
+        assert lie_dimension(gens) == 8
+
+
+@pytest.mark.parametrize("name", ["p2", "sl2", "sl2 x Sym^4"])
+def test_lie_dimension_over_q(name, monkeypatch):
+    """Over Q only the integer scaling applies; lie_closure gets integer
+    generators with the spans of the given ones."""
+    import irred.liealg as liealg
+    gens, dim = _closure_case(name)
+    gens = [[[x / 3 for x in row] for row in G] for G in gens]
+    seen = []
+    real = liealg.lie_closure
+
+    def spying(gs):
+        seen.append(gs)
+        return real(gs)
+
+    monkeypatch.setattr(liealg, "lie_closure", spying)
+    assert lie_dimension(gens) == real(gens).dimension == dim
+    scaled, = seen
+    assert all(x.denominator == 1 for M in scaled for row in M for x in row)
+    assert rank([[x for row in M for x in row] for M in scaled]) == \
+        rank([[x for row in M for x in row] for M in gens])
+
+
+def test_lie_dimension_graded_and_ungraded_draws():
+    """Random generators c * mu^(w_j - w_i + s_k) with rational c take the
+    graded route; one entry turned into c * (mu + 1) takes lie_closure
+    over Q(mu).  Both agree with lie_closure over Q(mu)."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeff = st.one_of(st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(-4, 4),
+                                st.integers(1, 3)))
+
+    @st.composite
+    def graded(draw):
+        n = draw(st.integers(2, 3))
+        k = draw(st.integers(1, 2))
+        w = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        s = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+        cs = draw(st.lists(coeff, min_size=k * n * n, max_size=k * n * n))
+        it = iter(cs)
+        return [[[_mu_monomial(next(it), w[j] - w[i] + s[g])
+                  for j in range(n)] for i in range(n)] for g in range(k)]
+
+    @hypothesis.settings(max_examples=15, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(graded(), st.integers(0, 10 ** 6))
+    def check(gens, pick):
+        assert _graded_image(gens) is not None
+        assert lie_dimension(gens) == lie_closure(gens).dimension
+        nonzero = [(g, i, j) for g, G in enumerate(gens)
+                   for i, row in enumerate(G) for j, x in enumerate(row) if x]
+        if not nonzero:
+            return
+        g, i, j = nonzero[pick % len(nonzero)]
+        gens[g][i][j] = gens[g][i][j] * (FieldElem.parameter("mu", MU) + 1)
+        assert _graded_image(gens) is None
+        assert lie_dimension(gens) == lie_closure(gens).dimension
+
+    check()
+
+
+def test_lie_dimension_inconsistent_grading_falls_back():
+    """mu on one diagonal entry and 1 on another ask for a shift of both 1
+    and 0: monomial entries, but no grading."""
+    one, zero = _mu_monomial(1, 0), _mu_monomial(0, 0)
+    G = [[_mu_monomial(1, 1), zero], [zero, one]]
+    H = [[zero, one], [zero, zero]]
+    assert _graded_image([G, H]) is None
+    assert lie_dimension([G, H]) == lie_closure([G, H]).dimension == 2

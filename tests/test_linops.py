@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from irred.grammar import parse_ratfun
+from irred.grammar import ParseError, parse_ratfun
 from irred.linops import (DiffOp, companion, cyclic_vector_scalarize,
                           gauge_transform, parse_operator, sym_power_matrix,
                           sym_power_operator)
@@ -17,6 +17,14 @@ def test_operator_parse_print_roundtrip():
               "(1/t)*D + t^2"]:
         L = parse_operator(s)
         assert parse_operator(str(L)) == L
+
+
+def test_operator_power_budget():
+    assert parse_operator("D^64").order() == 64
+    with pytest.raises(ParseError, match="degree 65 exceeds 64"):
+        parse_operator("D^65")
+    with pytest.raises(ParseError, match="degree 66 exceeds 64"):
+        parse_operator("(t^2*D)^33")
 
 
 def test_operator_parse_parenthesized_constant():

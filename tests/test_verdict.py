@@ -225,3 +225,85 @@ def test_p3_display_at_rational_mu_is_the_specialized_display():
         got = _p3_g_display(m)
         assert got == want and str(got) == str(want)
         assert got.params == ()
+
+
+def _closure_rejecting_field_elems(monkeypatch):
+    """Make lie_closure raise on Q(mu) entries; returns the entry types
+    of each call."""
+    import irred.liealg as liealg
+    from irred.field import FieldElem
+    calls = []
+    real = liealg.lie_closure
+
+    def rational_only(gens):
+        types = {type(x) for G in gens for row in G for x in row}
+        calls.append(types)
+        if FieldElem in types:
+            raise AssertionError("lie_closure over Q(mu)")
+        return real(gens)
+
+    monkeypatch.setattr(liealg, "lie_closure", rational_only)
+    return calls
+
+
+def test_p3_lie_dimension_takes_the_graded_route(monkeypatch):
+    """check_p3 and its replay find the order-3 dimension 8 without a
+    closure over Q(mu)."""
+    from fractions import Fraction
+    calls = _closure_rejecting_field_elems(monkeypatch)
+    cert = check_p3([Fraction(1, 2)])
+    rec, = cert.find("lie_dimension")
+    assert rec["dimension"] == 8
+    assert replay(cert.to_json()) == len(cert.evidence)
+    assert len(calls) == 2
+
+
+def _p3_lie_record(p3_certificate_text):
+    doc = json.loads(p3_certificate_text)
+    rec, = [r for r in doc["evidence"] if r["kind"] == "lie_dimension"]
+    return doc, rec
+
+
+def test_p3_lie_dimension_claim_of_nine_fails(p3_certificate_text):
+    from irred.verdict import _record_hash
+    doc, rec = _p3_lie_record(p3_certificate_text)
+    rec["dimension"] = 9
+    rec["hash"] = _record_hash(rec)
+    with pytest.raises(CertificateError,
+                       match="lie dimension changed: 8 vs 9"):
+        replay(doc)
+
+
+@pytest.mark.parametrize("k,i,j,entry,dim", [
+    (1, 7, 1, "4/3*mu^3 + 4/3*mu^2", 8),
+    (0, 7, 5, "mu + 1", 13),
+], ids=["same-span", "larger-span"])
+def test_p3_ungraded_generator_replays_through_lie_closure(
+        p3_certificate_text, monkeypatch, k, i, j, entry, dim):
+    """An edited entry that is no monomial in mu sends replay to
+    lie_closure over Q(mu), which it must call, and whose dimension it
+    checks against the record's 8."""
+    import irred.liealg as liealg
+    from irred.field import FieldElem
+    from irred.verdict import _record_hash
+    doc, rec = _p3_lie_record(p3_certificate_text)
+    rec["generators"][k][i][j] = entry
+    rec["hash"] = _record_hash(rec)
+    dims = []
+    real = liealg.lie_closure
+
+    def spying(gens):
+        alg = real(gens)
+        if any(isinstance(x, FieldElem) for G in gens for row in G
+               for x in row):
+            dims.append(alg.dimension)
+        return alg
+
+    monkeypatch.setattr(liealg, "lie_closure", spying)
+    if dim == 8:
+        assert replay(doc) == len(doc["evidence"])
+    else:
+        with pytest.raises(CertificateError,
+                           match="lie dimension changed: %d vs 8" % dim):
+            replay(doc)
+    assert dims == [dim]

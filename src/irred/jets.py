@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .field import FieldElem
+from .field import FieldElem, scalar
 from .grammar import (ParseError, _Parser, max_size, parse_ratfun,
                       ratfun_size, tokenize)
 from .linear import mat_mul, mat_transpose, solve_all
 from .linops import sym_power_matrix, sym_power_rep
-from .mpoly import MPoly, _one_like
+from .mpoly import MPoly
 from .poly import Poly, RatFun, ratfun
 
 
@@ -257,6 +257,24 @@ def restrict_along_curve(J: JetSystem, curve) -> JetSystem:
                      normal=J.normal)
 
 
+def _keep_vars(J: JetSystem, newvars, k, normal):
+    """J on the variables newvars, of jet order at most k; every other
+    variable is set to zero."""
+    keep_idx = [J.vars.index(v) for v in newvars]
+    drop_idx = [i for i, v in enumerate(J.vars) if v not in newvars]
+    rhs = {}
+    for v in newvars:
+        out = {}
+        for e, coef in J.rhs[v].terms.items():
+            if any(e[i] for i in drop_idx):
+                continue
+            out[tuple(e[i] for i in keep_idx)] = coef
+        rhs[v] = MPoly(newvars, out, J.field.czero)
+    order = {v: J.jet_order[v] for v in newvars}
+    return JetSystem(J.field, k, newvars, rhs, order, curve=J.curve,
+                     normal=normal)
+
+
 def normal_restrict(J: JetSystem) -> JetSystem:
     """Delete jets of the independent coordinate (set them to zero)."""
     X = J.field
@@ -264,20 +282,25 @@ def normal_restrict(J: JetSystem) -> JetSystem:
         raise ValueError("normal restriction needs an independent coordinate")
     dropped = {jet_name(X.indep, l) for l in range(1, J.k + 1)}
     newvars = tuple(v for v in J.vars if v not in dropped)
-    order = {v: J.jet_order[v] for v in newvars}
-    keep_idx = [i for i, v in enumerate(J.vars) if v not in dropped]
-    drop_idx = [i for i, v in enumerate(J.vars) if v in dropped]
+    return _keep_vars(J, newvars, J.k, True)
 
-    def project(p: MPoly) -> MPoly:
-        out = {}
-        for e, coef in p.terms.items():
-            if any(e[i] for i in drop_idx):
-                continue
-            out[tuple(e[i] for i in keep_idx)] = coef
-        return MPoly(newvars, out, X.czero)
 
-    rhs = {v: project(J.rhs[v]) for v in newvars}
-    return JetSystem(X, J.k, newvars, rhs, order, curve=J.curve, normal=True)
+def truncate(J: JetSystem, k: int) -> JetSystem:
+    """The jets of order <= k of J, the system J would be at order k.
+
+    They form an invariant subsystem, because the right side of a jet of
+    order l involves jets of order <= l only; that is checked exactly,
+    and a right side that involves a higher jet raises ValueError.
+    """
+    if not 0 <= k <= J.k:
+        raise ValueError("truncation order %d outside 0..%d" % (k, J.k))
+    newvars = tuple(v for v in J.vars if J.jet_order[v] <= k)
+    for v in newvars:
+        for e in J.rhs[v].terms:
+            high = [u for u, m in zip(J.vars, e) if m and J.jet_order[u] > k]
+            if high:
+                raise ValueError("%s' involves %s" % (v, high[0]))
+    return _keep_vars(J, newvars, k, J.normal)
 
 
 class LinearizedSystem:
@@ -439,50 +462,6 @@ def build_lnve_airy_family(n: int, p) -> list:
     return A
 
 
-def lnve_airy_family_pipeline(n: int, P) -> LinearizedSystem:
-    """Same matrix through prolong -> restrict -> normal -> linearize."""
-    X = EquationFamily(n, P).field()
-    J = prolong(X, n)
-    zero = RatFun.zero("x")
-    J = restrict_along_curve(J, {"y": zero, "z": zero})
-    return linearize(normal_restrict(J))
-
-
-# ---------------------------------------------------------------------------
-# decomposition of planar homogeneous vector fields
-
-def vf_decompose(A: MPoly, B: MPoly):
-    """Write A d/dx + B d/dy = G E + J-grad K for homogeneous A, B.
-
-    E = x d/dx + y d/dy is the Euler field and J-grad K is the
-    Hamiltonian field K_y d/dx - K_x d/dy.  Returns (G, K) with
-    G = (A_x + B_y)/(n+1) and K = (y A - x B)/(n+1).
-    """
-    if A.vars != B.vars or len(A.vars) != 2:
-        raise ValueError("expected two bivariate polynomials")
-    xn, yn = A.vars
-    wa = A.total_degree()
-    wb = B.total_degree()
-    n = wa if wa is not None else wb
-    if n is None:
-        raise ValueError("cannot decompose the zero field")
-    for P, w in ((A, wa), (B, wb)):
-        if w is None:
-            continue
-        if w != n or any(sum(e) != n for e in P.terms):
-            raise ValueError("components must be homogeneous of equal degree")
-    inv = Fraction(1, n + 1)
-    G = (A.diff(xn) + B.diff(yn)).scale(inv)
-    one = _one_like(A.czero)
-    x = MPoly.gen(xn, A.vars, one, A.czero)
-    y = MPoly.gen(yn, A.vars, one, A.czero)
-    K = (y * A - x * B).scale(inv)
-    # reconstruction identity, checked exactly
-    if not (G * x + K.diff(yn) == A and G * y - K.diff(xn) == B):
-        raise ArithmeticError("decomposition identity failed")
-    return G, K
-
-
 # ---------------------------------------------------------------------------
 # the Painleve III chain
 
@@ -494,22 +473,46 @@ class P3Chain:
 
 
 def _cinf_c0(M):
-    """Split a matrix with entries c_inf + c_0/x into two constant parts."""
+    """Split a matrix with entries c_inf + c_0/x into two constant parts.
+
+    An entry is reduced with a monic denominator, so it has that form
+    when its denominator is 1 and its numerator c_inf, or its
+    denominator x and its numerator c_inf x + c_0; the parts are read
+    off the coefficients, without arithmetic.
+    """
     Cinf, C0 = [], []
     for row in M:
         ri, r0 = [], []
         for f in row:
-            g = f * RatFun.gen(f.var, f.params)
-            if not g.is_polynomial():
+            # the coefficients of x f = c_0 + c_inf x, ascending
+            zero = scalar(0, f.params)
+            if f.den.degree() == 0:
+                xf = (zero,) + f.num.coeffs
+            elif f.den == Poly.gen(f.var, f.params):
+                xf = f.num.coeffs
+            else:
+                xf = None
+            if xf is None or len(xf) > 2:
                 raise ValueError("entry %s is not of the form a + b/x" % f)
-            gp = g.as_poly()
-            if gp.degree() is not None and gp.degree() > 1:
-                raise ValueError("entry %s is not of the form a + b/x" % f)
-            ri.append(gp.coeff(1))
-            r0.append(gp.coeff(0))
+            xf += (zero,)
+            r0.append(xf[0])
+            ri.append(xf[1])
         Cinf.append(ri)
         C0.append(r0)
     return Cinf, C0
+
+
+def _from_parts(Cinf, C0, var, params=()):
+    """The matrix C_inf + C_0/x over Q(params)(var).
+
+    With c_0 nonzero, (c_inf x + c_0)/x is coprime with a monic
+    denominator, so each entry is built reduced, without a gcd.
+    """
+    one = Poly.const(1, var, params)
+    x = Poly.gen(var, params)
+    return [[RatFun(Poly([c0, ci], var, params), x, _normalized=True) if c0
+             else RatFun(Poly([ci], var, params), one, _normalized=True)
+             for ci, c0 in zip(ri, r0)] for ri, r0 in zip(Cinf, C0)]
 
 
 def _subsystem_matrix(full, S, one):
@@ -530,37 +533,50 @@ def p3_field() -> VectorFieldSpec:
                            params=("mu",), indep="x")
 
 
+# constant diagonal gauges of the order-2 and order-3 linearize outputs:
+# order-l jet variables carry a 1/l! (Taylor coefficient) normalization in
+# the chain, and the middle block of A3 uses the polarized quadratic basis
+_P3_SCALES = {
+    2: [1, 1, 1, Fraction(1, 2), Fraction(1, 2)],
+    3: [1, 1, 1, 1, Fraction(1, 3), Fraction(1, 3), Fraction(1, 3),
+        Fraction(1, 6), Fraction(1, 6)],
+}
+
+
 def build_p3_chain() -> P3Chain:
     """Variational chain along y=1, z=-mu/2 with gauges Q1, Q2, Q3 and
     their inverses R1, R2, R3; At_k = R_k A_k Q_k.
 
-    Every matrix is over Q(mu)(x), with mu symbolic; specialize the
-    entries for a rational mu.  The gauge Q1 degenerates at mu = 0.
+    The field is prolonged, restricted and normal-restricted once, at
+    order 3; the order-k system is its truncation to jets of order <= k.
+    Every entry of A_k and At_k is c_inf + c_0/x with c_inf, c_0 in
+    Q(mu), so past linearize the chain runs on the pairs (C_inf, C_0) of
+    constant matrices, kept in .parts by name; Q_k and R_k are constant.
+    A1 and At1..At3 are also kept over Q(mu)(x), with mu symbolic;
+    specialize the entries for a rational mu.  The gauge Q1 degenerates
+    at mu = 0.
     """
     params = ("mu",)
     X = p3_field()
     muv = parse_ratfun("mu", "x", params)
-    zero = RatFun.zero("x", params)
-    one = RatFun.const(1, "x", params)
-    curve = {"y": one, "z": -muv / 2}
-
+    curve = {"y": RatFun.const(1, "x", params), "z": -muv / 2}
     J3 = normal_restrict(restrict_along_curve(prolong(X, 3), curve))
-    J1 = normal_restrict(restrict_along_curve(prolong(X, 1), curve))
-    J2 = normal_restrict(restrict_along_curve(prolong(X, 2), curve))
 
-    A1 = linearize(J1).matrix
-    # order-l jet variables carry a 1/l! (Taylor coefficient) normalization
-    # in this chain; the middle block of A3 uses the polarized quadratic
-    # basis.  Both are constant diagonal gauges of the linearize output.
-    A2 = _scale_conj(linearize(J2).matrix,
-                     [1, 1, 1, Fraction(1, 2), Fraction(1, 2)])
+    A1 = linearize(truncate(J3, 1)).matrix
+    L3 = linearize(J3)
+    one = FieldElem.from_fraction(1, params)
+    S = _p3_third_rows(L3, one)
+    parts = {
+        "A1": _cinf_c0(A1),
+        "A2": tuple(_scale_conj(C, _P3_SCALES[2])
+                    for C in _cinf_c0(linearize(truncate(J3, 2)).matrix)),
+        "A3": tuple(_scale_conj(_subsystem_matrix(C, S, one), _P3_SCALES[3])
+                    for C in _cinf_c0(L3.matrix)),
+    }
 
-    A3 = _scale_conj(_p3_third_matrix(linearize(J3), one),
-                     [1, 1, 1, 1,
-                      Fraction(1, 3), Fraction(1, 3), Fraction(1, 3),
-                      Fraction(1, 6), Fraction(1, 6)])
-
-    Q1 = [[-2 * muv, one], [-muv * muv, zero]]
+    mu = FieldElem.parameter("mu", params)
+    zero = one - one
+    Q1 = [[-2 * mu, one], [-mu * mu, zero]]
     Q2 = _blockdiag([sym_power_rep(Q1, 2), Q1], zero)
     Q3 = _blockdiag([sym_power_rep(Q1, 3), sym_power_rep(Q1, 2), Q1], zero)
     # R_k = Q_k^-1 in closed form: the adjugate of Q1 (det Q1 = mu^2), and
@@ -571,12 +587,14 @@ def build_p3_chain() -> P3Chain:
     R2 = _blockdiag([sym_power_rep(R1, 2), R1], zero)
     R3 = _blockdiag([sym_power_rep(R1, 3), sym_power_rep(R1, 2), R1], zero)
 
-    At1 = mat_mul(mat_mul(R1, A1), Q1)
-    At2 = mat_mul(mat_mul(R2, A2), Q2)
-    At3 = mat_mul(mat_mul(R3, A3), Q3)
-
-    return P3Chain(A1=A1, Q1=Q1, R1=R1, At1=At1, A2=A2, Q2=Q2, R2=R2,
-                   At2=At2, A3=A3, Q3=Q3, R3=R3, At3=At3)
+    # Q_k and R_k are constant, so At_k = R_k A_k Q_k part by part
+    for k, R, Q in ((1, R1, Q1), (2, R2, Q2), (3, R3, Q3)):
+        parts["At%d" % k] = tuple(mat_mul(mat_mul(R, C), Q)
+                                  for C in parts["A%d" % k])
+    At1, At2, At3 = (_from_parts(*parts["At%d" % k], "x", params)
+                     for k in (1, 2, 3))
+    return P3Chain(A1=A1, Q1=Q1, R1=R1, At1=At1, Q2=Q2, R2=R2, At2=At2,
+                   Q3=Q3, R3=R3, At3=At3, parts=parts)
 
 
 def _scale_conj(A, diag):
@@ -597,9 +615,10 @@ def _blockdiag(blocks, zero):
     return out
 
 
-def _p3_third_matrix(L3: LinearizedSystem, one):
-    """Extract the 9x9 third variational matrix from the weight-3
-    monomial system: cubic block, polarized mixed block, jet block."""
+def _p3_third_rows(L3: LinearizedSystem, one):
+    """Rows over the weight-3 monomial basis that span the invariant
+    subspace of the 9x9 third variational matrix: cubic block, polarized
+    mixed block, jet block.  Entries are multiples of one."""
     vars_ = L3.vars
     idx = {e: i for i, e in enumerate(L3.basis)}
     N = len(L3.basis)
@@ -637,4 +656,4 @@ def _p3_third_matrix(L3: LinearizedSystem, one):
     rows.extend([m0, m1, m2])
     rows.append(unit(ex((y3, 1))))
     rows.append(unit(ex((z3, 1))))
-    return _subsystem_matrix(L3.matrix, rows, one)
+    return rows

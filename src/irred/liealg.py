@@ -9,7 +9,6 @@ matrices of its minimal decomposition A = sum a_i(x) M_i.
 from __future__ import annotations
 
 import math
-import warnings
 from fractions import Fraction
 
 from .field import FieldElem
@@ -49,6 +48,14 @@ def _reduce(rows, v):
     return v
 
 
+def _exact(x):
+    if isinstance(x, (Fraction, FieldElem)):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise ValueError("lie_closure needs exact entries, not %r" % (x,))
+
+
 def lie_closure(gens) -> LieAlgebraBasis:
     """Smallest bracket-closed linear span containing the generators.
 
@@ -56,8 +63,12 @@ def lie_closure(gens) -> LieAlgebraBasis:
     a candidate joins the basis when it does not reduce to zero.  Each
     unordered pair of basis matrices is bracketed once:
     [B_j, B_i] = -[B_i, B_j] and [B_i, B_i] = 0 give the rest.
+
+    Entries must be exact: int entries are taken as Fractions, so every
+    rank decision is exact, and any other entry that is not a Fraction
+    or a FieldElem (a float, say) raises ValueError.
     """
-    gens = [list(map(list, G)) for G in gens]
+    gens = [[[_exact(x) for x in row] for row in G] for G in gens]
     if not gens:
         raise ValueError("need at least one generator")
     basis = []
@@ -211,20 +222,6 @@ def associated_lie_algebra(A):
     return coeffs, mats
 
 
-def sl2_triplet_check(X, Y, H) -> bool:
-    """[X,Y]=H, [H,X]=2X, [H,Y]=-2Y."""
-    if not any(_flat(X)) and not any(_flat(Y)) and not any(_flat(H)):
-        warnings.warn("abelian")
-        return True
-
-    def scaled(M, c):
-        return [[c * x for x in row] for row in M]
-
-    return (mat_bracket(X, Y) == [list(r) for r in H]
-            and mat_bracket(H, X) == scaled(X, 2)
-            and mat_bracket(H, Y) == scaled(Y, -2))
-
-
 def adjoint_action_matrix(diag, offbasis):
     """Matrix Psi of [diag, .] on span(offbasis): [diag, F_j] = sum Psi_ij F_i.
 
@@ -299,18 +296,4 @@ def block_e_matrices(n):
         if i <= n:
             M[n + 2][i] = Fraction((-1) ** i)
         out.append(M)
-    return out
-
-
-def block_f_matrices(n):
-    """Alternating-sign variant F_i = (-1)^i E_i of the ideal basis.
-
-    On this basis the adjoint action of the block system matrix
-    X + t Y is sym^(n+1)(A_1) with every entry negated and transposed
-    (the dual of the symmetric power system).
-    """
-    out = []
-    for i, E in enumerate(block_e_matrices(n)):
-        s = (-1) ** i
-        out.append([[s * x for x in row] for row in E])
     return out

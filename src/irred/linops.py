@@ -14,7 +14,7 @@ from fractions import Fraction
 from .field import FieldElem
 from .grammar import (ParseError, _Parser, max_size, ratfun_size,
                       tokenize)
-from .linear import inverse, mat_mul, mat_shape, mat_sub
+from .linear import inverse, mat_mul, mat_shape
 from .mpoly import dense_add, dense_mul, power, print_sum
 from .poly import Poly, RatFun, ratfun
 
@@ -22,21 +22,6 @@ from .poly import Poly, RatFun, ratfun
 def _zero_one_of(entry: RatFun):
     z = RatFun.zero(entry.var, entry.params)
     return z, RatFun.const(1, entry.var, entry.params)
-
-
-def mat_derivative(a):
-    return [[x.derivative() for x in row] for row in a]
-
-
-def gauge_transform(P, A):
-    """P[A] = P A P^{-1} - P' P^{-1}; the system matrix after Y = P Z."""
-    zero, one = _zero_one_of(P[0][0])
-    try:
-        Pinv = inverse(P, one)
-    except ValueError:
-        raise ValueError("not a gauge transformation")
-    return mat_sub(mat_mul(mat_mul(P, A), Pinv),
-                   mat_mul(mat_derivative(P), Pinv))
 
 
 def sym_power_matrix(A, m: int):
@@ -254,22 +239,6 @@ class _OpParser(_Parser):
 
 def parse_operator(text: str, var="t", params=()) -> DiffOp:
     return _OpParser(tokenize(text), var, params).parse()
-
-
-def companion(L: DiffOp):
-    """Companion matrix of the monicized operator: Y=(y,y',...) gives Y'=AY."""
-    n = L.order()
-    if n < 1:
-        raise ValueError("companion matrix needs order >= 1")
-    Lm = L.monic()
-    zero = RatFun.zero(L.var, L.params)
-    one = RatFun.const(1, L.var, L.params)
-    A = [[zero] * n for _ in range(n)]
-    for i in range(n - 1):
-        A[i][i + 1] = one
-    for j in range(n):
-        A[n - 1][j] = -Lm.coeff(j)
-    return A
 
 
 class ScalarizeResult(tuple):

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .field import FieldElem
 from .grammar import parse_ratfun
-from .jets import (EquationFamily, _cinf_c0, build_lnve_airy_family,
+from .jets import (EquationFamily, _from_parts, build_lnve_airy_family,
                    build_p3_chain)
 from .liealg import (_flat, adjoint_action_matrix, associated_lie_algebra,
                      block_e_matrices, classify_lnve_lie_algebra,
@@ -495,27 +495,29 @@ def p3_psi_and_b(chain):
 
     Psi is the adjoint action of the block part of the third gauged
     variational matrix of the chain on N_1..N_5; b collects the
-    off-block coefficients.  Entries are rational in x over the
-    parameter mu.
+    off-block coefficients.  Both are linear in that matrix, so each is
+    computed on its constant parts (C_inf, C_0) over Q(mu) and built as
+    P_inf + P_0/x with entries rational in x; Psi1 = P_0.
     """
-    At3 = chain.At3
-    sample = At3[0][0]
-    var, params = sample.var, sample.params
-    zero = RatFun.zero(var, params)
-    diag = [list(r) for r in At3]
-    for i in (7, 8):
-        for j in range(4):
-            diag[i][j] = zero
-    off = [[At3[i][j] - diag[i][j] for j in range(9)] for i in range(9)]
+    params = ("mu",)
     Ns = _p3_n_basis()
-    one = RatFun.const(1, var, params)
-    cols = [[x * one for row in N for x in row] for N in Ns]
+    one = FieldElem.from_fraction(1, params)
+    cols = [_flat(N) for N in Ns]
     m = [[cols[j][c] for j in range(5)] for c in range(81)]
-    b = solve(m, [x for row in off for x in row], one)
-    if b is None:
-        raise RuntimeError("off-diagonal block outside the N span")
-    Psi = adjoint_action_matrix(diag, Ns)
-    Cinf, C0 = _cinf_c0(Psi)
+    psis, bs = [], []
+    for C in chain.parts["At3"]:
+        diag = [list(r) for r in C]
+        for i in (7, 8):
+            diag[i][:4] = [one - one] * 4
+        off = [[x - y for x, y in zip(rc, rd)] for rc, rd in zip(C, diag)]
+        coords = solve(m, [x for row in off for x in row], one)
+        if coords is None:
+            raise RuntimeError("off-diagonal block outside the N span")
+        bs.append([coords])
+        psis.append(adjoint_action_matrix(diag, Ns))
+    Psi = _from_parts(*psis, "x", params)
+    b, = _from_parts(*bs, "x", params)
+    Cinf, C0 = psis
     mu = FieldElem.parameter("mu", params)
     Psi2 = [[(ci - c0 / mu) / (4 * mu) for ci, c0 in zip(ri, r0)]
             for ri, r0 in zip(Cinf, C0)]
@@ -529,6 +531,9 @@ def check_p3(mus=(Fraction(1, 2),)) -> Certificate:
     obstruction runs at each requested rational non-integer mu.
     """
     mus = [Fraction(m) for m in mus]
+    if not mus:
+        raise ValueError("check_p3 needs at least one mu: the verdict rests "
+                         "on the obstruction at each of them")
     for m in mus:
         if m == 0:
             raise ValueError("Q1 singular")
@@ -548,8 +553,11 @@ def check_p3(mus=(Fraction(1, 2),)) -> Certificate:
 
     ch = build_p3_chain()
     for name in ("A1", "Q1", "At1", "At2", "At3"):
+        M = getattr(ch, name)
+        if name == "Q1":
+            M = _const_to_rat(M, var, params)
         cert.add("matrix", name=name, var=var, params=list(params),
-                 rows=_mat_str(getattr(ch, name)))
+                 rows=_mat_str(M))
     cert.add("trace_zero", matrix=_mat_str(ch.At1), var=var,
              params=list(params))
 
@@ -564,11 +572,9 @@ def check_p3(mus=(Fraction(1, 2),)) -> Certificate:
     if not (op1 == l2):
         raise RuntimeError("first variational scalar form mismatch")
 
-    # each gauged matrix splits as C_inf + C_0 / x
-    consts = {}
+    # each gauged matrix splits as C_inf + C_0 / x; the chain holds the parts
     for name in ("At1", "At2", "At3"):
-        Ci, C0 = _cinf_c0(getattr(ch, name))
-        consts[name] = (Ci, C0)
+        Ci, C0 = ch.parts[name]
         cert.add("decomposition", matrix=_mat_str(getattr(ch, name)),
                  cinf=_mat_str(_const_to_rat(Ci, var, params)),
                  c0=_mat_str(_const_to_rat(C0, var, params)),
@@ -578,7 +584,7 @@ def check_p3(mus=(Fraction(1, 2),)) -> Certificate:
     one = RatFun.const(1, var, params)
 
     # order 2: M1 = C0, M2 = Cinf - (1/mu) C0, M3 = (1/(8 mu)) [M1, M2]
-    Ci, C0 = consts["At2"]
+    Ci, C0 = ch.parts["At2"]
     M1 = _const_to_rat(C0, var, params)
     M2 = [[(ci - c0 / mu) * one for ci, c0 in zip(ri, r0)]
           for ri, r0 in zip(Ci, C0)]
@@ -594,7 +600,7 @@ def check_p3(mus=(Fraction(1, 2),)) -> Certificate:
         raise RuntimeError("order-2 bracket table fails")
 
     # order 3: the Lie algebra generated by the constants has dimension 8
-    Ci, C0 = consts["At3"]
+    Ci, C0 = ch.parts["At3"]
     dim = lie_dimension([Ci, C0])
     cert.add("lie_dimension", var=var, params=list(params),
              generators=[_mat_str(Ci), _mat_str(C0)],

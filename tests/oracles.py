@@ -1,0 +1,76 @@
+"""Reference routes that the tests compare irred against.
+
+None of these is on a path that builds or replays a certificate: each
+is a second, plainer way to get a result the package computes otherwise.
+"""
+
+from irred.jets import (EquationFamily, linearize, normal_restrict, prolong,
+                        restrict_along_curve)
+from irred.liealg import block_e_matrices
+from irred.linear import inverse, mat_bracket, mat_mul, mat_sub
+from irred.poly import RatFun
+
+
+def companion(L):
+    """Companion matrix of the monicized operator: Y=(y,y',...) gives Y'=AY."""
+    n = L.order()
+    if n < 1:
+        raise ValueError("companion matrix needs order >= 1")
+    Lm = L.monic()
+    zero = RatFun.zero(L.var, L.params)
+    one = RatFun.const(1, L.var, L.params)
+    A = [[zero] * n for _ in range(n)]
+    for i in range(n - 1):
+        A[i][i + 1] = one
+    for j in range(n):
+        A[n - 1][j] = -Lm.coeff(j)
+    return A
+
+
+def mat_derivative(a):
+    return [[x.derivative() for x in row] for row in a]
+
+
+def gauge_transform(P, A):
+    """P[A] = P A P^{-1} - P' P^{-1}; the system matrix after Y = P Z."""
+    entry = P[0][0]
+    try:
+        Pinv = inverse(P, RatFun.const(1, entry.var, entry.params))
+    except ValueError:
+        raise ValueError("not a gauge transformation")
+    return mat_sub(mat_mul(mat_mul(P, A), Pinv),
+                   mat_mul(mat_derivative(P), Pinv))
+
+
+def sl2_triplet_check(X, Y, H) -> bool:
+    """[X,Y]=H, [H,X]=2X, [H,Y]=-2Y."""
+    def scaled(M, c):
+        return [[c * x for x in row] for row in M]
+
+    return (mat_bracket(X, Y) == [list(r) for r in H]
+            and mat_bracket(H, X) == scaled(X, 2)
+            and mat_bracket(H, Y) == scaled(Y, -2))
+
+
+def block_f_matrices(n):
+    """Alternating-sign variant F_i = (-1)^i E_i of the ideal basis.
+
+    On this basis the adjoint action of the block system matrix
+    X + t Y is sym^(n+1)(A_1) with every entry negated and transposed
+    (the dual of the symmetric power system).
+    """
+    out = []
+    for i, E in enumerate(block_e_matrices(n)):
+        s = (-1) ** i
+        out.append([[s * x for x in row] for row in E])
+    return out
+
+
+def lnve_airy_family_pipeline(n, P):
+    """The family's (LNVE_n) matrix through prolong -> restrict -> normal
+    -> linearize, against build_lnve_airy_family's closed form."""
+    X = EquationFamily(n, P).field()
+    J = prolong(X, n)
+    zero = RatFun.zero("x")
+    J = restrict_along_curve(J, {"y": zero, "z": zero})
+    return linearize(normal_restrict(J))

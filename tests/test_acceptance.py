@@ -15,13 +15,13 @@ from irred.grammar import parse_ratfun
 from irred.jets import EquationFamily, VectorFieldSpec, _cinf_c0
 from irred.liealg import (block_e_matrices, block_xyh, lie_closure)
 from irred.linear import mat_bracket, mat_mul
-from irred.linops import (DiffOp, gauge_transform, parse_operator,
-                          sym_power_operator)
+from irred.linops import DiffOp, parse_operator, sym_power_operator
 from irred.poly import Poly, RatFun
 from irred.ratsolve import rational_solutions
 from irred.screen import exponential_solutions_restricted
 from irred.verdict import (IRREDUCIBLE, criterion_airy_family, replay)
 from irred.field import FieldElem
+from oracles import gauge_transform
 
 
 L4_TEXT = "D^5 - 20*t*D^3 - 30*D^2 + 64*t^2*D + 64*t"

@@ -4,15 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from irred.jets import (EquationFamily, VectorFieldSpec,
-                        build_lnve_airy_family, jet_name,
-                        linearize, lnve_airy_family_pipeline, normal_restrict,
-                        parse_component, prolong, rename_ratfun,
-                        restrict_along_curve, vf_decompose)
+from irred.field import FieldElem
+from irred.jets import (_P3_SCALES, EquationFamily, VectorFieldSpec,
+                        _cinf_c0, _from_parts, _p3_third_rows, _scale_conj,
+                        _subsystem_matrix, build_lnve_airy_family, jet_name,
+                        linearize, normal_restrict, p3_field, prolong,
+                        rename_ratfun, restrict_along_curve, truncate)
 from irred.grammar import parse_ratfun
+from irred.liealg import adjoint_action_matrix
 from irred.linear import mat_identity, mat_mul
 from irred.mpoly import MPoly
-from irred.poly import Poly, RatFun
+from irred.poly import RatFun
+from irred.verdict import _p3_n_basis, p3_psi_and_b
+from oracles import lnve_airy_family_pipeline
 
 
 def p2_field():
@@ -114,32 +118,6 @@ def test_family_budgets_are_sharp():
             EquationFamily(2, P)
 
 
-def _bivar(expr):
-    return parse_component(expr, ("x", "y"), "t")
-
-
-def test_vf_decompose_euler_multiple():
-    G, K = vf_decompose(_bivar("x^2"), _bivar("x*y"))
-    assert G == _bivar("x")
-    assert K.is_zero()
-
-
-def test_vf_decompose_hamiltonian_recovered():
-    n = 3
-    K0 = _bivar("x^%d" % (n + 1))
-    A = K0.diff("y")
-    B = -K0.diff("x")
-    # zero A needs the same degree as B: use total field instead
-    G, K = vf_decompose(_bivar("0*x^%d" % n) + A, B)
-    assert G.is_zero()
-    assert K == K0
-
-
-def test_vf_decompose_rejects_mixed_degrees():
-    with pytest.raises(ValueError):
-        vf_decompose(_bivar("x^2"), _bivar("y"))
-
-
 def test_p3_chain_first_level(p3_chain):
     ch = p3_chain
     A1 = [[str(x) for x in row] for row in ch.A1]
@@ -160,13 +138,110 @@ def test_p3_chain_specialized(p3_chain):
 
 
 def test_p3_gauge_inverses_are_closed_forms(p3_chain):
-    """R_k is the inverse of Q_k, and At_k = R_k A_k Q_k."""
-    one = RatFun.const(1, "x", ("mu",))
+    """R_k is the inverse of Q_k, and At_k = R_k A_k Q_k on each constant
+    part."""
+    one = FieldElem.from_fraction(1, ("mu",))
     for k in (1, 2, 3):
         R, Q = getattr(p3_chain, "R%d" % k), getattr(p3_chain, "Q%d" % k)
         assert mat_mul(R, Q) == mat_identity(len(Q), one)
-        A = getattr(p3_chain, "A%d" % k)
-        assert mat_mul(Q, getattr(p3_chain, "At%d" % k)) == mat_mul(A, Q)
+        for C, Ct in zip(p3_chain.parts["A%d" % k],
+                         p3_chain.parts["At%d" % k]):
+            assert mat_mul(Q, Ct) == mat_mul(C, Q)
+
+
+P3_CURVE = {"y": "1", "z": "-mu/2"}
+
+
+def _p3_order(k):
+    """The order-k P3 system, prolonged and restricted at order k."""
+    return normal_restrict(restrict_along_curve(prolong(p3_field(), k),
+                                                P3_CURVE))
+
+
+def _strs(M):
+    return [[str(x) for x in row] for row in M]
+
+
+def test_p3_low_orders_read_off_order_three():
+    """A1 and A2 of the truncated order-3 system are those of orders 1
+    and 2 prolonged on their own, byte for byte."""
+    J3 = _p3_order(3)
+    for k in (1, 2):
+        got, want = linearize(truncate(J3, k)), linearize(_p3_order(k))
+        assert got.vars == want.vars
+        assert got.basis == want.basis and got.labels == want.labels
+        assert _strs(got.matrix) == _strs(want.matrix)
+        assert got.matrix == want.matrix
+    assert truncate(J3, 3).rhs == J3.rhs
+
+
+def test_truncate_rejects_a_higher_jet_on_a_lower_right_side():
+    J = prolong(p2_field(), 2)
+    J1 = prolong(p2_field(), 1)
+    assert truncate(J, 1).vars == J1.vars and truncate(J, 1).rhs == J1.rhs
+    J.rhs["y^(1)"] = MPoly.gen("y^(2)", J.vars, RatFun.const(1, "x"),
+                               RatFun.zero("x"))
+    with pytest.raises(ValueError, match=r"y\^\(1\)' involves y\^\(2\)"):
+        truncate(J, 1)
+    truncate(J, 2)
+    with pytest.raises(ValueError, match="truncation order"):
+        truncate(J, 3)
+
+
+def test_p3_parts_match_ratfun_gauge(p3_chain):
+    """The chain's (C_inf, C_0) of At_k are the parts of R_k A_k Q_k,
+    with A_k, Q_k and R_k over Q(mu)(x) as the chain had them before it
+    ran on parts."""
+    params = ("mu",)
+    one = RatFun.const(1, "x", params)
+    L = {k: linearize(_p3_order(k)) for k in (1, 2, 3)}
+    A = {1: L[1].matrix,
+         2: _scale_conj(L[2].matrix, _P3_SCALES[2]),
+         3: _scale_conj(_subsystem_matrix(L[3].matrix,
+                                          _p3_third_rows(L[3], one), one),
+                        _P3_SCALES[3])}
+    for k in (1, 2, 3):
+        R, Q = ([[x * one for x in row] for row in getattr(p3_chain, n)]
+                for n in ("R%d" % k, "Q%d" % k))
+        At = mat_mul(mat_mul(R, A[k]), Q)
+        assert list(_cinf_c0(At)) == list(p3_chain.parts["At%d" % k])
+        assert _strs(At) == _strs(getattr(p3_chain, "At%d" % k))
+        assert list(_cinf_c0(A[k])) == list(p3_chain.parts["A%d" % k])
+    assert _strs(A[1]) == _strs(p3_chain.A1)
+
+
+def test_p3_psi_from_parts_matches_adjoint_action(p3_chain):
+    """Psi and b from the constant parts are the adjoint action on, and
+    the N-coordinates of, the block parts of At3 over Q(mu)(x)."""
+    At3 = p3_chain.At3
+    zero = RatFun.zero("x", ("mu",))
+    diag = [list(r) for r in At3]
+    for i in (7, 8):
+        for j in range(4):
+            diag[i][j] = zero
+    Psi, Psi1, _, b = p3_psi_and_b(p3_chain)
+    Ns = _p3_n_basis()
+    assert Psi == adjoint_action_matrix(diag, Ns)
+    assert _strs(Psi) == _strs(adjoint_action_matrix(diag, Ns))
+    assert Psi1 == _cinf_c0(Psi)[1]
+    off = [[x - y for x, y in zip(ra, rd)] for ra, rd in zip(At3, diag)]
+    rebuilt = [[sum((c * N[i][j] for c, N in zip(b, Ns)), zero)
+                for j in range(9)] for i in range(9)]
+    assert rebuilt == off
+
+
+def test_cinf_c0_and_from_parts_are_inverse():
+    params = ("mu",)
+    x = RatFun.gen("x", params)
+    mu = FieldElem.parameter("mu", params)
+    M = [[x - x, 3 + x / x, mu / x, (2 * mu * x - 5) / x],
+         [(mu + 1) / (mu * x), x / x - 1 + 1 / x, x - x + mu, (x + mu) / x]]
+    Ci, C0 = _cinf_c0(M)
+    rebuilt = _from_parts(Ci, C0, "x", params)
+    assert rebuilt == M and _strs(rebuilt) == _strs(M)
+    for bad in (x, 1 / (x * x), 1 / (x + 1), (x * x + 1) / x):
+        with pytest.raises(ValueError, match="not of the form"):
+            _cinf_c0([[bad]])
 
 
 def test_mpoly_power_is_repeated_multiplication():

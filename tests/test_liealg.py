@@ -8,13 +8,13 @@ from irred.field import FieldElem
 from irred.jets import EquationFamily, _cinf_c0, build_lnve_airy_family
 from irred.liealg import (_graded_image, adjoint_action_matrix,
                           associated_lie_algebra, block_e_matrices,
-                          block_f_matrices, block_xyh,
-                          classify_lnve_lie_algebra, lie_closure,
-                          lie_dimension, sl2_triplet_check)
+                          block_xyh, classify_lnve_lie_algebra, lie_closure,
+                          lie_dimension)
 from irred.linear import in_span, mat_bracket, mat_transpose, rank
 from irred.linops import sym_power_matrix
 from irred.poly import Poly, RatFun
 from irred.verdict import _family_psi
+from oracles import block_f_matrices, sl2_triplet_check
 
 
 def _scaled(M, c):
@@ -165,6 +165,30 @@ def test_lie_closure_self_check_is_reachable(monkeypatch):
     with pytest.raises(RuntimeError, match="closure not closed"):
         lie_closure([X, Y])
     assert skipped
+
+
+def test_lie_closure_reduces_exactly(monkeypatch):
+    """int entries are reduced as Fractions, never in floats, and a float
+    entry is refused."""
+    import irred.liealg as liealg
+    seen = []
+    real = liealg._reduce
+
+    def spy(rows, v):
+        out = real(rows, v)
+        seen.extend(x for _, r in rows for x in r)
+        seen.extend(v + out)
+        return out
+
+    monkeypatch.setattr(liealg, "_reduce", spy)
+    alg = lie_closure([[[3, 1], [0, 7]], [[0, 0], [1, 0]]])
+    assert alg.dimension == 4
+    assert seen and all(isinstance(x, Fraction) for x in seen)
+    assert all(isinstance(x, Fraction) for M in alg.basis
+               for row in M for x in row)
+    for bad in (0.1, 1.0, "1"):
+        with pytest.raises(ValueError, match="exact entries"):
+            lie_closure([[[bad, 0], [0, 0]]])
 
 
 def test_lie_closure_brackets_each_pair_once(monkeypatch):

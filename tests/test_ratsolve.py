@@ -114,7 +114,7 @@ def test_system_zero_matrix():
 
 def test_system_companion_consistency():
     L = parse_operator("t^2*D^2 + t*D - 1")
-    from irred.linops import companion
+    from oracles import companion
     A = companion(L)
     space = system_rational_solutions(A)
     assert len(space.basis) == 2

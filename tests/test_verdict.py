@@ -54,7 +54,7 @@ def test_lnve_group_dimension():
 
 
 def test_reduced_form_obstruction_gauge():
-    from irred.linops import gauge_transform
+    from oracles import gauge_transform
     t = RatFun.gen("t")
     L4 = sym_power_operator(parse_operator("D^2 - t"), 4)
     p = L4.apply(t)
@@ -110,6 +110,16 @@ def test_p3_rejects_mu_zero():
     # the gauge Q1 degenerates at mu = 0
     with pytest.raises(ValueError, match="Q1 singular"):
         check_p3([0])
+
+
+def test_p3_without_mu_gives_no_verdict(monkeypatch):
+    # with no mu there is no screen and no obstruction record, so there
+    # is nothing a verdict could rest on; the chain is never built
+    import irred.verdict
+    monkeypatch.setattr(irred.verdict, "build_p3_chain", None)
+    for mus in ([], ()):
+        with pytest.raises(ValueError, match="at least one mu"):
+            check_p3(mus)
 
 
 def test_certificate_recheck_detects_wrong_claim():

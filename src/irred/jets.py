@@ -515,13 +515,16 @@ def _from_parts(Cinf, C0, var, params=()):
              for ci, c0 in zip(ri, r0)] for ri, r0 in zip(Cinf, C0)]
 
 
-def _subsystem_matrix(full, S, one):
-    """Induced matrix on the invariant row space S: solve S A = B S."""
+def _subsystem_matrices(fulls, S, one):
+    """Induced matrices on the invariant row space S: solve S A = B S for
+    every A in fulls, all from one elimination."""
     # row i of B expresses row i of S A in the rows of S
-    B, _ = solve_all(mat_transpose(S), mat_mul(S, full), one)
-    if None in B:
+    rows, _ = solve_all(mat_transpose(S),
+                        [r for A in fulls for r in mat_mul(S, A)], one)
+    if None in rows:
         raise ValueError("row space is not invariant")
-    return B
+    k = len(S)
+    return [rows[i:i + k] for i in range(0, len(rows), k)]
 
 
 def p3_field() -> VectorFieldSpec:
@@ -570,8 +573,8 @@ def build_p3_chain() -> P3Chain:
         "A1": _cinf_c0(A1),
         "A2": tuple(_scale_conj(C, _P3_SCALES[2])
                     for C in _cinf_c0(linearize(truncate(J3, 2)).matrix)),
-        "A3": tuple(_scale_conj(_subsystem_matrix(C, S, one), _P3_SCALES[3])
-                    for C in _cinf_c0(L3.matrix)),
+        "A3": tuple(_scale_conj(B, _P3_SCALES[3]) for B in
+                    _subsystem_matrices(_cinf_c0(L3.matrix), S, one)),
     }
 
     mu = FieldElem.parameter("mu", params)

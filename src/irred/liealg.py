@@ -222,21 +222,29 @@ def associated_lie_algebra(A):
     return coeffs, mats
 
 
+def span_coordinates(mats, basis):
+    """Coordinates of each matrix of mats in span(basis), all from one
+    elimination; raises ValueError when one lies outside the span."""
+    sample = mats[0][0][0]
+    one = sample - sample + 1
+    m = [[x * one for x in row]
+         for row in mat_transpose([_flat(B) for B in basis])]
+    sols, _ = solve_all(m, [_flat(M) for M in mats], one)
+    if None in sols:
+        raise ValueError("not in the span of the basis")
+    return sols
+
+
 def adjoint_action_matrix(diag, offbasis):
     """Matrix Psi of [diag, .] on span(offbasis): [diag, F_j] = sum Psi_ij F_i.
 
     diag may have rational-function entries; the basis is constant.
     """
-    cols = [_flat(B) for B in offbasis]
     sample = diag[0][0]
     one = sample - sample + 1
-    m = [[x * one for x in row] for row in mat_transpose(cols)]
-    brs = [_flat(mat_bracket(diag, [[x * one for x in row] for row in F]))
+    brs = [mat_bracket(diag, [[x * one for x in row] for row in F])
            for F in offbasis]
-    sols, _ = solve_all(m, brs, one)
-    if None in sols:
-        raise ValueError("not an invariant subspace")
-    return mat_transpose(sols)
+    return mat_transpose(span_coordinates(brs, offbasis))
 
 
 def classify_lnve_lie_algebra(basis: LieAlgebraBasis, n: int) -> str:

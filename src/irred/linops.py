@@ -272,6 +272,11 @@ def cyclic_vector_scalarize(A, b=None, v=None, retries=0):
     A lacks (for the family matrix Psi(n), M is Sym^(n+1)(D^2 - t)).
     Otherwise it is e_1.
 
+    The Krylov matrix V is solved by substitution when it is triangular
+    up to a column order with constant pivots, as for e_n above and for
+    e_1 on a matrix with a constant superdiagonal (every family and P3
+    system); by elimination otherwise, e.g. for the retry covectors.
+
     Raises ValueError("cyclic vector failed") if v (and, when retries > 0,
     a handful of random small-integer covectors) never spans.
     """
@@ -308,6 +313,64 @@ def cyclic_vector_scalarize(A, b=None, v=None, retries=0):
     raise ValueError("cyclic vector failed")
 
 
+def _triangular_pivots(V):
+    """The pivot column of each row when V is triangular up to a column
+    order, else None: each row has exactly one nonzero entry outside the
+    columns of the rows above it, and that entry is a constant."""
+    pivots, seen = [], set()
+    for row in V:
+        new = [j for j, x in enumerate(row) if x and j not in seen]
+        if len(new) != 1 or not row[new[0]].is_constant():
+            return None
+        pivots.append(new[0])
+        seen.add(new[0])
+    return pivots
+
+
+def _krylov_solvers(V, one):
+    """The maps r -> r V^-1 and d -> V^-1 d, or None when V is singular.
+
+    When V is triangular up to a column order both maps are
+    substitutions: O(n^2) products and divisions by the constant pivots
+    only.  Otherwise V is inverted by elimination.
+    """
+    pivots = _triangular_pivots(V)
+    if pivots is None:
+        try:
+            Vinv = inverse(V, one)
+        except ValueError:
+            return None
+        return (lambda r: mat_mul([r], Vinv)[0],
+                lambda d: [row[0] for row in mat_mul(Vinv, [[x] for x in d])])
+    n = len(V)
+    invs = [one / V[i][j] for i, j in enumerate(pivots)]
+
+    def left(r):
+        # column pivots[j] of V is zero in the rows above row j
+        x = [None] * n
+        for j in reversed(range(n)):
+            col = pivots[j]
+            s = r[col]
+            for i in range(j + 1, n):
+                if x[i] and V[i][col]:
+                    s = s - x[i] * V[i][col]
+            x[j] = s * invs[j]
+        return x
+
+    def right(d):
+        # row i of V is zero outside the columns pivots[0..i]
+        F = [None] * n
+        for i, row in enumerate(V):
+            s = d[i]
+            for col in pivots[:i]:
+                if row[col] and F[col]:
+                    s = s - row[col] * F[col]
+            F[pivots[i]] = s * invs[i]
+        return F
+
+    return left, right
+
+
 def _scalarize_once(A, b, v, zero, one, n):
     rows = [list(v)]
     ws = [zero]
@@ -318,12 +381,12 @@ def _scalarize_once(A, b, v, zero, one, n):
         vAb = mat_mul([vi], Ab)[0]
         rows.append([x.derivative() + y for x, y in zip(vi, vAb)])
         ws.append(ws[-1].derivative() + vAb[n])
-    try:
-        Vinv = inverse(rows[:n], one)
-    except ValueError:
+    solvers = _krylov_solvers(rows[:n], one)
+    if solvers is None:
         return None          # v_0..v_{n-1} do not span: v is not cyclic
+    left, right = solvers
     # c_0..c_{n-1} with sum_i c_i v_i = -v_n
-    c = [-x for x in mat_mul([rows[n]], Vinv)[0]]
+    c = left([-x for x in rows[n]])
     op = DiffOp(c + [one])
     h = ws[n] + sum((c[i] * ws[i] for i in range(n)), zero)
 
@@ -334,7 +397,7 @@ def _scalarize_once(A, b, v, zero, one, n):
         for i in range(n):
             derivs.append(g - ws[i])
             g = g.derivative()
-        return [r[0] for r in mat_mul(Vinv, [[d] for d in derivs])]
+        return right(derivs)
 
     return ScalarizeResult(op, h, back)
 

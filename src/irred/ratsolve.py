@@ -328,18 +328,29 @@ def rational_solutions(L: DiffOp, g=None) -> SolutionSpace:
 def system_rational_solutions(A, b=None) -> SolutionSpace:
     """Rational solutions F of F' = A F + b via a cyclic vector.
 
-    Solutions are back-substituted to vectors and verified exactly
-    against the system.
+    The system is scalarized by cyclic_vector_scalarize, which inverts
+    its Krylov matrix by substitution when that matrix is triangular up
+    to a column order (every family and P3 system) and by elimination
+    otherwise; the scalar solutions are lifted by lift_solutions.
     """
     n, n2 = mat_shape(A)
     if n != n2:
         raise ValueError("system matrix must be square")
-    sample = A[0][0]
-    var = sample.var
-    if sample.params:
+    if A[0][0].params:
         raise ValueError("rational solving needs Q coefficients")
     res = cyclic_vector_scalarize(A, b, retries=20)
-    space = rational_solutions(res.op, res.rhs)
+    return lift_solutions(A, b, res, rational_solutions(res.op, res.rhs))
+
+
+def lift_solutions(A, b, res, space) -> SolutionSpace:
+    """Lift the rational solutions of the scalar form of F' = A F + b.
+
+    res is the cyclic_vector_scalarize result of the system and space
+    the SolutionSpace of res.op y = res.rhs.  Every vector is
+    back-substituted and verified exactly against the system.
+    """
+    n = len(A)
+    var = A[0][0].var
     bvec = b if b is not None else [RatFun.zero(var)] * n
 
     def check(F, rhs_on):

@@ -16,23 +16,24 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 from .field import FieldElem
 from .grammar import parse_ratfun
 from .jets import (EquationFamily, _from_parts, build_lnve_airy_family,
                    build_p3_chain)
-from .liealg import (_flat, adjoint_action_matrix, associated_lie_algebra,
-                     block_e_matrices, classify_lnve_lie_algebra,
-                     lie_closure, lie_dimension)
+from .liealg import (_flat, associated_lie_algebra, block_e_matrices,
+                     classify_lnve_lie_algebra, lie_closure, lie_dimension,
+                     span_coordinates)
 from .linear import (mat_bracket, mat_identity, mat_mul, mat_shape,
-                     mat_transpose, solve)
+                     mat_sub, mat_transpose)
 from .linops import (cyclic_vector_scalarize, parse_operator,
                      sym_power_matrix, sym_power_operator)
 from .poly import RatFun, ratfun
-from .ratsolve import (_clear_denominators, _indicial_infinity,
-                       degree_bound, rational_solutions,
-                       system_rational_solutions)
+from .ratsolve import (SolutionSpace, _clear_denominators,
+                       _indicial_infinity, degree_bound, lift_solutions,
+                       rational_solutions, system_rational_solutions)
 from .screen import TAG_SL2, certify_sl2, exponential_solutions_restricted
 
 IRREDUCIBLE = "IRREDUCIBLE"
@@ -303,6 +304,12 @@ def reduced_form_obstruction(n, p):
     Empty means the Lie algebra is the full sl2 x Sym^(n+1) of dimension
     n+5; solvable means sl2, and the solution space carries the
     reduction gauge as .reduction.
+
+    With the covector e_last the system F' = Psi F + b scalarizes, by
+    substitution, to L y = (-1)^(n+1) (n+1)! p with L = Sym^(n+1)(D^2 - t);
+    both identities are checked exactly.  The one scalar solve, of
+    L y = p, is kept as .scalar and L as .operator; its solutions are
+    lifted to the system and re-checked there.
     """
     if n < 2:
         raise ValueError("family needs n >= 2")
@@ -310,7 +317,17 @@ def reduced_form_obstruction(n, p):
     Psi = _family_psi(n)
     zero = RatFun.zero("t")
     b = [p] + [zero] * (n + 1)
-    space = system_rational_solutions(Psi, b)
+    res = cyclic_vector_scalarize(Psi, b)
+    L = sym_power_operator(_airy_ve1(), n + 1)
+    c = (-1) ** (n + 1) * math.factorial(n + 1)
+    if not (res.op == L and res.rhs == c * p):
+        raise RuntimeError("the family system does not scalarize to "
+                           "Sym^%d(D^2 - t) y = %d p" % (n + 1, c))
+    scalar = rational_solutions(L, p)
+    space = lift_solutions(Psi, b, res, SolutionSpace(
+        None if scalar.particular is None else c * scalar.particular,
+        scalar.basis, scalar.denominator, scalar.degree))
+    space.scalar, space.operator = scalar, L
     space.reduction = None
     if space.particular is not None:
         space.reduction = reduction_matrix(n, space.particular)
@@ -333,7 +350,14 @@ def _airy_ve1():
 
 
 def criterion_airy_family(family) -> Certificate:
-    """Irreducibility certificate for y'' = x y + y^n P(x, y)."""
+    """Irreducibility certificate for y'' = x y + y^n P(x, y).
+
+    On the full path the scalar equation Sym^(n+1)(D^2 - t) y = p is
+    solved once (reduced_form_obstruction): the scalar_rational and
+    degree_argument records read that solve, and the rational_system
+    record its lift to the off-diagonal system, whose Krylov matrix is
+    inverted by substitution.
+    """
     if not isinstance(family, EquationFamily):
         raise ValueError("expected an EquationFamily")
     n = family.n
@@ -371,14 +395,14 @@ def criterion_airy_family(family) -> Certificate:
         cert.verdict = IRREDUCIBLE
         return cert
 
-    # full path: scalar route through the symmetric power operator
-    L = sym_power_operator(ve1, n + 1)
+    # full path: the off-diagonal system and its scalar form, solved once
+    Psi, b, sys_space = reduced_form_obstruction(n, p)
+    L, space = sys_space.operator, sys_space.scalar
     cert.add("operator", name="sym^%d of the first variational operator"
              % (n + 1), var="t", text=str(L))
     qs, _ = _clear_denominators(L)
     sigma = max(q.degree() - i for i, q in enumerate(qs) if not q.is_zero())
     ind = _indicial_infinity(qs)
-    space = rational_solutions(L, p)
     # with denominator bound 1 the solver bounded the degree for L itself
     cert.add("degree_argument", operator=str(L), rhs=str(p), var="t",
              sigma=sigma, indicial_infinity=str(ind.poly),
@@ -391,14 +415,9 @@ def criterion_airy_family(family) -> Certificate:
              homogeneous_dimension=len(space.basis),
              particular=None if space.particular is None
              else str(space.particular))
-
-    # system route must agree (cyclic-vector equivalence)
-    Psi, b, sys_space = reduced_form_obstruction(n, p)
     cert.add("rational_system", matrix=_mat_str(Psi), rhs=[str(x) for x in b],
              var="t", solvable=sys_space.particular is not None,
              homogeneous_dimension=len(sys_space.basis))
-    if (space.particular is None) != (sys_space.particular is None):
-        raise RuntimeError("scalar and system obstruction routes disagree")
 
     if space.particular is None:
         cert.add("note", text="no rational solution: Lie algebra dimension "
@@ -501,20 +520,23 @@ def p3_psi_and_b(chain):
     """
     params = ("mu",)
     Ns = _p3_n_basis()
-    one = FieldElem.from_fraction(1, params)
-    cols = [_flat(N) for N in Ns]
-    m = [[cols[j][c] for j in range(5)] for c in range(81)]
-    psis, bs = [], []
+    zero = FieldElem.from_fraction(0, params)
+    diags, offs = [], []
     for C in chain.parts["At3"]:
         diag = [list(r) for r in C]
         for i in (7, 8):
-            diag[i][:4] = [one - one] * 4
-        off = [[x - y for x, y in zip(rc, rd)] for rc, rd in zip(C, diag)]
-        coords = solve(m, [x for row in off for x in row], one)
-        if coords is None:
-            raise RuntimeError("off-diagonal block outside the N span")
-        bs.append([coords])
-        psis.append(adjoint_action_matrix(diag, Ns))
+            diag[i][:4] = [zero] * 4
+        diags.append(diag)
+        offs.append(mat_sub(C, diag))
+    # both parts' off-block coordinates and brackets [diag, N_j] in the N
+    # basis: one elimination of its 81x5 matrix
+    try:
+        coords = span_coordinates(
+            offs + [mat_bracket(d, N) for d in diags for N in Ns], Ns)
+    except ValueError:
+        raise RuntimeError("off-diagonal block or bracket outside the N span")
+    bs = [[x] for x in coords[:2]]
+    psis = [mat_transpose(coords[2 + 5 * k:7 + 5 * k]) for k in range(2)]
     Psi = _from_parts(*psis, "x", params)
     b, = _from_parts(*bs, "x", params)
     Cinf, C0 = psis

@@ -7,7 +7,7 @@ import pytest
 from irred.field import FieldElem
 from irred.jets import (_P3_SCALES, EquationFamily, VectorFieldSpec,
                         _cinf_c0, _from_parts, _p3_third_rows, _scale_conj,
-                        _subsystem_matrix, build_lnve_airy_family, jet_name,
+                        _subsystem_matrices, build_lnve_airy_family, jet_name,
                         linearize, normal_restrict, p3_field, prolong,
                         rename_ratfun, restrict_along_curve, truncate)
 from irred.grammar import parse_ratfun
@@ -197,8 +197,9 @@ def test_p3_parts_match_ratfun_gauge(p3_chain):
     L = {k: linearize(_p3_order(k)) for k in (1, 2, 3)}
     A = {1: L[1].matrix,
          2: _scale_conj(L[2].matrix, _P3_SCALES[2]),
-         3: _scale_conj(_subsystem_matrix(L[3].matrix,
-                                          _p3_third_rows(L[3], one), one),
+         3: _scale_conj(_subsystem_matrices([L[3].matrix],
+                                            _p3_third_rows(L[3], one),
+                                            one)[0],
                         _P3_SCALES[3])}
     for k in (1, 2, 3):
         R, Q = ([[x * one for x in row] for row in getattr(p3_chain, n)]
@@ -274,18 +275,20 @@ def test_mpoly_ring_ops_cancel():
 
 
 def test_subsystem_matrix_eliminates_once(rref_calls):
-    from irred.jets import _subsystem_matrix
     from irred.linear import mat_mul
     t = RatFun.gen("t")
     one = RatFun.const(1, "t")
     zero = RatFun.zero("t")
     full = [[t, one, zero, zero], [zero, 1 / t, zero, zero],
             [zero, t, 2 * one, zero], [one, t, zero, t * t]]
-    # rows 0..2 of S span e0, e1, e2, whose span is invariant
+    other = [[one, zero, zero, zero], [t, zero, zero, zero],
+             [zero, zero, t, zero], [zero, zero, zero, one]]
+    # rows 0..2 of S span e0, e1, e2, whose span is invariant under both
     S = [[one, one, zero, zero], [zero, one, zero, zero],
          [zero, t, one, zero]]
-    B = _subsystem_matrix(full, S, one)
+    B, C = _subsystem_matrices([full, other], S, one)
     assert rref_calls == [4]
     assert mat_mul(B, S) == mat_mul(S, full)
+    assert mat_mul(C, S) == mat_mul(S, other)
     with pytest.raises(ValueError, match="not invariant"):
-        _subsystem_matrix(full, [[zero, zero, zero, one]], one)
+        _subsystem_matrices([full], [[zero, zero, zero, one]], one)

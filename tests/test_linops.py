@@ -137,10 +137,21 @@ def test_scalarization_eliminates_once(rref_calls):
     L = parse_operator("D^5 - 20*t*D^3 - 30*D^2 + 64*t^2*D + 64*t")
     res = cyclic_vector_scalarize(companion(L))
     assert res.op == L
+    # the Krylov matrix of e_1 on a companion matrix is the identity, so
+    # the scalarization substitutes and eliminates nothing
+    assert rref_calls == []
+    # the covector (1, t, 0, 0, 0) has two entries in new columns: the
+    # Krylov matrix is not triangular and is eliminated once
+    t = RatFun.gen("t")
+    zero, one = RatFun.zero("t"), RatFun.const(1, "t")
+    v = [one, t, zero, zero, zero]
+    res = cyclic_vector_scalarize(companion(L), v=v)
     assert rref_calls == [5]
+    f = t ** 3 + 1 / t
+    assert sum((a * x for a, x in zip(v, res.back_substitute(f))), zero) == f
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", [*range(2, 9), 16, 32])
 def test_family_system_scalarizes_to_the_symmetric_power(n):
     """Psi(n) is upper Hessenberg with a constant subdiagonal, so the
     default covector is e_last and the scalar equation is exactly
@@ -153,6 +164,69 @@ def test_family_system_scalarizes_to_the_symmetric_power(n):
     assert op == want
     assert str(op) == str(want)
     assert rhs == (-1) ** (n + 1) * math.factorial(n + 1) * p
+
+
+def test_triangular_krylov_solves_match_the_inverse(rref_calls):
+    """A Krylov matrix triangular up to a column order (lower,
+    anti-triangular or with permuted pivots; constant pivots, rational
+    functions below them) is solved by substitution, without an
+    elimination, exactly as its inverse solves it."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from irred.linear import inverse, mat_mul
+    from irred.linops import _krylov_solvers
+    t = Poly.gen("t")
+    zero, one = RatFun.zero("t"), RatFun.const(1, "t")
+    ints = st.integers(-3, 3)
+    entries = st.builds(
+        lambda cs, r: RatFun(Poly([Fraction(c) for c in cs], "t"),
+                             None if r is None else t - r),
+        st.lists(ints, min_size=1, max_size=3), st.one_of(st.none(), ints))
+    pivot = st.fractions(-3, 3, max_denominator=3).filter(bool)
+
+    @st.composite
+    def systems(draw):
+        n = draw(st.integers(1, 5))
+        order = draw(st.sampled_from(["lower", "anti", "permuted"]))
+        pivots = {"lower": list(range(n)),
+                  "anti": list(range(n - 1, -1, -1))}.get(order)
+        if pivots is None:
+            pivots = draw(st.permutations(range(n)))
+        V = [[zero] * n for _ in range(n)]
+        for i, col in enumerate(pivots):
+            V[i][col] = RatFun.const(draw(pivot), "t")
+            for k in pivots[:i]:
+                V[i][k] = draw(entries)
+        r = [draw(entries) for _ in range(n)]
+        d = [draw(entries) for _ in range(n)]
+        return V, r, d
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(systems())
+    def check(system):
+        V, r, d = system
+        rref_calls.clear()
+        left, right = _krylov_solvers(V, one)
+        c, F = left(r), right(d)
+        assert rref_calls == []
+        Vinv = inverse(V, one)
+        assert c == mat_mul([r], Vinv)[0]
+        assert F == [row[0] for row in mat_mul(Vinv, [[x] for x in d])]
+
+    check()
+
+    # a row with two new columns: V is inverted by one elimination
+    x = RatFun.gen("t")
+    V = [[one, x], [x, one]]
+    rref_calls.clear()
+    left, right = _krylov_solvers(V, one)
+    assert rref_calls == [2]
+    r = [x, 1 / x]
+    assert mat_mul([left(r)], V)[0] == r
+    assert [row[0] for row in mat_mul(V, [[f] for f in right(r)])] == r
+    # and a singular one is reported, not solved
+    assert _krylov_solvers([[one, x], [one, x]], one) is None
 
 
 def test_p3_shaped_system_keeps_the_first_covector():

@@ -68,6 +68,37 @@ def test_reduced_form_obstruction_gauge():
     assert not B[5][0]
 
 
+def test_family_identity_guard_rejects_a_perturbed_matrix(monkeypatch):
+    """The build checks that Psi(n) scalarizes to Sym^(n+1)(D^2 - t)
+    before it reads a verdict off the one scalar solve; a perturbed
+    matrix stops the build."""
+    import irred.verdict as verdict
+    psi = verdict._family_psi
+
+    def perturbed(n):
+        Psi = psi(n)
+        Psi[0][0] = Psi[0][0] + 1
+        return Psi
+
+    monkeypatch.setattr(verdict, "_family_psi", perturbed)
+    with pytest.raises(RuntimeError, match="does not scalarize"):
+        criterion_airy_family(EquationFamily(3, "2"))
+
+
+def test_family_identity_guard_rejects_a_perturbed_rhs(monkeypatch):
+    import irred.verdict as verdict
+    from irred.linops import ScalarizeResult
+    scalarize = verdict.cyclic_vector_scalarize
+
+    def perturbed(A, b=None, **kw):
+        res = scalarize(A, b, **kw)
+        return ScalarizeResult(res.op, res.rhs * 2, res.back_substitute)
+
+    monkeypatch.setattr(verdict, "cyclic_vector_scalarize", perturbed)
+    with pytest.raises(RuntimeError, match="does not scalarize"):
+        criterion_airy_family(EquationFamily(4, "x^2"))
+
+
 def test_certificate_roundtrip_and_replay():
     cert = criterion_airy_family(EquationFamily(2, "1/x"))
     text = cert.to_json()
@@ -112,6 +143,17 @@ def test_p3_rejects_mu_zero():
         check_p3([0])
 
 
+def test_check_p3_eliminates_each_shared_matrix_once(rref_calls):
+    """The C_inf and C_0 parts of the chain share the rows S of the
+    invariant subspace, and both parts' N-coordinates and brackets share
+    the 81x5 N basis: one elimination each.  The Krylov matrices of the
+    three scalarizations are triangular and need none; the other three
+    are the polynomial solves of the two systems and the scalar route."""
+    from fractions import Fraction
+    check_p3([Fraction(1, 2)])
+    assert rref_calls == [10, 81, 5, 5, 5]
+
+
 def test_p3_without_mu_gives_no_verdict(monkeypatch):
     # with no mu there is no screen and no obstruction record, so there
     # is nothing a verdict could rest on; the chain is never built
@@ -148,13 +190,14 @@ def test_check_p2_solves_the_obstruction_system_once(monkeypatch):
     monkeypatch.setattr(verdict, "system_rational_solutions", counting)
     cert = verdict.check_p2()
     assert cert.verdict == IRREDUCIBLE
-    assert calls == [5]
+    # the build lifts the family's one scalar solve to the system
+    assert calls == []
     # both routes record the one system
     first, second = cert.find("rational_system")
     assert first == second and not first["solvable"]
     # replay checks both hashes but solves the repeated record once
     assert replay(cert) == len(cert.evidence)
-    assert calls == [5, 5]
+    assert calls == [5]
 
 
 def test_family_system_replay_splits_no_denominators(monkeypatch):
@@ -180,9 +223,9 @@ def test_family_system_replay_splits_no_denominators(monkeypatch):
 
 def test_family_bounds_each_solved_degree_once(monkeypatch):
     """The degree_argument record takes the bound that rational_solutions
-    computed for L y = p (its denominator bound is 1), so a full family
-    build bounds the degree once per solve: the scalar and the system
-    route."""
+    computed for L y = p (its denominator bound is 1), and the system
+    route lifts that one solve, so a full family build bounds the degree
+    once."""
     import irred.ratsolve as ratsolve
     import irred.verdict as verdict
     calls = []
@@ -195,7 +238,7 @@ def test_family_bounds_each_solved_degree_once(monkeypatch):
     for module in (ratsolve, verdict):
         monkeypatch.setattr(module, "degree_bound", counting)
     cert = criterion_airy_family(EquationFamily(4, "x^2"))
-    assert len(calls) == 2
+    assert len(calls) == 1
     rec, = cert.find("degree_argument")
     assert rec["degree_bound"] == bound(parse_operator(rec["operator"]),
                                         parse_ratfun(rec["rhs"]))

@@ -223,6 +223,15 @@ class _OpParser(_Parser):
             return v
         return DiffOp([v], self.var, self.params)
 
+    def power(self, v, k):
+        """D^k is built as the monomial, not composed by squaring."""
+        D = DiffOp.identity_d(self.var, self.params)
+        if k > 0 and v == D:
+            self.within_budget((v, k))
+            zero, one = D.coeffs
+            return DiffOp([zero] * k + [one])
+        return super().power(v, k)
+
     def term(self):
         v = self.factor()
         while self.peek() in "*/":
@@ -413,9 +422,15 @@ def sym_power_operator(L: DiffOp, m: int) -> DiffOp:
         raise ValueError("symmetric power of operators implemented for order 2")
     Lm = L.monic()
     a, b = Lm.coeff(1), Lm.coeff(0)
-    D = DiffOp.identity_d(L.var, L.params)
-    prev, cur = DiffOp([RatFun.const(1, L.var, L.params)]), D
+    zero, one = _zero_one_of(a)
+    prev, cur = [one], [zero, one]
     for i in range(1, m + 1):
-        prev, cur = cur, ((D + i * a) * cur
-                          + DiffOp([i * (m - i + 1) * b]) * prev)
-    return cur
+        ia, s = i * a, i * (m - i + 1) * b
+        # on coefficients, D o sum c_k D^k = sum (c_k' D^k + c_k D^(k+1))
+        nxt = [c.derivative() + ia * c for c in cur] + [zero]
+        for k, c in enumerate(cur):
+            nxt[k + 1] = nxt[k + 1] + c
+        for k, c in enumerate(prev):
+            nxt[k] = nxt[k] + s * c
+        prev, cur = cur, nxt
+    return DiffOp(cur)

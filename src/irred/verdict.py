@@ -50,25 +50,39 @@ def _mat_str(M):
     return [[str(x) for x in row] for row in M]
 
 
-def _parse_entry(s, var, params):
-    return parse_ratfun(s, var, tuple(params))
+class _Parsed:
+    """Values of the strings of one certificate, each distinct (text,
+    var, params) parsed once.
 
+    One lives for one replay call, so nothing parsed from an untrusted
+    certificate seeds a later replay.  Sharing values between records is
+    safe because RatFun and DiffOp values are immutable.
+    """
 
-def _parse_mat(rows, var, params):
-    return [[_parse_entry(s, var, params) for s in row] for row in rows]
+    def __init__(self):
+        self.ratfuns, self.operators = {}, {}
 
+    def entry(self, s, var, params):
+        key = (s, var, params)
+        if key not in self.ratfuns:
+            self.ratfuns[key] = parse_ratfun(s, var, params)
+        return self.ratfuns[key]
 
-def _parse_const_mat(rows, var, params):
-    out = []
-    for row in rows:
-        r = []
-        for s in row:
-            f = _parse_entry(s, var, params)
-            if not f.is_constant():
-                raise CertificateError("expected constant entry %r" % s)
-            r.append(f.constant_value())
-        out.append(r)
-    return out
+    def operator(self, s, var, params):
+        key = (s, var, params)
+        if key not in self.operators:
+            self.operators[key] = parse_operator(s, var, params)
+        return self.operators[key]
+
+    def mat(self, rows, var, params):
+        return [[self.entry(s, var, params) for s in row] for row in rows]
+
+    def const_mat(self, rows, var, params):
+        M = self.mat(rows, var, params)
+        bad = next((f for row in M for f in row if not f.is_constant()), None)
+        if bad is not None:
+            raise CertificateError("expected constant entry %r" % str(bad))
+        return [[f.constant_value() for f in row] for row in M]
 
 
 def _record_hash(record):
@@ -135,8 +149,10 @@ class Certificate:
 
         Every record's hash is checked; a record whose hash matches one
         already replayed in this call has the same body and is not re-run.
+        Each distinct entry or operator string is parsed once per call.
         """
         verified = set()
+        parsed = _Parsed()
         for i, rec in enumerate(self.evidence):
             h = _record_hash(rec)
             if h != rec.get("hash"):
@@ -144,7 +160,7 @@ class Certificate:
             if h in verified:
                 continue
             try:
-                _replay_record(rec)
+                _replay_record(rec, parsed)
             except CertificateError:
                 raise
             except Exception as e:
@@ -154,60 +170,60 @@ class Certificate:
         return len(self.evidence)
 
 
-def _replay_record(rec):
+def _replay_record(rec, parsed):
     kind = rec["kind"]
     var = rec.get("var", "t")
     params = tuple(rec.get("params", ()))
     if kind in ("matrix", "operator", "note", "vector"):
         return  # data witness; hash already checked
     if kind == "screen":
-        L = parse_operator(rec["operator"], var, params)
+        L = parsed.operator(rec["operator"], var, params)
         v = certify_sl2(L)
         if v.tag != rec["tag"]:
             raise CertificateError("screen tag changed: %s vs %s"
                                    % (v.tag, rec["tag"]))
         return
     if kind == "lie_dimension":
-        gens = [_parse_const_mat(g, var, params) for g in rec["generators"]]
+        gens = [parsed.const_mat(g, var, params) for g in rec["generators"]]
         dim = lie_dimension(gens)
         if dim != rec["dimension"]:
             raise CertificateError("lie dimension changed: %d vs %d"
                                    % (dim, rec["dimension"]))
         return
     if kind == "trace_zero":
-        M = _parse_mat(rec["matrix"], var, params)
+        M = parsed.mat(rec["matrix"], var, params)
         tr = sum((M[i][i] for i in range(len(M))), RatFun.zero(var, params))
         if tr:
             raise CertificateError("trace is not zero")
         return
     if kind == "decomposition":
-        M = _parse_mat(rec["matrix"], var, params)
-        Ci = _parse_mat(rec["cinf"], var, params)
-        C0 = _parse_mat(rec["c0"], var, params)
-        x = RatFun.gen(var, params)
-        for i in range(len(M)):
-            for j in range(len(M[0])):
-                if not (M[i][j] == Ci[i][j] + C0[i][j] / x):
-                    raise CertificateError("decomposition fails at (%d,%d)"
-                                           % (i, j))
+        # the parts are constants; C_inf + C_0/x is built reduced
+        M = parsed.mat(rec["matrix"], var, params)
+        Ci = parsed.const_mat(rec["cinf"], var, params)
+        C0 = parsed.const_mat(rec["c0"], var, params)
+        if not ([len(r) for r in Ci] == [len(r) for r in C0]
+                == [len(r) for r in M]):
+            raise CertificateError("decomposition parts differ in shape")
+        if M != _from_parts(Ci, C0, var, params):
+            raise CertificateError("matrix is not cinf + c0/x")
         return
     if kind == "bracket_identity":
-        A = _parse_mat(rec["a"], var, params)
-        B = _parse_mat(rec["b"], var, params)
-        E = _parse_mat(rec["expect"], var, params)
-        c = _parse_entry(rec.get("coeff", "1"), var, params)
+        A = parsed.mat(rec["a"], var, params)
+        B = parsed.mat(rec["b"], var, params)
+        E = parsed.mat(rec["expect"], var, params)
+        c = parsed.entry(rec.get("coeff", "1"), var, params)
         got = [[c * x for x in row] for row in mat_bracket(A, B)]
         if got != E:
             raise CertificateError("bracket identity %r fails"
                                    % rec.get("relation"))
         return
     if kind == "lincomb_identity":
-        E = _parse_mat(rec["expect"], var, params)
+        E = parsed.mat(rec["expect"], var, params)
         n, m = mat_shape(E)
         acc = [[RatFun.zero(var, params)] * m for _ in range(n)]
         for cstr, rows in rec["terms"]:
-            c = _parse_entry(cstr, var, params)
-            M = _parse_mat(rows, var, params)
+            c = parsed.entry(cstr, var, params)
+            M = parsed.mat(rows, var, params)
             acc = [[a + c * x for a, x in zip(ra, rm)]
                    for ra, rm in zip(acc, M)]
         if acc != E:
@@ -215,14 +231,14 @@ def _replay_record(rec):
                                    % rec.get("relation"))
         return
     if kind == "operator_identity":
-        a = parse_operator(rec["a"], var, params)
-        b = parse_operator(rec["b"], var, params)
+        a = parsed.operator(rec["a"], var, params)
+        b = parsed.operator(rec["b"], var, params)
         if not (a == b):
             raise CertificateError("operator identity fails")
         return
     if kind == "rational_system":
-        A = _parse_mat(rec["matrix"], var, params)
-        b = [_parse_entry(s, var, params) for s in rec["rhs"]]
+        A = parsed.mat(rec["matrix"], var, params)
+        b = [parsed.entry(s, var, params) for s in rec["rhs"]]
         space = system_rational_solutions(A, b)
         if (space.particular is not None) != rec["solvable"]:
             raise CertificateError("system solvability changed")
@@ -230,14 +246,14 @@ def _replay_record(rec):
             raise CertificateError("homogeneous dimension changed")
         return
     if kind == "scalar_rational":
-        L = parse_operator(rec["operator"], var, params)
-        g = _parse_entry(rec["rhs"], var, params)
+        L = parsed.operator(rec["operator"], var, params)
+        g = parsed.entry(rec["rhs"], var, params)
         space = rational_solutions(L, g)
         if (space.particular is not None) != rec["solvable"]:
             raise CertificateError("scalar solvability changed")
         return
     if kind == "pole_shortcut":
-        p = _parse_entry(rec["p"], var, params)
+        p = parsed.entry(rec["p"], var, params)
         n = rec["n"]
         orders = sorted(_finite_pole_orders(p))
         if orders != sorted(rec["orders"]):
@@ -247,8 +263,8 @@ def _replay_record(rec):
             raise CertificateError("shortcut applicability changed")
         return
     if kind == "degree_argument":
-        L = parse_operator(rec["operator"], var, params)
-        g = _parse_entry(rec["rhs"], var, params)
+        L = parsed.operator(rec["operator"], var, params)
+        g = parsed.entry(rec["rhs"], var, params)
         qs, _ = _clear_denominators(L)
         sigma = max(q.degree() - i for i, q in enumerate(qs)
                     if not q.is_zero())

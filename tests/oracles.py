@@ -8,6 +8,7 @@ from irred.jets import (EquationFamily, linearize, normal_restrict, prolong,
                         restrict_along_curve)
 from irred.liealg import block_e_matrices
 from irred.linear import inverse, mat_bracket, mat_mul, mat_sub
+from irred.linops import DiffOp
 from irred.poly import RatFun
 
 
@@ -25,6 +26,20 @@ def companion(L):
     for j in range(n):
         A[n - 1][j] = -Lm.coeff(j)
     return A
+
+
+def sym_power_by_composition(L, m):
+    """Sym^m(L) of an order-2 L by the recurrence of
+    linops.sym_power_operator, each step composed with DiffOp.__mul__:
+    L_{i+1} = (D + i a) L_i + i (m - i + 1) b L_{i-1}."""
+    Lm = L.monic()
+    a, b = Lm.coeff(1), Lm.coeff(0)
+    D = DiffOp.identity_d(L.var, L.params)
+    prev, cur = DiffOp([RatFun.const(1, L.var, L.params)]), D
+    for i in range(1, m + 1):
+        prev, cur = cur, ((D + i * a) * cur
+                          + DiffOp([i * (m - i + 1) * b]) * prev)
+    return cur
 
 
 def mat_derivative(a):

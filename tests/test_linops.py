@@ -9,13 +9,16 @@ from irred.grammar import ParseError, parse_ratfun
 from irred.linops import (DiffOp, cyclic_vector_scalarize, parse_operator,
                           sym_power_matrix, sym_power_operator)
 from irred.poly import Poly, RatFun
-from oracles import companion, gauge_transform
+from oracles import companion, gauge_transform, sym_power_by_composition
 
 
 def test_operator_parse_print_roundtrip():
-    for s in ["D^2 - t", "D^5 - 20*t*D^3 - 30*D^2 + 64*t^2*D + 64*t",
-              "(1/t)*D + t^2"]:
-        L = parse_operator(s)
+    ops = [parse_operator(s) for s in
+           ["D^2 - t", "D^5 - 20*t*D^3 - 30*D^2 + 64*t^2*D + 64*t",
+            "(1/t)*D + t^2"]]
+    # the operator of an n = 32 family certificate
+    ops.append(sym_power_operator(parse_operator("D^2 - t"), 33))
+    for L in ops:
         assert parse_operator(str(L)) == L
 
 
@@ -25,6 +28,15 @@ def test_operator_power_budget():
         parse_operator("D^65")
     with pytest.raises(ParseError, match="degree 66 exceeds 64"):
         parse_operator("(t^2*D)^33")
+
+
+def test_operator_power_of_d_is_the_monomial():
+    D = DiffOp.identity_d("t")
+    for k in range(12):
+        assert parse_operator("D^%d" % k) == D ** k
+    t = DiffOp([RatFun.gen("t")])
+    assert parse_operator("(D)^3 + t*D^2") == D ** 3 + t * D ** 2
+    assert parse_operator("D^2*D^3") == D ** 5
 
 
 def test_operator_parse_parenthesized_constant():
@@ -91,6 +103,18 @@ def test_sym_power_recurrence_matches_cyclic_vector_route(text, var, ms):
         got = sym_power_operator(L, m)
         assert got == route
         assert str(got) == str(route)
+
+
+@pytest.mark.parametrize("text, var, params, ms", [
+    ("D^2 - t", "t", (), range(1, 10)),
+    # the generic composition over Q(mu) takes seconds from m = 8 on
+    ("D^2 - 4 - 4*mu/x", "x", ("mu",), range(1, 8)),
+    ("D^2 + (1/t)*D - (t^2 + 1)/t^2", "t", (), range(1, 6)),
+], ids=["airy", "p3-over-q-mu", "first-order-term"])
+def test_sym_power_operator_matches_generic_composition(text, var, params, ms):
+    L = parse_operator(text, var, params)
+    for m in ms:
+        assert sym_power_operator(L, m) == sym_power_by_composition(L, m)
 
 
 def test_sym_power_operator_eliminates_nothing(rref_calls):

@@ -360,3 +360,67 @@ def test_p3_ungraded_generator_replays_through_lie_closure(
                            match="lie dimension changed: %d vs 8" % dim):
             replay(doc)
     assert dims == [dim]
+
+
+def _p3_decomposition(doc, name):
+    """The decomposition record of the gauged matrix `name` in doc."""
+    rows, = [r["rows"] for r in doc["evidence"]
+             if r["kind"] == "matrix" and r["name"] == name]
+    rec, = [r for r in doc["evidence"]
+            if r["kind"] == "decomposition" and r["matrix"] == rows]
+    return rec
+
+
+def test_p3_decomposition_parts_must_be_constants(p3_certificate_text):
+    """cinf := matrix, c0 := 0 satisfies matrix = cinf + c0/x, but its
+    cinf is not constant: replay refuses it."""
+    from irred.verdict import _record_hash
+    doc = json.loads(p3_certificate_text)
+    assert replay(doc) == len(doc["evidence"])
+    rec = _p3_decomposition(doc, "At2")
+    rec["cinf"] = rec["matrix"]
+    rec["c0"] = [["0"] * len(row) for row in rec["matrix"]]
+    rec["hash"] = _record_hash(rec)
+    with pytest.raises(CertificateError, match="expected constant entry"):
+        replay(doc)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda rec: rec.update(c0=[row[:-1] for row in rec["c0"]]),
+     "differ in shape"),
+    (lambda rec: rec.update(cinf=rec["c0"]), "not cinf \\+ c0/x"),
+], ids=["shape", "sum"])
+def test_p3_decomposition_parts_must_sum_to_the_matrix(
+        p3_certificate_text, edit, match):
+    from irred.verdict import _record_hash
+    doc = json.loads(p3_certificate_text)
+    rec = _p3_decomposition(doc, "At1")
+    edit(rec)
+    rec["hash"] = _record_hash(rec)
+    with pytest.raises(CertificateError, match=match):
+        replay(doc)
+
+
+def test_replay_parses_each_distinct_string_once(p3_certificate_text,
+                                                 monkeypatch):
+    """Within one replay call each (text, var, params) is parsed once;
+    a second call parses again, so no certificate seeds another."""
+    from collections import Counter
+    import irred.verdict as verdict
+    seen = {"parse_ratfun": [], "parse_operator": []}
+    for name, log in seen.items():
+        real = getattr(verdict, name)
+
+        def spying(text, var, params, real=real, log=log):
+            log.append((text, var, params))
+            return real(text, var, params)
+
+        monkeypatch.setattr(verdict, name, spying)
+    replay(p3_certificate_text)
+    first = {k: Counter(v) for k, v in seen.items()}
+    assert all(first.values())
+    for counts in first.values():
+        assert set(counts.values()) == {1}
+    replay(p3_certificate_text)
+    for name, log in seen.items():
+        assert Counter(log) == Counter({k: 2 for k in first[name]})

@@ -190,7 +190,11 @@ def build_parser():
     p = sub.add_parser("ve", help="print a (linearized) variational system")
     p.add_argument("--field", required=True,
                    help="e.g. \"x = 1; y = z; z = x*y + 2*y^3\"")
-    p.add_argument("--curve", help="e.g. \"y = 0; z = 0\"")
+    p.add_argument("--curve",
+                   help="invariant curve, e.g. \"y = 0; z = 0\"; each "
+                        "coordinate a rational function of the independent "
+                        "one, or a constant point where the field vanishes "
+                        "when there is no independent coordinate")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--normal", action="store_true",
                    help="drop jets of the independent coordinate")

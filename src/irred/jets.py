@@ -3,7 +3,8 @@
 A vector field X = d/dx + a_y d/dy + ... is prolonged to jet coordinates
 c^(l) by the total-derivative derivation delta = sum c^(l+1) d/dc^(l);
 the right-hand side of c^(l) is delta^l(a_c).  Restricting along an
-invariant curve and introducing normalized monomial variables in the jet
+invariant curve (at an equilibrium point, for a field with no independent
+coordinate) and introducing normalized monomial variables in the jet
 coordinates produces the linearized variational systems.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .field import FieldElem, scalar
+from .field import FieldElem
 from .grammar import (ParseError, _Parser, max_size, parse_ratfun,
                       ratfun_size, tokenize)
 from .linear import mat_mul, mat_transpose, solve_all
@@ -214,11 +215,11 @@ def restrict_along_curve(J: JetSystem, curve) -> JetSystem:
     """Substitute an invariant solution curve for the order-0 coordinates.
 
     curve maps each dependent coordinate to a rational function of the
-    independent variable; invariance is checked symbolically first.
+    independent variable; invariance is checked symbolically first.  A
+    field with no independent coordinate is restricted at a point: each
+    value must be a constant, and invariance says X(point) = 0.
     """
     X = J.field
-    if X.indep is None:
-        raise ValueError("restriction needs an independent coordinate")
     vals = {}
     for c in X.deps:
         v = curve[c] if isinstance(curve, dict) else None
@@ -227,6 +228,9 @@ def restrict_along_curve(J: JetSystem, curve) -> JetSystem:
         if isinstance(v, str):
             v = parse_ratfun(v, X.cvar, X.params)
         vals[c] = ratfun(v, X.cvar, X.params)
+        if X.indep is None and not vals[c].is_constant():
+            raise ValueError("with no independent coordinate the curve is a "
+                             "point, but %s = %s" % (c, vals[c]))
     # invariance: c' along the curve must equal the field component
     for c in X.deps:
         comp = X.components[c]
@@ -472,31 +476,27 @@ class P3Chain:
         self.__dict__.update(kw)
 
 
-def _cinf_c0(M):
-    """Split a matrix with entries c_inf + c_0/x into two constant parts.
+def _w_parts(M):
+    """Split a constant matrix over Q(mu, w), with entries c_inf + c_0 w
+    for c_inf, c_0 in Q(mu), into the parts (C_inf, C_0) over Q(mu).
 
-    An entry is reduced with a monic denominator, so it has that form
-    when its denominator is 1 and its numerator c_inf, or its
-    denominator x and its numerator c_inf x + c_0; the parts are read
-    off the coefficients, without arithmetic.
+    w is the last parameter.  An entry is read off the coefficients of its
+    polynomial numerator, without arithmetic; one of another form raises
+    ValueError.
     """
     Cinf, C0 = [], []
     for row in M:
         ri, r0 = [], []
         for f in row:
-            # the coefficients of x f = c_0 + c_inf x, ascending
-            zero = scalar(0, f.params)
-            if f.den.degree() == 0:
-                xf = (zero,) + f.num.coeffs
-            elif f.den == Poly.gen(f.var, f.params):
-                xf = f.num.coeffs
-            else:
-                xf = None
-            if xf is None or len(xf) > 2:
-                raise ValueError("entry %s is not of the form a + b/x" % f)
-            xf += (zero,)
-            r0.append(xf[0])
-            ri.append(xf[1])
+            c = f.constant_value()
+            if any(any(e) for e in c.den) or any(e[-1] > 1 for e in c.num):
+                raise ValueError("entry %s is not of the form a + b*w" % f)
+            byw = ({}, {})
+            for e, v in c.num.items():
+                byw[e[-1]][e[:-1]] = v
+            params = c.params[:-1]
+            ri.append(FieldElem(params, byw[0], _normalized=True))
+            r0.append(FieldElem(params, byw[1], _normalized=True))
         Cinf.append(ri)
         C0.append(r0)
     return Cinf, C0
@@ -527,13 +527,13 @@ def _subsystem_matrices(fulls, S, one):
     return [rows[i:i + k] for i in range(0, len(rows), k)]
 
 
-def p3_field() -> VectorFieldSpec:
+def p3_w_field() -> VectorFieldSpec:
     """Hamiltonian vector field of the Painleve III case, x H =
-    2 y^2 z^2 - (x y^2 - 2 mu y - x) z - mu x y."""
-    ay = "(4*y^2*z - x*y^2 + 2*mu*y + x)/x"
-    az = "(-4*y*z^2 + 2*x*y*z - 2*mu*z + mu*x)/x"
-    return VectorFieldSpec(("x", "y", "z"), ["1", ay, az],
-                           params=("mu",), indep="x")
+    2 y^2 z^2 - (x y^2 - 2 mu y - x) z - mu x y, with w = 1/x taken for a
+    second parameter and no independent coordinate."""
+    ay = "4*w*y^2*z - y^2 + 2*mu*w*y + 1"
+    az = "-4*w*y*z^2 + 2*y*z - 2*mu*w*z + mu"
+    return VectorFieldSpec(("y", "z"), [ay, az], params=("mu", "w"))
 
 
 # constant diagonal gauges of the order-2 and order-3 linearize outputs:
@@ -550,32 +550,38 @@ def build_p3_chain() -> P3Chain:
     """Variational chain along y=1, z=-mu/2 with gauges Q1, Q2, Q3 and
     their inverses R1, R2, R3; At_k = R_k A_k Q_k.
 
-    The field is prolonged, restricted and normal-restricted once, at
-    order 3; the order-k system is its truncation to jets of order <= k.
-    Every entry of A_k and At_k is c_inf + c_0/x with c_inf, c_0 in
-    Q(mu), so past linearize the chain runs on the pairs (C_inf, C_0) of
-    constant matrices, kept in .parts by name; Q_k and R_k are constant.
-    A1 and At1..At3 are also kept over Q(mu)(x), with mu symbolic;
-    specialize the entries for a rational mu.  The gauge Q1 degenerates
-    at mu = 0.
+    Every field coefficient is c_inf + c_0/x and the curve is constant.
+    Normal restriction drops every jet of x, so the x^(1) d/dx term of the
+    total derivative never survives it, and prolong, restrict, truncate
+    and linearize are linear in the coefficients: 1/x can be a plain
+    second parameter w.  The chain therefore prolongs the autonomous
+    `p3_w_field` over Q(mu, w), whose coefficients are polynomial (no
+    gcd), restricts it once at order 3 and reads the order-k system off
+    its truncation.  The w^0 and w^1 coefficients of each entry of A_k are
+    the constant parts (C_inf, C_0) over Q(mu), and past linearize the
+    chain runs on those pairs, kept in .parts by name; Q_k and R_k are
+    constant.  A1 and At1..At3 are built from their parts over Q(mu)(x),
+    with mu symbolic; specialize the entries for a rational mu.  The
+    gauge Q1 degenerates at mu = 0.
     """
     params = ("mu",)
-    X = p3_field()
-    muv = parse_ratfun("mu", "x", params)
-    curve = {"y": RatFun.const(1, "x", params), "z": -muv / 2}
-    J3 = normal_restrict(restrict_along_curve(prolong(X, 3), curve))
+    X = p3_w_field()
+    mu_w = RatFun.const(FieldElem.parameter("mu", X.params), X.cvar,
+                        X.params)
+    curve = {"y": RatFun.const(1, X.cvar, X.params), "z": -mu_w / 2}
+    J3 = restrict_along_curve(prolong(X, 3), curve)
 
-    A1 = linearize(truncate(J3, 1)).matrix
     L3 = linearize(J3)
     one = FieldElem.from_fraction(1, params)
     S = _p3_third_rows(L3, one)
     parts = {
-        "A1": _cinf_c0(A1),
+        "A1": _w_parts(linearize(truncate(J3, 1)).matrix),
         "A2": tuple(_scale_conj(C, _P3_SCALES[2])
-                    for C in _cinf_c0(linearize(truncate(J3, 2)).matrix)),
+                    for C in _w_parts(linearize(truncate(J3, 2)).matrix)),
         "A3": tuple(_scale_conj(B, _P3_SCALES[3]) for B in
-                    _subsystem_matrices(_cinf_c0(L3.matrix), S, one)),
+                    _subsystem_matrices(_w_parts(L3.matrix), S, one)),
     }
+    A1 = _from_parts(*parts["A1"], "x", params)
 
     mu = FieldElem.parameter("mu", params)
     zero = one - one

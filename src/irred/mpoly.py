@@ -120,8 +120,21 @@ def dense_divmod(a, b):
 
 
 def dense_gcd(a, b):
-    """Monic gcd by Euclid; [] when both are zero."""
+    """Monic gcd by Euclid; [] when both are zero.
+
+    When both are nonzero and one is a monomial c x^k, the gcd is x^j for
+    j the smaller of k and the order of the other at 0, with no Euclid
+    step.
+    """
     a, b = _trim(list(a)), _trim(list(b))
+    if a and b:
+        for m, other in ((a, b), (b, a)):
+            if not any(m[:-1]):
+                j = 0
+                while j < len(m) - 1 and not other[j]:
+                    j += 1
+                one = m[-1] / m[-1]
+                return [one - one] * j + [one]
     while b:
         a, b = b, dense_divmod(a, b)[1]
     if not a:

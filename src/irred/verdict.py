@@ -521,8 +521,7 @@ def _p3_g_display(m):
 
 
 def _const_to_rat(M, var, params):
-    one = RatFun.const(1, var, params)
-    return [[x * one for x in row] for row in M]
+    return [[RatFun.const(x, var, params) for x in row] for row in M]
 
 
 def p3_psi_and_b(chain):

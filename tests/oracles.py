@@ -4,12 +4,14 @@ None of these is on a path that builds or replays a certificate: each
 is a second, plainer way to get a result the package computes otherwise.
 """
 
-from irred.jets import (EquationFamily, linearize, normal_restrict, prolong,
-                        restrict_along_curve)
+from irred.field import scalar
+from irred.jets import (EquationFamily, VectorFieldSpec, linearize,
+                        normal_restrict, prolong, restrict_along_curve)
 from irred.liealg import block_e_matrices
 from irred.linear import inverse, mat_bracket, mat_mul, mat_sub
 from irred.linops import DiffOp
-from irred.poly import RatFun
+from irred.mpoly import _trim, dense_divmod
+from irred.poly import Poly, RatFun
 
 
 def companion(L):
@@ -89,3 +91,60 @@ def lnve_airy_family_pipeline(n, P):
     zero = RatFun.zero("x")
     J = restrict_along_curve(J, {"y": zero, "z": zero})
     return linearize(normal_restrict(J))
+
+
+def euclid_gcd(a, b):
+    """Monic gcd of ascending coefficient lists by Euclid alone, with no
+    closed form for a monomial operand; [] when both are zero."""
+    a, b = _trim(list(a)), _trim(list(b))
+    while b:
+        a, b = b, dense_divmod(a, b)[1]
+    return [c / a[-1] for c in a] if a else a
+
+
+def p3_field():
+    """Hamiltonian vector field of the Painleve III case over Q(mu)(x),
+    x H = 2 y^2 z^2 - (x y^2 - 2 mu y - x) z - mu x y, with x the
+    independent coordinate: the form that jets.p3_w_field writes with
+    w = 1/x."""
+    ay = "(4*y^2*z - x*y^2 + 2*mu*y + x)/x"
+    az = "(-4*y*z^2 + 2*x*y*z - 2*mu*z + mu*x)/x"
+    return VectorFieldSpec(("x", "y", "z"), ["1", ay, az],
+                           params=("mu",), indep="x")
+
+
+def p3_order(k):
+    """The order-k P3 system over Q(mu)(x), prolonged at order k,
+    restricted along y = 1, z = -mu/2 and normal-restricted."""
+    return normal_restrict(restrict_along_curve(prolong(p3_field(), k),
+                                                {"y": "1", "z": "-mu/2"}))
+
+
+def cinf_c0(M):
+    """Split a matrix with entries c_inf + c_0/x into two constant parts.
+
+    An entry is reduced with a monic denominator, so it has that form
+    when its denominator is 1 and its numerator c_inf, or its
+    denominator x and its numerator c_inf x + c_0; the parts are read
+    off the coefficients, without arithmetic.
+    """
+    Cinf, C0 = [], []
+    for row in M:
+        ri, r0 = [], []
+        for f in row:
+            # the coefficients of x f = c_0 + c_inf x, ascending
+            zero = scalar(0, f.params)
+            if f.den.degree() == 0:
+                xf = (zero,) + f.num.coeffs
+            elif f.den == Poly.gen(f.var, f.params):
+                xf = f.num.coeffs
+            else:
+                xf = None
+            if xf is None or len(xf) > 2:
+                raise ValueError("entry %s is not of the form a + b/x" % f)
+            xf += (zero,)
+            r0.append(xf[0])
+            ri.append(xf[1])
+        Cinf.append(ri)
+        C0.append(r0)
+    return Cinf, C0

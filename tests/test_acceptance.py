@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from irred.grammar import parse_ratfun
-from irred.jets import EquationFamily, VectorFieldSpec, _cinf_c0
+from irred.jets import EquationFamily, VectorFieldSpec
 from irred.liealg import (block_e_matrices, block_xyh, lie_closure)
 from irred.linear import mat_bracket, mat_mul
 from irred.linops import DiffOp, parse_operator, sym_power_operator
@@ -21,7 +21,7 @@ from irred.ratsolve import rational_solutions
 from irred.screen import exponential_solutions_restricted
 from irred.verdict import (IRREDUCIBLE, criterion_airy_family, replay)
 from irred.field import FieldElem
-from oracles import gauge_transform
+from oracles import cinf_c0, gauge_transform
 
 
 L4_TEXT = "D^5 - 20*t*D^3 - 30*D^2 + 64*t^2*D + 64*t"
@@ -111,13 +111,13 @@ def test_criterion_06_p3_symbolic_identities(p3_chain):
     # each gauged matrix is C_inf + C_0 / x
     for name in ("At2", "At3"):
         M = getattr(ch, name)
-        Ci, C0 = _cinf_c0(M)
+        Ci, C0 = cinf_c0(M)
         x = RatFun.gen("x", params)
         for i in range(len(M)):
             for j in range(len(M)):
                 assert M[i][j] == Ci[i][j] + C0[i][j] / x
     # the order-2 constants match the displayed 5x5 matrices
-    Ci, C0 = _cinf_c0(ch.At2)
+    Ci, C0 = cinf_c0(ch.At2)
     M1 = C0
     M2 = [[ci - c0 / mu for ci, c0 in zip(ri, r0)] for ri, r0 in zip(Ci, C0)]
     zero, one = mu - mu, mu / mu
@@ -154,7 +154,7 @@ def test_criterion_06_p3_symbolic_identities(p3_chain):
              (4 * mu) * (p2 * onex)
              for p1, p2 in zip(r1, r2)] for r1, r2 in zip(Psi1, Psi2)]
     assert comb == Psi
-    Ci3, C03 = _cinf_c0(ch.At3)
+    Ci3, C03 = cinf_c0(ch.At3)
     assert lie_closure([Ci3, C03]).dimension == 8
 
 

@@ -185,6 +185,20 @@ def test_ve_non_invariant_curve(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("curve, code", [("y = 0; z = 0", 0),
+                                         ("y = 1; z = 0", 1)])
+def test_ve_autonomous_field_at_a_point(capsys, curve, code):
+    """A field with no independent coordinate restricts at an
+    equilibrium and refuses any other point."""
+    assert main(["ve", "--field", "y = z; z = y", "--order", "1",
+                 "--curve", curve, "--linearize"]) == code
+    if code == 0:
+        assert capsys.readouterr().out.splitlines() == [
+            "variables: y^(1), z^(1)", "[ 0, 1 ]", "[ 1, 0 ]"]
+    else:
+        assert "not invariant" in capsys.readouterr().err
+
+
 def test_oracle_runs(capsys):
     code = main(["oracle", "--field", "x = 1; y = z; z = 0 - y",
                  "--curve", "y = 0; z = 0", "--order", "1"])

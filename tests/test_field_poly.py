@@ -12,6 +12,7 @@ from irred.mpoly import (dense_add, dense_divmod, dense_gcd, dense_mul, mp_add,
                          mp_mul, mp_neg, mp_scale, power)
 from irred.grammar import ParseError, parse_ratfun
 from irred.poly import Poly, RatFun, ratfun
+from oracles import euclid_gcd
 
 
 def test_field_elem_arithmetic():
@@ -448,6 +449,36 @@ def test_dense_division_matches_sympy():
         if b:
             q, r = sympy.div(to_sympy(a), to_sympy(b))
             assert dense_divmod(a, b) == (from_sympy(q), from_sympy(r))
+
+    check()
+
+
+@pytest.mark.parametrize("zero", [
+    Fraction(0), FieldElem.from_fraction(0, ("mu",))], ids=["Q", "mu"])
+def test_dense_gcd_of_a_monomial_matches_euclid(zero):
+    """With a monomial operand c x^k, dense_gcd's closed form x^j, j the
+    smaller of k and the other's order at 0, is Euclid's gcd."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ints = st.integers(-4, 4)
+    if isinstance(zero, FieldElem):
+        mu = FieldElem.parameter("mu", ("mu",))
+        coeff = st.builds(lambda a, b, d: (a + b * mu) / d, ints, ints,
+                          st.integers(1, 3))
+    else:
+        coeff = st.builds(Fraction, ints, st.integers(1, 3))
+    slot = st.one_of(st.just(zero), coeff)
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(coeff.filter(bool), st.integers(0, 4),
+                      st.lists(slot, max_size=7))
+    def check(c, k, other):
+        m = [zero] * k + [c]
+        for a, b in ((m, other), (other, m)):
+            g = dense_gcd(a, b)
+            assert g == euclid_gcd(a, b)
+            assert all(type(x) is type(zero) for x in g)
 
     check()
 

@@ -5,18 +5,20 @@ from fractions import Fraction
 import pytest
 
 from irred.field import FieldElem
+import irred.jets
 from irred.jets import (_P3_SCALES, EquationFamily, VectorFieldSpec,
-                        _cinf_c0, _from_parts, _p3_third_rows, _scale_conj,
-                        _subsystem_matrices, build_lnve_airy_family, jet_name,
-                        linearize, normal_restrict, p3_field, prolong,
-                        rename_ratfun, restrict_along_curve, truncate)
+                        _from_parts, _p3_third_rows, _scale_conj,
+                        _subsystem_matrices, _w_parts, build_lnve_airy_family,
+                        build_p3_chain, jet_name, linearize, normal_restrict,
+                        p3_w_field, prolong, rename_ratfun,
+                        restrict_along_curve, truncate)
 from irred.grammar import parse_ratfun
 from irred.liealg import adjoint_action_matrix
 from irred.linear import mat_identity, mat_mul
 from irred.mpoly import MPoly
-from irred.poly import RatFun
+from irred.poly import Poly, RatFun
 from irred.verdict import _p3_n_basis, p3_psi_and_b
-from oracles import lnve_airy_family_pipeline
+from oracles import cinf_c0, lnve_airy_family_pipeline, p3_field, p3_order
 
 
 def p2_field():
@@ -48,6 +50,19 @@ def test_restrict_requires_invariance():
     one = RatFun.const(1, "x")
     with pytest.raises(ValueError):
         restrict_along_curve(J, {"y": one, "z": one})
+
+
+def test_restrict_at_a_point_of_an_autonomous_field():
+    """With no independent coordinate the curve is a point, and it must
+    be an equilibrium: X(point) = 0."""
+    X = VectorFieldSpec(("y", "z"), ["z", "y - y^2"])
+    J = restrict_along_curve(prolong(X, 1), {"y": "1", "z": "0"})
+    assert J.vars == ("y^(1)", "z^(1)")
+    assert _strs(linearize(J).matrix) == [["0", "1"], ["-1", "0"]]
+    for curve, msg in (({"y": "0", "z": "1"}, "not invariant"),
+                       ({"y": "1", "z": "t"}, "curve is a point")):
+        with pytest.raises(ValueError, match=msg):
+            restrict_along_curve(prolong(X, 1), curve)
 
 
 def test_ve1_is_airy_companion():
@@ -149,15 +164,6 @@ def test_p3_gauge_inverses_are_closed_forms(p3_chain):
             assert mat_mul(Q, Ct) == mat_mul(C, Q)
 
 
-P3_CURVE = {"y": "1", "z": "-mu/2"}
-
-
-def _p3_order(k):
-    """The order-k P3 system, prolonged and restricted at order k."""
-    return normal_restrict(restrict_along_curve(prolong(p3_field(), k),
-                                                P3_CURVE))
-
-
 def _strs(M):
     return [[str(x) for x in row] for row in M]
 
@@ -165,9 +171,9 @@ def _strs(M):
 def test_p3_low_orders_read_off_order_three():
     """A1 and A2 of the truncated order-3 system are those of orders 1
     and 2 prolonged on their own, byte for byte."""
-    J3 = _p3_order(3)
+    J3 = p3_order(3)
     for k in (1, 2):
-        got, want = linearize(truncate(J3, k)), linearize(_p3_order(k))
+        got, want = linearize(truncate(J3, k)), linearize(p3_order(k))
         assert got.vars == want.vars
         assert got.basis == want.basis and got.labels == want.labels
         assert _strs(got.matrix) == _strs(want.matrix)
@@ -194,7 +200,7 @@ def test_p3_parts_match_ratfun_gauge(p3_chain):
     ran on parts."""
     params = ("mu",)
     one = RatFun.const(1, "x", params)
-    L = {k: linearize(_p3_order(k)) for k in (1, 2, 3)}
+    L = {k: linearize(p3_order(k)) for k in (1, 2, 3)}
     A = {1: L[1].matrix,
          2: _scale_conj(L[2].matrix, _P3_SCALES[2]),
          3: _scale_conj(_subsystem_matrices([L[3].matrix],
@@ -205,10 +211,10 @@ def test_p3_parts_match_ratfun_gauge(p3_chain):
         R, Q = ([[x * one for x in row] for row in getattr(p3_chain, n)]
                 for n in ("R%d" % k, "Q%d" % k))
         At = mat_mul(mat_mul(R, A[k]), Q)
-        assert list(_cinf_c0(At)) == list(p3_chain.parts["At%d" % k])
+        assert list(cinf_c0(At)) == list(p3_chain.parts["At%d" % k])
         assert _strs(At) == _strs(getattr(p3_chain, "At%d" % k))
-        assert list(_cinf_c0(A[k])) == list(p3_chain.parts["A%d" % k])
-    assert _strs(A[1]) == _strs(p3_chain.A1)
+        assert list(cinf_c0(A[k])) == list(p3_chain.parts["A%d" % k])
+    assert A[1] == p3_chain.A1 and _strs(A[1]) == _strs(p3_chain.A1)
 
 
 def test_p3_psi_from_parts_matches_adjoint_action(p3_chain):
@@ -224,11 +230,76 @@ def test_p3_psi_from_parts_matches_adjoint_action(p3_chain):
     Ns = _p3_n_basis()
     assert Psi == adjoint_action_matrix(diag, Ns)
     assert _strs(Psi) == _strs(adjoint_action_matrix(diag, Ns))
-    assert Psi1 == _cinf_c0(Psi)[1]
+    assert Psi1 == cinf_c0(Psi)[1]
     off = [[x - y for x, y in zip(ra, rd)] for ra, rd in zip(At3, diag)]
     rebuilt = [[sum((c * N[i][j] for c, N in zip(b, Ns)), zero)
                 for j in range(9)] for i in range(9)]
     assert rebuilt == off
+
+
+def _at_w_is_1_over_x(f):
+    """The constant f, a polynomial in mu and w, over Q(mu)(x) at
+    w = 1/x."""
+    params = ("mu",)
+    x = RatFun.gen("x", params)
+    mu = FieldElem.parameter("mu", params)
+    c = f.constant_value()
+    assert not any(any(e) for e in c.den)
+    return sum((v * mu ** a / x ** b for (a, b), v in c.num.items()),
+               RatFun.zero("x", params))
+
+
+def test_p3_w_field_is_p3_field_at_w_equal_1_over_x():
+    W, X = p3_w_field(), p3_field()
+    assert W.indep is None and W.params == ("mu", "w")
+    assert W.deps == X.deps == ("y", "z")
+    for c in W.deps:
+        assert {e: _at_w_is_1_over_x(f)
+                for e, f in W.components[c].terms.items()} \
+            == X.components[c].terms
+
+
+def test_w_parts_reads_off_the_w_coefficients():
+    params = ("mu", "w")
+    mu, w = (RatFun.const(FieldElem.parameter(p, params), "t", params)
+             for p in params)
+    M = [[mu - mu, 3 + 2 * w, mu * w],
+         [(mu * mu + 1) / 2 - w / 3, w, mu]]
+    Ci, C0 = _w_parts(M)
+    m = FieldElem.parameter("mu", ("mu",))
+    assert Ci == [[0, 3, 0], [(m * m + 1) / 2, 0, m]]
+    assert C0 == [[0, 2, m], [Fraction(-1, 3), 1, 0]]
+    assert all(c.params == ("mu",) for r in Ci + C0 for c in r)
+    assert _from_parts(Ci, C0, "x", ("mu",)) == [
+        [_at_w_is_1_over_x(f) for f in r] for r in M]
+    for bad in (w * w, 1 / mu, mu + RatFun.gen("t", params)):
+        with pytest.raises(ValueError):
+            _w_parts([[bad]])
+
+
+def test_p3_chain_takes_no_gcd_and_no_normal_restriction(monkeypatch):
+    """The chain runs on polynomial coefficients over Q(mu, w): no
+    normal restriction, no Poly gcd and no arithmetic over Q(mu)(x)."""
+    seen = set()
+
+    def spy(name):
+        orig = getattr(RatFun, name)
+
+        def wrapped(self, *args):
+            seen.add(self.params)
+            return orig(self, *args)
+        monkeypatch.setattr(RatFun, name, wrapped)
+
+    for name in ("__add__", "__mul__", "__truediv__", "derivative"):
+        spy(name)
+
+    def no_gcd(self, other):
+        raise AssertionError("gcd of %s and %s" % (self, other))
+
+    monkeypatch.setattr(Poly, "gcd", no_gcd)
+    monkeypatch.setattr(irred.jets, "normal_restrict", None)
+    build_p3_chain()
+    assert seen == {("mu", "w")}
 
 
 def test_cinf_c0_and_from_parts_are_inverse():
@@ -237,12 +308,12 @@ def test_cinf_c0_and_from_parts_are_inverse():
     mu = FieldElem.parameter("mu", params)
     M = [[x - x, 3 + x / x, mu / x, (2 * mu * x - 5) / x],
          [(mu + 1) / (mu * x), x / x - 1 + 1 / x, x - x + mu, (x + mu) / x]]
-    Ci, C0 = _cinf_c0(M)
+    Ci, C0 = cinf_c0(M)
     rebuilt = _from_parts(Ci, C0, "x", params)
     assert rebuilt == M and _strs(rebuilt) == _strs(M)
     for bad in (x, 1 / (x * x), 1 / (x + 1), (x * x + 1) / x):
         with pytest.raises(ValueError, match="not of the form"):
-            _cinf_c0([[bad]])
+            cinf_c0([[bad]])
 
 
 def test_mpoly_power_is_repeated_multiplication():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from irred.field import FieldElem
-from irred.jets import EquationFamily, _cinf_c0, build_lnve_airy_family
+from irred.jets import EquationFamily, build_lnve_airy_family
 from irred.liealg import (_graded_image, adjoint_action_matrix,
                           associated_lie_algebra, block_e_matrices,
                           block_xyh, classify_lnve_lie_algebra, lie_closure,
@@ -14,7 +14,7 @@ from irred.linear import in_span, mat_bracket, mat_transpose, rank
 from irred.linops import sym_power_matrix
 from irred.poly import Poly, RatFun
 from irred.verdict import _family_psi
-from oracles import block_f_matrices, sl2_triplet_check
+from oracles import block_f_matrices, cinf_c0, sl2_triplet_check
 
 
 def _scaled(M, c):
@@ -232,7 +232,7 @@ def _mu_monomial(c, e):
 def test_lie_dimension_p3_generators(p3_chain, level):
     """The P3 constants of orders 2 and 3 over Q(mu) are graded, and the
     graded route gives the closure's dimension."""
-    gens = list(_cinf_c0(getattr(p3_chain, level)))
+    gens = list(cinf_c0(getattr(p3_chain, level)))
     graded = _graded_image(gens)
     assert graded is not None
     assert all(isinstance(x, Fraction) and x.denominator == 1

@@ -107,8 +107,7 @@ def test_sym_power_recurrence_matches_cyclic_vector_route(text, var, ms):
 
 @pytest.mark.parametrize("text, var, params, ms", [
     ("D^2 - t", "t", (), range(1, 10)),
-    # the generic composition over Q(mu) takes seconds from m = 8 on
-    ("D^2 - 4 - 4*mu/x", "x", ("mu",), range(1, 8)),
+    ("D^2 - 4 - 4*mu/x", "x", ("mu",), range(1, 10)),
     ("D^2 + (1/t)*D - (t^2 + 1)/t^2", "t", (), range(1, 6)),
 ], ids=["airy", "p3-over-q-mu", "first-order-term"])
 def test_sym_power_operator_matches_generic_composition(text, var, params, ms):

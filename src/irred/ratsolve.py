@@ -59,6 +59,14 @@ class SolutionSpace:
         return "SolutionSpace(particular=%s, dim=%d)" % (
             self.particular, len(self.basis))
 
+    def scaled(self, c):
+        """The space of L y = c g from this space of L y = g, for a
+        nonzero constant c: both bounds are invariant under c and the
+        solver is linear in g, so it is what a fresh solve returns."""
+        return SolutionSpace(
+            None if self.particular is None else c * self.particular,
+            self.basis, self.denominator, self.degree)
+
 
 def _falling(i):
     """e (e-1) ... (e-i+1) as a Poly in e."""
@@ -301,7 +309,7 @@ def rational_solutions(L: DiffOp, g=None) -> SolutionSpace:
             g = None
     D = denominator_bound(L, g)
     # substitute y = z / D and clear: polynomial-solution problem for z
-    M = L * DiffOp([RatFun(Poly.const(1, var), D)], var)
+    M = L if D == 1 else L * DiffOp([RatFun(Poly.const(1, var), D)], var)
     # clearing g's denominator multiplies every coefficient of M by one
     # monic factor, so the indicial data at infinity, and with them the
     # homogeneous degree candidates, are those of degree_bound(M, None)
@@ -325,20 +333,27 @@ def rational_solutions(L: DiffOp, g=None) -> SolutionSpace:
     return SolutionSpace(part, basis, denominator=D, degree=bound)
 
 
-def system_rational_solutions(A, b=None) -> SolutionSpace:
-    """Rational solutions F of F' = A F + b via a cyclic vector.
+def scalarize_system(A, b=None):
+    """The cyclic_vector_scalarize result of F' = A F + b for a square
+    A over Q, with up to 20 retry covectors.
 
-    The system is scalarized by cyclic_vector_scalarize, which inverts
-    its Krylov matrix by substitution when that matrix is triangular up
-    to a column order (every family and P3 system) and by elimination
-    otherwise; the scalar solutions are lifted by lift_solutions.
+    The Krylov matrix is inverted by substitution when it is triangular
+    up to a column order (every family and P3 system) and by
+    elimination otherwise.
     """
     n, n2 = mat_shape(A)
     if n != n2:
         raise ValueError("system matrix must be square")
     if A[0][0].params:
         raise ValueError("rational solving needs Q coefficients")
-    res = cyclic_vector_scalarize(A, b, retries=20)
+    return cyclic_vector_scalarize(A, b, retries=20)
+
+
+def system_rational_solutions(A, b=None) -> SolutionSpace:
+    """Rational solutions F of F' = A F + b via a cyclic vector: the
+    system is scalarized by scalarize_system and the scalar solutions
+    are lifted by lift_solutions."""
+    res = scalarize_system(A, b)
     return lift_solutions(A, b, res, rational_solutions(res.op, res.rhs))
 
 

@@ -143,15 +143,70 @@ def test_p3_rejects_mu_zero():
         check_p3([0])
 
 
-def test_check_p3_eliminates_each_shared_matrix_once(rref_calls):
+def _count_solves(monkeypatch):
+    """Record (operator, rhs) of every rational_solutions call, through
+    both the ratsolve and the verdict bindings."""
+    import irred.ratsolve as ratsolve
+    import irred.verdict as verdict
+    calls = []
+    solve = ratsolve.rational_solutions
+
+    def counting(L, g=None):
+        calls.append((str(L), str(g)))
+        return solve(L, g)
+
+    for module in (ratsolve, verdict):
+        monkeypatch.setattr(module, "rational_solutions", counting)
+    return calls
+
+
+def _count_degree_bounds(monkeypatch):
+    """Record the operator of every degree_bound call."""
+    import irred.ratsolve as ratsolve
+    import irred.verdict as verdict
+    calls = []
+    bound = ratsolve.degree_bound
+
+    def counting(L, g=None):
+        calls.append(str(L))
+        return bound(L, g)
+
+    for module in (ratsolve, verdict):
+        monkeypatch.setattr(module, "degree_bound", counting)
+    return calls
+
+
+def test_check_p3_eliminates_each_shared_matrix_once(rref_calls,
+                                                     monkeypatch):
     """The C_inf and C_0 parts of the chain share the rows S of the
     invariant subspace, and both parts' N-coordinates and brackets share
     the 81x5 N basis: one elimination each.  The Krylov matrices of the
-    three scalarizations are triangular and need none; the other three
-    are the polynomial solves of the two systems and the scalar route."""
+    two scalarizations are triangular and need none; the last one is
+    the polynomial solve of the one scalar equation."""
     from fractions import Fraction
+    solves = _count_solves(monkeypatch)
     check_p3([Fraction(1, 2)])
-    assert rref_calls == [10, 81, 5, 5, 5]
+    assert rref_calls == [10, 81, 5]
+    assert len(solves) == 1
+
+
+def test_p3_identity_guard_rejects_a_perturbed_rhs(monkeypatch):
+    """check_p3 reads both records off one solve of Sym^4(L2) y = g only
+    after checking that the system scalarizes to Sym^4(L2) y = -g."""
+    from fractions import Fraction
+    import irred.verdict as verdict
+    from irred.linops import ScalarizeResult
+    scalarize = verdict.cyclic_vector_scalarize
+
+    def perturbed(A, b=None, **kw):
+        res = scalarize(A, b, **kw)
+        if A[0][0].params:
+            return res
+        return ScalarizeResult(res.op, -res.rhs, res.back_substitute)
+
+    monkeypatch.setattr(verdict, "cyclic_vector_scalarize", perturbed)
+    with pytest.raises(RuntimeError, match="does not scalarize"):
+        check_p3([Fraction(1, 2)])
 
 
 def test_p3_without_mu_gives_no_verdict(monkeypatch):
@@ -179,25 +234,31 @@ def test_certificate_recheck_detects_wrong_claim():
 
 
 def test_check_p2_solves_the_obstruction_system_once(monkeypatch):
+    import irred.ratsolve as ratsolve
     import irred.verdict as verdict
     calls = []
-    solve = verdict.system_rational_solutions
+    solve = ratsolve.system_rational_solutions
 
     def counting(A, b=None):
         calls.append(len(A))
         return solve(A, b)
 
-    monkeypatch.setattr(verdict, "system_rational_solutions", counting)
+    for module in (ratsolve, verdict):
+        monkeypatch.setattr(module, "system_rational_solutions", counting,
+                            raising=False)
+    solves = _count_solves(monkeypatch)
     cert = verdict.check_p2()
     assert cert.verdict == IRREDUCIBLE
     # the build lifts the family's one scalar solve to the system
-    assert calls == []
+    assert calls == [] and len(solves) == 1
     # both routes record the one system
     first, second = cert.find("rational_system")
     assert first == second and not first["solvable"]
-    # replay checks both hashes but solves the repeated record once
+    # replay checks both hashes, solves the repeated record once and
+    # lifts the scalar equation it shares with scalar_rational
+    solves.clear()
     assert replay(cert) == len(cert.evidence)
-    assert calls == [5]
+    assert calls == [] and len(solves) == 1
 
 
 def test_family_system_replay_splits_no_denominators(monkeypatch):
@@ -226,22 +287,13 @@ def test_family_bounds_each_solved_degree_once(monkeypatch):
     computed for L y = p (its denominator bound is 1), and the system
     route lifts that one solve, so a full family build bounds the degree
     once."""
-    import irred.ratsolve as ratsolve
-    import irred.verdict as verdict
-    calls = []
-    bound = ratsolve.degree_bound
-
-    def counting(L, g=None):
-        calls.append(str(L))
-        return bound(L, g)
-
-    for module in (ratsolve, verdict):
-        monkeypatch.setattr(module, "degree_bound", counting)
+    from irred.ratsolve import degree_bound
+    calls = _count_degree_bounds(monkeypatch)
     cert = criterion_airy_family(EquationFamily(4, "x^2"))
     assert len(calls) == 1
     rec, = cert.find("degree_argument")
-    assert rec["degree_bound"] == bound(parse_operator(rec["operator"]),
-                                        parse_ratfun(rec["rhs"]))
+    assert rec["degree_bound"] == degree_bound(
+        parse_operator(rec["operator"]), parse_ratfun(rec["rhs"]))
     assert replay(cert) == len(cert.evidence)
 
 
@@ -424,3 +476,108 @@ def test_replay_parses_each_distinct_string_once(p3_certificate_text,
     replay(p3_certificate_text)
     for name, log in seen.items():
         assert Counter(log) == Counter({k: 2 for k in first[name]})
+
+
+@pytest.mark.parametrize("name, equations", [
+    ("family", 1), ("family-solvable", 1), ("p2", 1), ("p3-two-mu", 2)])
+def test_replay_solves_each_distinct_equation_once(monkeypatch, name,
+                                                   equations):
+    """The degree_argument, scalar_rational and rational_system records
+    of one obstruction share one scalar solve; a full-path family replay
+    also bounds the degree once, inside that solve."""
+    from fractions import Fraction
+    from irred.verdict import check_p2
+    cert = {"family": lambda: criterion_airy_family(EquationFamily(8, "x")),
+            "family-solvable": lambda: criterion_airy_family(
+                EquationFamily(3, "64*x^2/3")),
+            "p2": check_p2,
+            "p3-two-mu": lambda: check_p3([Fraction(1, 2), Fraction(-7, 3)]),
+            }[name]()
+    solves = _count_solves(monkeypatch)
+    bounds = _count_degree_bounds(monkeypatch)
+    assert replay(cert.to_json()) == len(cert.evidence)
+    assert len(solves) == equations
+    if cert.find("degree_argument"):
+        assert len(bounds) == equations
+
+
+def _same_space(a, b):
+    return (a.particular == b.particular and a.basis == b.basis
+            and a.denominator == b.denominator and a.degree == b.degree)
+
+
+@pytest.mark.parametrize("op, rhs, var", [
+    ("Sym4", "t", "t"),
+    ("Sym4", "128*t^2", "t"),
+    ("D^2 + 2/t*D", "2/t^4 + 2", "t"),
+    ("P3", "P3", "x"),
+], ids=["unsolvable", "planted", "pole", "p3-half"])
+@pytest.mark.parametrize("c", [-1, 24])
+def test_solve_table_scales_an_earlier_space(monkeypatch, op, rhs, var, c):
+    """For L y = c g after L y = g the table scales the earlier space
+    and solves nothing; the result is what a fresh solve returns (c = -1
+    as in P3, c = (-1)^(n+1) (n+1)! = 24 as in the family at n = 3)."""
+    from fractions import Fraction
+    from irred.ratsolve import rational_solutions
+    from irred.verdict import _Parsed, _p3_g_display, _l2_operator
+    if op == "Sym4":
+        L = sym_power_operator(parse_operator("D^2 - t"), 4)
+    elif op == "P3":
+        L = sym_power_operator(_l2_operator(Fraction(1, 2)), 4)
+    else:
+        L = parse_operator(op, var)
+    g = (_p3_g_display(Fraction(1, 2)) if rhs == "P3"
+         else parse_ratfun(rhs, var))
+    fresh = rational_solutions(L, c * g)
+    if rhs != "t":
+        assert (fresh.particular is None) == (op == "P3")
+    parsed = _Parsed()
+    first = parsed.solve(L, g)
+    solves = _count_solves(monkeypatch)
+    got = parsed.solve(L, c * g)
+    assert solves == []
+    assert _same_space(got, fresh)
+    assert _same_space(parsed.solve(L, g), first)
+    # another right side, another operator, or the same coefficients in
+    # another variable are solved afresh
+    parsed.solve(L, g + 1)
+    parsed.solve(L + 1, g)
+    parsed.solve(parse_operator(str(L).replace(var, "s"), "s"),
+                 parse_ratfun(str(g).replace(var, "s"), "s"))
+    assert len(solves) == 3 and solves[-1][0] == str(L).replace(var, "s")
+
+
+def test_replay_keeps_no_solve_between_calls(monkeypatch):
+    cert = criterion_airy_family(EquationFamily(3, "2")).to_json()
+    solves = _count_solves(monkeypatch)
+    replay(cert)
+    replay(cert)
+    assert len(solves) == 2 and solves[0] == solves[1]
+
+
+@pytest.mark.parametrize("kind", ["rational_system", "scalar_rational"])
+def test_flipped_solvability_fails_beside_its_partner(kind):
+    """A re-hashed record of one obstruction with solvable flipped fails
+    replay also when its partner record, which shares the solve, is in
+    the same certificate."""
+    from irred.verdict import _record_hash
+    d = json.loads(criterion_airy_family(EquationFamily(8, "x")).to_json())
+    assert {"rational_system", "scalar_rational"} <= {
+        r["kind"] for r in d["evidence"]}
+    rec, = [r for r in d["evidence"] if r["kind"] == kind]
+    rec["solvable"] = not rec["solvable"]
+    rec["hash"] = _record_hash(rec)
+    with pytest.raises(CertificateError, match="solvability changed"):
+        replay(d)
+
+
+def test_rational_solutions_with_denominator_bound_one_composes_nothing(
+        monkeypatch):
+    """With denominator bound 1 the solver works on L itself: no
+    operator is built for the substitution y = z / D."""
+    import irred.ratsolve as ratsolve
+    L = sym_power_operator(parse_operator("D^2 - t"), 4)
+    t = RatFun.gen("t")
+    monkeypatch.setattr(ratsolve, "DiffOp", None)
+    space = ratsolve.rational_solutions(L, L.apply(t))
+    assert space.denominator == 1 and space.particular == t

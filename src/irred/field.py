@@ -1,10 +1,12 @@
 """Exact coefficient field Q(params): rational functions in named
-parameters over Q, at least one.  Q itself is plain Fraction, never a
-FieldElem; `scalar(c, params)` gives the constant c in either field.
+parameters over Q, at least one.  Q itself is a plain int or Fraction
+(canonical, see mpoly.py), never a FieldElem; `scalar(c, params)` gives
+the constant c in either field.
 
 Elements are reduced fractions of multivariate polynomials in the declared
-parameters, with Fraction coefficients.  Canonical form: gcd-reduced,
-denominator leading coefficient (degree-lexicographic order) equal to 1.
+parameters, with int or Fraction coefficients.  Canonical form:
+gcd-reduced, denominator leading coefficient (degree-lexicographic order)
+equal to 1.
 
 Sums and products of reduced operands are reduced by Henrici's rules
 (JACM 1956; Knuth, TAOCP vol. 2, 4.5.1), which take gcds only of factors
@@ -17,20 +19,20 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .mpoly import (_trim, dense_gcd, join_terms, mp_add, mp_mul, mp_neg,
-                    mp_scale, power)
+                    mp_scale, power, qdiv, qnorm)
 
 # ---------------------------------------------------------------------------
-# Q-specific parts of the sparse {exponent-tuple: Fraction} polynomials;
-# the ring-generic kernels live in mpoly.py
+# Q-specific parts of the sparse {exponent-tuple: int or Fraction}
+# polynomials; the ring-generic kernels live in mpoly.py
 
 
 def _deglex_key(exps):
     return (sum(exps), exps)
 
 
-def mp_const(c: Fraction, nvars: int):
-    c = Fraction(c)
-    if c == 0:
+def mp_const(c, nvars: int):
+    c = scalar(c)
+    if not c:
         return {}
     return {(0,) * nvars: c}
 
@@ -52,7 +54,7 @@ def mp_div_exact(f, g):
         q = tuple(a - b for a, b in zip(ef, eg))
         if any(x < 0 for x in q):
             raise ArithmeticError("inexact polynomial division")
-        c = cf / cg
+        c = qdiv(cf, cg)
         out[q] = c
         rem = mp_add(rem, mp_neg(mp_mul({q: c}, g)))
     return out
@@ -114,7 +116,7 @@ def mp_gcd(f, g, nvars: int):
     if not g:
         return dict(f)
     if nvars == 1:
-        f, g = [[h.get((d,), Fraction(0)) for d in range(max(h)[0] + 1)]
+        f, g = [[h.get((d,), 0) for d in range(max(h)[0] + 1)]
                 for h in (f, g)]
         return {(d,): c for d, c in enumerate(dense_gcd(f, g)) if c}
     fu = _mp_to_univar(f, nvars)
@@ -144,13 +146,13 @@ def mp_gcd(f, g, nvars: int):
         r = [mp_div_exact(p, cr) if p else {} for p in r]
         a, b = b, r
         if _uv_deg(b) == 0:
-            b = [mp_const(Fraction(1), nvars - 1)]
+            b = [mp_const(1, nvars - 1)]
             break
     gu = [mp_mul(p, cd) for p in b]
     res = _mp_from_univar(gu, nvars)
     # normalize sign/scale of leading term for determinism
     _, lc = mp_leading(res)
-    return mp_scale(res, 1 / lc)
+    return mp_scale(res, qdiv(1, lc))
 
 
 def _is_const(f):
@@ -172,22 +174,25 @@ def _cancel(f, g, nvars: int):
 
 
 def mp_eval(f, values):
-    """Substitute Fractions for all variables."""
-    total = Fraction(0)
+    """Substitute rationals for all variables."""
+    total = 0
     for e, c in f.items():
         term = c
         for v, k in zip(values, e):
             term *= v ** k
         total += term
-    return total
+    return qnorm(total)
 
 
 # ---------------------------------------------------------------------------
 
 def scalar(c, params=()):
-    """The rational constant c in Q(params): a Fraction over Q, a
-    FieldElem when there are parameters."""
-    return FieldElem.from_fraction(c, params) if params else Fraction(c)
+    """The rational constant c in Q(params): over Q an int when it is
+    integral and a Fraction otherwise, a FieldElem when there are
+    parameters."""
+    if params:
+        return FieldElem.from_fraction(c, params)
+    return c if c.__class__ is int else qnorm(Fraction(c))
 
 
 class FieldElem:
@@ -199,9 +204,10 @@ class FieldElem:
     def __init__(self, params, num, den=None, _normalized=False):
         self.params = tuple(params)
         if not self.params:
-            raise ValueError("Q is represented by Fraction, not FieldElem")
+            raise ValueError("Q is represented by int or Fraction, not "
+                             "FieldElem")
         if den is None:
-            den = mp_const(Fraction(1), len(self.params))
+            den = mp_const(1, len(self.params))
         if not den:
             raise ZeroDivisionError("zero denominator in coefficient field")
         if not _normalized:
@@ -212,12 +218,13 @@ class FieldElem:
     @staticmethod
     def _reduce(num, den, nv):
         if not num:
-            return {}, mp_const(Fraction(1), nv)
+            return {}, mp_const(1, nv)
         num, den, _ = _cancel(num, den, nv)
         _, lc = mp_leading(den)
         if lc != 1:
-            num = mp_scale(num, 1 / lc)
-            den = mp_scale(den, 1 / lc)
+            inv = qdiv(1, lc)
+            num = mp_scale(num, inv)
+            den = mp_scale(den, inv)
         return num, den
 
     # constructors ---------------------------------------------------------
@@ -234,7 +241,7 @@ class FieldElem:
         params = tuple(params)
         i = params.index(name)
         e = tuple(1 if j == i else 0 for j in range(len(params)))
-        return cls(params, {e: Fraction(1)})
+        return cls(params, {e: 1})
 
     def _lift(self, other):
         if isinstance(other, FieldElem):
@@ -307,8 +314,9 @@ class FieldElem:
         if not o:
             raise ZeroDivisionError("division by zero field element")
         _, lc = mp_leading(o.num)
-        inverse = FieldElem(self.params, mp_scale(o.den, 1 / lc),
-                            mp_scale(o.num, 1 / lc), _normalized=True)
+        inv = qdiv(1, lc)
+        inverse = FieldElem(self.params, mp_scale(o.den, inv),
+                            mp_scale(o.num, inv), _normalized=True)
         return self * inverse
 
     def __rtruediv__(self, other):
@@ -336,25 +344,25 @@ class FieldElem:
                      frozenset(self.den.items())))
 
     # queries --------------------------------------------------------------
-    def specialize(self, assignment: dict) -> Fraction:
-        """Substitute rationals for all parameters."""
+    def specialize(self, assignment: dict):
+        """Substitute rationals for all parameters; an int or a Fraction."""
         values = []
         for p in self.params:
             if p not in assignment:
                 raise ValueError("missing assignment for parameter %r" % p)
-            values.append(Fraction(assignment[p]))
+            values.append(scalar(assignment[p]))
         d = mp_eval(self.den, values)
         if d == 0:
             raise ZeroDivisionError(
                 "denominator %s vanishes under %s" % (_mp_str(self.den, self.params), assignment))
-        return mp_eval(self.num, values) / d
+        return qdiv(mp_eval(self.num, values), d)
 
     def __repr__(self):
         return "FieldElem(%s)" % self.__str__()
 
     def __str__(self):
         nv = len(self.params)
-        if self.den == mp_const(Fraction(1), nv):
+        if self.den == mp_const(1, nv):
             return _mp_str(self.num, self.params)
         return "(%s)/(%s)" % (_mp_str(self.num, self.params),
                               _mp_str(self.den, self.params))

@@ -8,8 +8,6 @@ exact RatFun arithmetic.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .field import FieldElem
 from .poly import RatFun
 
@@ -53,7 +51,7 @@ def max_size(sizes):
 
 def _coeff_size(c):
     """(0, degree in the parameters, bit length of the largest integer)
-    of a Fraction or FieldElem."""
+    of an int, a Fraction or a FieldElem."""
     if isinstance(c, FieldElem):
         terms = list(c.num.items()) + list(c.den.items())
         return (0, max(sum(e) for e, _ in terms),
@@ -162,7 +160,7 @@ class _Parser:
     def atom(self):
         kind, val = self.next()
         if kind == "int":
-            return RatFun.const(Fraction(val), self.var, self.params)
+            return RatFun.const(val, self.var, self.params)
         if kind == "name":
             if val in self.params:
                 return RatFun.const(

@@ -52,7 +52,7 @@ class _MPParser(_Parser):
     def atom(self):
         kind, val = self.next()
         if kind == "int":
-            return self._const(RatFun.const(Fraction(val), self.var, self.params))
+            return self._const(RatFun.const(val, self.var, self.params))
         if kind == "name":
             if val in self.deps:
                 return MPoly.gen(val, self.deps, self.cone, self.czero)

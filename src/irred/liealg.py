@@ -1,7 +1,7 @@
 """Lie algebra computations on constant matrices.
 
-Constant means: entries in the coefficient field (Fraction over Q,
-FieldElem over Q(params)), no dependence on the main variable.  The Lie
+Constant means: entries in the coefficient field (int or Fraction over
+Q, FieldElem over Q(params)), no dependence on the main variable.  The Lie
 algebra associated to a system matrix A(x) is generated by the constant
 matrices of its minimal decomposition A = sum a_i(x) M_i.
 """
@@ -14,6 +14,7 @@ from fractions import Fraction
 from .field import FieldElem
 from .linear import mat_bracket, mat_mul, mat_transpose, rref, solve_all
 from .linops import sym_power_matrix
+from .mpoly import qdiv, qnorm
 from .poly import Poly, RatFun, common_denominator
 
 
@@ -44,19 +45,21 @@ def _reduce(rows, v):
     for p, r in rows:
         c = v[p]
         if c:
-            v = [x - c * y if y else x for x, y in zip(v, r)]
+            v = [qnorm(x - c * y) if y else x for x, y in zip(v, r)]
     return v
 
 
 def _exact(x):
-    if isinstance(x, (Fraction, FieldElem)):
+    """x as an exact entry: a FieldElem, or a canonical int or Fraction;
+    a float, a bool or anything else raises ValueError."""
+    if isinstance(x, FieldElem):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
+    if x.__class__ is int or x.__class__ is Fraction:
+        return qnorm(x)
     raise ValueError("lie_closure needs exact entries, not %r" % (x,))
 
 
-def lie_closure(gens) -> LieAlgebraBasis:
+def lie_closure(gens, limit=None) -> LieAlgebraBasis:
     """Smallest bracket-closed linear span containing the generators.
 
     The flattened basis matrices are kept as a reduced echelon basis;
@@ -64,9 +67,12 @@ def lie_closure(gens) -> LieAlgebraBasis:
     unordered pair of basis matrices is bracketed once:
     [B_j, B_i] = -[B_i, B_j] and [B_i, B_i] = 0 give the rest.
 
-    Entries must be exact: int entries are taken as Fractions, so every
-    rank decision is exact, and any other entry that is not a Fraction
-    or a FieldElem (a float, say) raises ValueError.
+    Entries must be exact: an int or a Fraction over Q (an integral
+    Fraction is taken as its int), or a FieldElem, so every rank
+    decision is exact; any other entry (a float or a bool, say) raises
+    ValueError.  With a limit, ValueError is raised as soon as the span
+    passes that dimension, so no more than limit basis matrices are ever
+    bracketed.
     """
     gens = [[[_exact(x) for x in row] for row in G] for G in gens]
     if not gens:
@@ -81,8 +87,10 @@ def lie_closure(gens) -> LieAlgebraBasis:
         p = next((k for k, x in enumerate(v) if x), None)
         if p is None:
             return
+        if limit is not None and len(basis) == limit:
+            raise ValueError("the Lie closure passes dimension %d" % limit)
         inv = v[p]
-        v = [x / inv if x else x for x in v]
+        v = [qdiv(x, inv) if x else x for x in v]
         rows[:] = [(q, _reduce([(p, v)], r)) for q, r in rows]
         rows.append((p, v))
         basis.append(M)
@@ -103,12 +111,12 @@ def _monomial(x):
     """(e, c) with x = c * mu^e for rational e and c, mu the one
     parameter; None when x is not such a monomial."""
     if not isinstance(x, FieldElem):
-        return 0, Fraction(x)
+        return 0, _exact(x)
     if len(x.params) != 1 or len(x.num) != 1 or len(x.den) != 1:
         return None
     ((en,), cn), = x.num.items()
     ((ed,), cd), = x.den.items()
-    return en - ed, cn / cd
+    return en - ed, qdiv(cn, cd)
 
 
 def _graded_image(gens):
@@ -142,7 +150,7 @@ def _graded_image(gens):
         # one at a time into a reduced echelon basis as in lie_closure
         rows = []
         for k, i, j, e, _ in entries:
-            v = [Fraction(0)] * (m + 1)
+            v = [0] * (m + 1)
             v[j] += 1
             v[i] -= 1
             v[n + k] += 1
@@ -153,31 +161,31 @@ def _graded_image(gens):
                 return None  # 0 = nonzero: not graded
             if p is not None:
                 inv = v[p]
-                v = [x / inv for x in v]
+                v = [qdiv(x, inv) for x in v]
                 rows[:] = [(q, _reduce([(p, v)], r)) for q, r in rows]
                 rows.append((p, v))
         for p, v in rows:  # free unknowns are 0
             w[p] = v[m]
         if any(w[j] - w[i] + w[n + k] != e for k, i, j, e, _ in entries):
             raise RuntimeError("grading does not solve its system")
-    zero = Fraction(0)
-    out = [[[zero] * n for _ in range(n)] for _ in gens]
+    out = [[[0] * n for _ in range(n)] for _ in gens]
     for k, i, j, _, c in entries:
         out[k][i][j] = c
     for M in out:
         lcm = math.lcm(*(c.denominator for row in M for c in row))
         if lcm > 1:
             for row in M:
-                row[:] = [c * lcm for c in row]
+                row[:] = [c.numerator * (lcm // c.denominator) for c in row]
     return out
 
 
-def lie_dimension(gens) -> int:
-    """lie_closure(gens).dimension, computed over Q when the generators
-    are graded by their one parameter (see _graded_image) or have
-    rational entries; any other generators go to lie_closure as given."""
+def lie_dimension(gens, limit=None) -> int:
+    """lie_closure(gens, limit).dimension, computed over Q when the
+    generators are graded by their one parameter (see _graded_image) or
+    have rational entries; any other generators go to lie_closure as
+    given.  A grading changes no dimension, so the limit applies as is."""
     graded = _graded_image(gens) if gens else None
-    return lie_closure(gens if graded is None else graded).dimension
+    return lie_closure(gens if graded is None else graded, limit).dimension
 
 
 def associated_lie_algebra(A):
@@ -265,7 +273,7 @@ def classify_lnve_lie_algebra(basis: LieAlgebraBasis, n: int) -> str:
 
 def block_xyh(n):
     """The sl2 triplet X, Y, H acting on Sym^n + standard blocks."""
-    zero = Fraction(0)
+    zero = 0
     m = n + 3
 
     def embed(top, bot):
@@ -278,7 +286,7 @@ def block_xyh(n):
                 M[n + 1 + i][n + 1 + j] = bot[i][j]
         return M
 
-    one = Fraction(1)
+    one = 1
     up = [[zero, one], [zero, zero]]
     lo = [[zero, zero], [one, zero]]
     X = embed(sym_power_matrix(up, n), up)
@@ -294,14 +302,13 @@ def block_e_matrices(n):
     [H,E_i]=(2i-n-1)E_i with the block_xyh triplet: the nonzero entries
     are +-1 with alternating signs.
     """
-    zero = Fraction(0)
     m = n + 3
     out = []
     for i in range(n + 2):
-        M = [[zero] * m for _ in range(m)]
+        M = [[0] * m for _ in range(m)]
         if i >= 1:
-            M[n + 1][i - 1] = Fraction((-1) ** (i + 1))
+            M[n + 1][i - 1] = (-1) ** (i + 1)
         if i <= n:
-            M[n + 2][i] = Fraction((-1) ** i)
+            M[n + 2][i] = (-1) ** i
         out.append(M)
     return out

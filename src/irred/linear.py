@@ -1,6 +1,7 @@
 """Exact linear algebra over any field whose elements support the usual
 Python arithmetic (+, -, *, /) and truthiness for zero-testing.  Used with
-Fraction, FieldElem and RatFun coefficients alike.
+int or Fraction (Q, kept canonical by mpoly.qnorm and mpoly.qdiv),
+FieldElem and RatFun coefficients alike.
 
 Matrices are lists of lists.  Every routine needs a zero and one of the
 field, supplied either explicitly or scraped from the matrix entries.
@@ -8,13 +9,15 @@ field, supplied either explicitly or scraped from the matrix entries.
 
 from __future__ import annotations
 
+from .mpoly import qdiv, qnorm
+
 
 def mat_shape(m):
     return len(m), len(m[0]) if m else 0
 
 
 def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[qnorm(x - y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_mul(a, b):
@@ -43,7 +46,7 @@ def mat_mul(a, b):
                 z = a[0][0] * b[0][0]
                 zero = z - z
             row = [zero if s is None else s for s in row]
-        out.append(row)
+        out.append([qnorm(s) for s in row])
     return out
 
 
@@ -83,11 +86,11 @@ def rref(m, limit=None):
             continue
         a[r], a[p] = a[p], a[r]
         inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
+        a[r] = [qdiv(x, inv) for x in a[r]]
         for i in range(rows):
             if i != r and a[i][c]:
                 f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                a[i] = [qnorm(x - f * y) for x, y in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
         if r == rows:

@@ -15,7 +15,7 @@ from .field import FieldElem
 from .grammar import (ParseError, _Parser, max_size, ratfun_size,
                       tokenize)
 from .linear import inverse, mat_mul, mat_shape
-from .mpoly import dense_add, dense_mul, power, print_sum
+from .mpoly import dense_add, dense_mul, power, print_sum, qnorm
 from .poly import Poly, RatFun, ratfun
 
 
@@ -32,14 +32,14 @@ def sym_power_matrix(A, m: int):
     if mat_shape(A) != (2, 2):
         raise ValueError("sym_power_matrix expects a 2x2 matrix")
     (a, b), (c, d) = A
-    zero = a - a
+    zero = qnorm(a - a)
     M = [[zero] * (m + 1) for _ in range(m + 1)]
     for k in range(m + 1):
-        M[k][k] = (m - k) * a + k * d
+        M[k][k] = qnorm((m - k) * a + k * d)
         if k + 1 <= m:
-            M[k][k + 1] = (k + 1) * b
+            M[k][k + 1] = qnorm((k + 1) * b)
         if k - 1 >= 0:
-            M[k][k - 1] = (m - k + 1) * c
+            M[k][k - 1] = qnorm((m - k + 1) * c)
     return M
 
 
@@ -52,7 +52,7 @@ def sym_power_rep(Q, m: int):
     if mat_shape(Q) != (2, 2):
         raise ValueError("sym_power_rep expects a 2x2 matrix")
     (a, b), (c, d) = Q
-    zero = a - a
+    zero = qnorm(a - a)
     S = [[zero] * (m + 1) for _ in range(m + 1)]
     for k in range(m + 1):
         # expand C(m,k) (a u + b v)^(m-k) (c u + d v)^k in powers of u
@@ -60,7 +60,8 @@ def sym_power_rep(Q, m: int):
               for i in range(m - k + 1)]
         p2 = [math.comb(k, l) * c ** l * d ** (k - l) for l in range(k + 1)]
         for i, x in enumerate(dense_mul(p1, p2)):
-            S[k][m - i] = math.comb(m, k) * x * Fraction(1, math.comb(m, i))
+            S[k][m - i] = qnorm(math.comb(m, k) * x
+                                * Fraction(1, math.comb(m, i)))
     return S
 
 

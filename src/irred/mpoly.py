@@ -1,19 +1,47 @@
 """Polynomial kernels over an arbitrary coefficient ring.
 
+A scalar of Q is canonical: an int when it is integral, a Fraction
+otherwise, never a float.  Every kernel keeps Q coefficients canonical:
+`qnorm` turns an integral Fraction result into its int, and `qdiv` is the
+one division of Q scalars (an int / int that does not divide exactly
+gives a Fraction, not a float).  Both pass any other coefficient through.
+
 The sparse kernels (mp_*) work on {exponent tuple: coeff} dicts whose
 coefficients are never zero; they only need +, -, * and truthiness of
-the coefficients.  The parameter field (field.py) runs them over
+the coefficients.  The parameter field (field.py) runs them over int or
 Fraction coefficients, and MPoly over rational functions of the
 independent variable for jet-space right-hand sides.
 
 The dense kernels (dense_*) work on ascending coefficient lists in one
 variable and return them trimmed.  Division and gcd need a coefficient
 field (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 3).  Poly
-and DiffOp run them over Fraction, FieldElem and RatFun, the
-one-parameter gcd of field.py over Fraction.
+and DiffOp run them over int or Fraction, FieldElem and RatFun, the
+one-parameter gcd of field.py over int or Fraction.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+
+
+def qnorm(c):
+    """c, with an integral Fraction replaced by its int."""
+    if c.__class__ is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def qdiv(a, b):
+    """a / b, canonical over Q: an int when a and b are ints and b
+    divides a, a Fraction for any other int / int, and a / b otherwise
+    (an integral Fraction quotient as its int)."""
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    c = a / b
+    if c.__class__ is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
 
 
 def mp_add(f, g):
@@ -25,7 +53,7 @@ def mp_add(f, g):
         else:
             s = s + c
             if s:
-                out[e] = s
+                out[e] = qnorm(s)
             else:
                 del out[e]
     return out
@@ -49,13 +77,13 @@ def mp_mul(f, g):
                     out[e] = s
                 else:
                     del out[e]
-    return out
+    return {e: qnorm(c) for e, c in out.items()}
 
 
 def mp_scale(f, c):
     if not c:
         return {}
-    return {e: k * c for e, k in f.items()}
+    return {e: qnorm(k * c) for e, k in f.items()}
 
 
 def _trim(a):
@@ -70,7 +98,7 @@ def dense_add(a, b):
         a, b = b, a
     out = list(a)
     for i, c in enumerate(b):
-        out[i] = out[i] + c
+        out[i] = qnorm(out[i] + c)
     return _trim(out)
 
 
@@ -94,7 +122,7 @@ def dense_mul(a, b):
         z = a[0] * b[0]
         z = z - z
         out = [z if s is None else s for s in out]
-    return _trim(out)
+    return _trim([qnorm(s) for s in out])
 
 
 def dense_divmod(a, b):
@@ -109,12 +137,12 @@ def dense_divmod(a, b):
     lb = b[-1]
     q = [None] * (len(r) - db)
     for k in range(len(q) - 1, -1, -1):
-        c = q[k] = r[k + db] / lb
+        c = q[k] = qdiv(r[k + db], lb)
         if c:
             # slot k + db cancels exactly; it is cut off below
             for j in range(db):
                 if b[j]:
-                    r[k + j] = r[k + j] - c * b[j]
+                    r[k + j] = qnorm(r[k + j] - c * b[j])
     del r[db:]
     return q, _trim(r)
 
@@ -133,14 +161,14 @@ def dense_gcd(a, b):
                 j = 0
                 while j < len(m) - 1 and not other[j]:
                     j += 1
-                one = m[-1] / m[-1]
+                one = qdiv(m[-1], m[-1])
                 return [one - one] * j + [one]
     while b:
         a, b = b, dense_divmod(a, b)[1]
     if not a:
         return a
     lc = a[-1]
-    return [c / lc for c in a]
+    return [qdiv(c, lc) for c in a]
 
 
 def power(x, k: int, one):

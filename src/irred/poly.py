@@ -1,6 +1,7 @@
-"""Univariate polynomials and reduced rational functions, with Fraction
-coefficients over Q and FieldElem ones over Q(params).  The main variable
-(t, x, ...) is carried for printing; arithmetic requires matching variables.
+"""Univariate polynomials and reduced rational functions, with int or
+Fraction coefficients over Q (an int exactly when the coefficient is
+integral) and FieldElem ones over Q(params).  The main variable (t, x,
+...) is carried for printing; arithmetic requires matching variables.
 
 `RatFun` sums and products of reduced operands are reduced by Henrici's
 rules (JACM 1956; Knuth, TAOCP vol. 2, 4.5.1), which take gcds only of
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 from .field import FieldElem, scalar
 from .mpoly import (dense_add, dense_divmod, dense_gcd, dense_mul, power,
-                    print_sum)
+                    print_sum, qdiv, qnorm)
 
 
 class Poly:
@@ -29,7 +30,8 @@ class Poly:
         cs = []
         for c in coeffs:
             if isinstance(c, (int, Fraction)):
-                c = scalar(c, params)
+                if params or c.__class__ is not int:
+                    c = scalar(c, params)
             elif not (isinstance(c, FieldElem) and c.params == params):
                 raise ValueError("coefficient %r in another context" % (c,))
             cs.append(c)
@@ -135,11 +137,11 @@ class Poly:
         if self.is_zero():
             return self
         lc = self.leading()
-        return Poly._trusted([c / lc for c in self.coeffs], self.var,
+        return Poly._trusted([qdiv(c, lc) for c in self.coeffs], self.var,
                              self.params)
 
     def derivative(self):
-        return Poly._trusted([self.coeffs[i] * i
+        return Poly._trusted([qnorm(self.coeffs[i] * i)
                               for i in range(1, len(self.coeffs))],
                              self.var, self.params)
 
@@ -153,7 +155,7 @@ class Poly:
         acc = scalar(0, self.params)
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
+        return qnorm(acc)
 
     def shift(self, a) -> "Poly":
         """Compose with var + a (Taylor shift)."""
@@ -207,7 +209,7 @@ class Poly:
         a = _integer_coeffs(self)
         n = len(a) - 1
         g = [c * a[-1] ** (n - 1 - i) for i, c in enumerate(a[:-1])] + [1]
-        for r in sorted(Fraction(y, a[-1]) for y in _integer_roots(g)):
+        for r in sorted(qdiv(y, a[-1]) for y in _integer_roots(g)):
             roots.append(r)
             f = f // Poly([-r, 1], self.var)
         return roots, f
@@ -259,7 +261,7 @@ def _integer_roots(g):
     intervals leaves one integer to test in each interval with a root;
     its multiplicity is the number of derivatives vanishing there.
     """
-    chain = [[Fraction(c) for c in g]]
+    chain = [list(g)]
     chain.append([i * c for i, c in enumerate(chain[0]) if i])
     while True:
         r = dense_divmod(chain[-2], chain[-1])[1]
@@ -329,7 +331,7 @@ class RatFun:
                 num, den, _ = _cancel(num, den)
                 lc = den.leading()
                 if not (lc == 1):
-                    num = Poly._trusted([c / lc for c in num.coeffs],
+                    num = Poly._trusted([qdiv(c, lc) for c in num.coeffs],
                                         num.var, num.params)
                     den = den.monic()
         self.num = num
@@ -426,7 +428,7 @@ class RatFun:
         if o.num.is_zero():
             raise ZeroDivisionError("division by zero rational function")
         lc = o.num.leading()
-        inverse = RatFun(Poly._trusted([c / lc for c in o.den.coeffs],
+        inverse = RatFun(Poly._trusted([qdiv(c, lc) for c in o.den.coeffs],
                                        self.var, self.params),
                          o.num.monic(), _normalized=True)
         return self * inverse
@@ -480,7 +482,7 @@ class RatFun:
         d = self.den.evaluate(x)
         if not d:
             raise ZeroDivisionError("pole at evaluation point")
-        return self.num.evaluate(x) / d
+        return qdiv(self.num.evaluate(x), d)
 
     def specialize(self, assignment: dict) -> "RatFun":
         """Exact parameter substitution; errors when a denominator dies."""

@@ -12,17 +12,17 @@ specialized first (integer-root extraction is only decidable over Q).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
+from .field import scalar
 from .linear import mat_mul, mat_shape, solve_all
 from .linops import DiffOp, cyclic_vector_scalarize
+from .mpoly import qdiv
 from .poly import Poly, RatFun, common_denominator, ratfun
 
 
 class IndicialData:
     """Local exponent data of an operator at one singular point.
 
-    point is a Fraction (finite rational singularity), a monic Poly of
+    point is a rational (finite singularity), a monic Poly of
     degree > 1 (cluster of conjugate singularities, kept unsplit), or
     the string "inf".  poly is the exponent polynomial in the variable
     "e"; for a degree > 1 point it is the Q-polynomial whose integer
@@ -73,7 +73,7 @@ def _falling(i):
     p = Poly.const(1, "e")
     e = Poly.gen("e")
     for k in range(i):
-        p = p * (e - Fraction(k))
+        p = p * (e - k)
     return p
 
 
@@ -146,7 +146,7 @@ def _indicial_finite(qs, f: Poly) -> IndicialData:
         data.append((i, v, cof))
     m = min(v - i for i, v, _ in data)
     if f.degree() == 1:
-        a = -f.coeff(0) / f.coeff(1)
+        a = qdiv(-f.coeff(0), f.coeff(1))
         ind = Poly.zero("e")
         for i, v, cof in data:
             if v - i == m:
@@ -194,7 +194,7 @@ def indicial_polynomial(L: DiffOp, point) -> IndicialData:
         return _indicial_infinity(qs)
     if isinstance(point, Poly):
         return _indicial_finite(qs, point.monic())
-    a = Fraction(point)
+    a = scalar(point)
     f = Poly([-a, 1], L.var)
     return _indicial_finite(qs, f)
 
@@ -287,7 +287,7 @@ def _polynomial_solutions(L: DiffOp, rhs, bound):
               [rp.degree() if not rp.is_zero() else 0, 0])
     m = [[c.coeff(r) for c in cols] for r in range(deg + 1)]
     b = [rp.coeff(r) for r in range(deg + 1)]
-    (sol,), kernel = solve_all(m, [b], Fraction(1))
+    (sol,), kernel = solve_all(m, [b], 1)
     part = None if sol is None else RatFun(Poly(sol, var))
     # a kernel vector has a 1 at its free column, so it is never zero
     basis = [RatFun(Poly(v, var)) for v in kernel]

@@ -11,9 +11,9 @@ never a wrong verdict.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
+from .field import scalar
 from .linops import DiffOp
+from .mpoly import qdiv
 from .poly import Poly, RatFun
 from .ratsolve import (_polynomial_solutions, coprime_basis, degree_bound,
                        _poly_valuation)
@@ -32,15 +32,15 @@ class ExpWitness:
     """Exponential solution e^(lam x) prod (x-s)^rho_s P(x)."""
 
     def __init__(self, lam, rho, poly):
-        self.lam = Fraction(lam)
-        self.rho = dict(rho)  # point -> Fraction exponent
+        self.lam = scalar(lam)
+        self.rho = dict(rho)  # point -> rational exponent
         self.poly = poly
 
     def log_derivative(self, var):
         """y'/y as a RatFun."""
         w = RatFun.const(self.lam, var)
         for s, r in self.rho.items():
-            lin = RatFun(Poly([-Fraction(s), Fraction(1)], var))
+            lin = RatFun(Poly([-s, 1], var))
             w = w + RatFun.const(r, var) / lin
         if not self.poly.is_zero() and self.poly.degree() > 0:
             w = w + RatFun(self.poly.derivative()) / RatFun(self.poly)
@@ -78,38 +78,38 @@ def _rat_degree(f: RatFun):
     return f.num.degree() - f.den.degree()
 
 
-def _value_at_infinity(f: RatFun) -> Fraction:
+def _value_at_infinity(f: RatFun):
     d = _rat_degree(f)
     if d is None or d < 0:
-        return Fraction(0)
+        return 0
     if d > 0:
         raise ValueError("no finite value at infinity")
-    return f.num.leading() / f.den.leading()
+    return qdiv(f.num.leading(), f.den.leading())
 
 
-def _pole_order(f: RatFun, s: Fraction) -> int:
+def _pole_order(f: RatFun, s) -> int:
     if not f:
         return 0
-    lin = Poly([-s, Fraction(1)], f.var)
+    lin = Poly([-s, 1], f.var)
     vn = _poly_valuation(f.num, lin)[0]
     vd = _poly_valuation(f.den, lin)[0]
     return max(0, vd - vn)
 
 
-def _limit_scaled(f: RatFun, s: Fraction, k: int) -> Fraction:
+def _limit_scaled(f: RatFun, s, k: int):
     """Value of (x-s)^k f at x=s (pole order of f at most k)."""
-    lin = RatFun(Poly([-s, Fraction(1)], f.var))
+    lin = RatFun(Poly([-s, 1], f.var))
     g = f * lin ** k
     return g.evaluate(s)
 
 
-def _rational_pair_roots(a1: Fraction, a0: Fraction):
+def _rational_pair_roots(a1, a0):
     """Rational roots of e^2 + a1 e + a0; None when irrational.
 
     The two roots sum to a rational, so they are rational together or
     not at all.
     """
-    p = Poly([a0, a1, Fraction(1)], "e")
+    p = Poly([a0, a1, 1], "e")
     roots, rem = p.rational_roots()
     if rem.degree() and rem.degree() > 0:
         return None
@@ -131,7 +131,7 @@ def _finite_singularities(a: RatFun, b: RatFun, var):
             raise UnsupportedOperator(
                 "undetermined (unsupported singularity structure): "
                 "irrational singular points")
-        s = -f.coeff(0) / f.coeff(1)
+        s = qdiv(-f.coeff(0), f.coeff(1))
         if _pole_order(a, s) > 1 or _pole_order(b, s) > 2:
             raise UnsupportedOperator(
                 "undetermined (unsupported singularity structure): "
@@ -198,7 +198,7 @@ def exponential_solutions_restricted(L: DiffOp):
                 else [()]:
             w = RatFun.const(lam, var)
             for s, r in zip(points, combo):
-                lin = RatFun(Poly([-s, Fraction(1)], var))
+                lin = RatFun(Poly([-s, 1], var))
                 w = w + RatFun.const(r, var) / lin
             M = _conjugated_operator(a, b, w, var)
             bound = degree_bound(M, None)
@@ -222,7 +222,7 @@ def _verify_witness(L: DiffOp, wit: ExpWitness):
         raise RuntimeError("exponential witness fails re-substitution")
 
 
-def _taylor_coeffs(f: RatFun, s: Fraction, n: int):
+def _taylor_coeffs(f: RatFun, s, n: int):
     """Taylor coefficients of f at s up to order n (f regular at s)."""
     num = f.num.shift(s)
     den = f.den.shift(s)
@@ -233,7 +233,7 @@ def _taylor_coeffs(f: RatFun, s: Fraction, n: int):
         acc = num.coeff(k)
         for j in range(k):
             acc = acc - den.coeff(k - j) * out[j]
-        out.append(acc / den.coeff(0))
+        out.append(qdiv(acc, den.coeff(0)))
     return out
 
 
@@ -244,13 +244,13 @@ def has_log_at(L: DiffOp, point) -> bool:
     ordinary point, error on an irregular one.
     """
     a, b = _monic_ab(L)
-    s = Fraction(point)
+    s = scalar(point)
     if _pole_order(a, s) > 1 or _pole_order(b, s) > 2:
         raise ValueError("not regular singular")
     if _pole_order(a, s) == 0 and _pole_order(b, s) == 0:
         return False
     var = L.var
-    lin = RatFun(Poly([-s, Fraction(1)], var))
+    lin = RatFun(Poly([-s, 1], var))
     p = a * lin          # x a(x), regular at s
     q = b * lin * lin    # x^2 b(x), regular at s
     p0 = _limit_scaled(a, s, 1)
@@ -271,13 +271,13 @@ def has_log_at(L: DiffOp, point) -> bool:
     def f(e):
         return e * (e - 1) + pc[0] * e + qc[0]
 
-    c = [Fraction(1)]
+    c = [1]
     for k in range(1, m + 1):
-        rhs = Fraction(0)
+        rhs = 0
         for j in range(k):
             rhs -= (pc[k - j] * (r2 + j) + qc[k - j]) * c[j]
         if k < m:
-            c.append(rhs / f(r2 + k))
+            c.append(qdiv(rhs, f(r2 + k)))
         else:
             return rhs != 0
     raise AssertionError("unreachable")

@@ -19,7 +19,7 @@ import json
 import math
 from fractions import Fraction
 
-from .field import FieldElem
+from .field import FieldElem, scalar
 from .grammar import parse_ratfun
 from .jets import (EquationFamily, _from_parts, build_lnve_airy_family,
                    build_p3_chain)
@@ -40,6 +40,13 @@ IRREDUCIBLE = "IRREDUCIBLE"
 INCONCLUSIVE = "INCONCLUSIVE"
 OBSTRUCTION_SOLVABLE = \
     "OBSTRUCTION-SOLVABLE (reduction exists; theorem hypotheses fail)"
+
+# Replay bounds on a lie_dimension record.  Honest records have 6x6 (p2)
+# or 9x9 (p3) generators and claim dimension 8.  A larger matrix, or a
+# closure let run past its claim, can keep replay busy for minutes on a
+# file of a few kB, so replay refuses the first and stops the second.
+MAX_LIE_GENERATOR_SIZE = 9   # the 9x9 order-3 constants of check_p3
+MAX_LIE_DIMENSION = 16       # twice the dimension 8 of every honest record
 
 
 class CertificateError(RuntimeError):
@@ -201,11 +208,23 @@ def _replay_record(rec, parsed):
                                    % (v.tag, rec["tag"]))
         return
     if kind == "lie_dimension":
+        claimed = rec["dimension"]
+        if type(claimed) is not int or not 0 <= claimed <= MAX_LIE_DIMENSION:
+            raise CertificateError("claimed lie dimension %r is not an "
+                                   "integer from 0 to %d"
+                                   % (claimed, MAX_LIE_DIMENSION))
+        for g in rec["generators"]:
+            if not (0 < len(g) <= MAX_LIE_GENERATOR_SIZE
+                    and all(len(row) == len(g) for row in g)):
+                raise CertificateError("generators must be square, at "
+                                       "most %d x %d"
+                                       % ((MAX_LIE_GENERATOR_SIZE,) * 2))
         gens = [parsed.const_mat(g, var, params) for g in rec["generators"]]
-        dim = lie_dimension(gens)
-        if dim != rec["dimension"]:
+        # the closure stops as soon as its span passes the claim
+        dim = lie_dimension(gens, claimed)
+        if dim != claimed:
             raise CertificateError("lie dimension changed: %d vs %d"
-                                   % (dim, rec["dimension"]))
+                                   % (dim, claimed))
         return
     if kind == "trace_zero":
         M = parsed.mat(rec["matrix"], var, params)
@@ -596,7 +615,7 @@ def check_p3(mus=(Fraction(1, 2),)) -> Certificate:
     the one scalar solve, of Sym^4(L2) y = g, is recorded as
     scalar_rational and its lift to the system as rational_system.
     """
-    mus = [Fraction(m) for m in mus]
+    mus = [scalar(m) for m in mus]
     if not mus:
         raise ValueError("check_p3 needs at least one mu: the verdict rests "
                          "on the obstruction at each of them")
@@ -735,4 +754,4 @@ def check_p3(mus=(Fraction(1, 2),)) -> Certificate:
 
 
 def _l2_operator(m):
-    return parse_operator("D^2 - 4 - %s/x" % (4 * Fraction(m)), "x")
+    return parse_operator("D^2 - 4 - %s/x" % (4 * scalar(m)), "x")

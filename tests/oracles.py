@@ -4,13 +4,15 @@ None of these is on a path that builds or replays a certificate: each
 is a second, plainer way to get a result the package computes otherwise.
 """
 
+from fractions import Fraction
+
 from irred.field import scalar
 from irred.jets import (EquationFamily, VectorFieldSpec, linearize,
                         normal_restrict, prolong, restrict_along_curve)
 from irred.liealg import block_e_matrices
 from irred.linear import inverse, mat_bracket, mat_mul, mat_sub
 from irred.linops import DiffOp
-from irred.mpoly import _trim, dense_divmod
+from irred.mpoly import _trim, dense_divmod, qdiv
 from irred.poly import Poly, RatFun
 
 
@@ -99,7 +101,22 @@ def euclid_gcd(a, b):
     a, b = _trim(list(a)), _trim(list(b))
     while b:
         a, b = b, dense_divmod(a, b)[1]
-    return [c / a[-1] for c in a] if a else a
+    return [qdiv(c, a[-1]) for c in a] if a else a
+
+
+def canonical_q(x):
+    """Whether x is a canonical scalar of Q: an int, or a Fraction that
+    is not integral (never a float or a bool)."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def same_field(x, like):
+    """Whether x is in the coefficient field of like: a canonical scalar
+    when like is an int or a Fraction, an object of like's type
+    otherwise."""
+    if type(like) in (int, Fraction):
+        return canonical_q(x)
+    return type(x) is type(like)
 
 
 def p3_field():

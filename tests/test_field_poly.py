@@ -12,7 +12,7 @@ from irred.mpoly import (dense_add, dense_divmod, dense_gcd, dense_mul, mp_add,
                          mp_mul, mp_neg, mp_scale, power)
 from irred.grammar import ParseError, parse_ratfun
 from irred.poly import Poly, RatFun, ratfun
-from oracles import euclid_gcd
+from oracles import canonical_q, euclid_gcd, same_field
 
 
 def test_field_elem_arithmetic():
@@ -27,12 +27,20 @@ def test_field_elem_specialize():
     mu = FieldElem.parameter("mu", ("mu",))
     v = (mu ** 2 + 1) / (mu - 2)
     got = v.specialize({"mu": Fraction(3)})
-    assert type(got) is Fraction and got == Fraction(10)
+    assert type(got) is int and got == 10
+    got = v.specialize({"mu": 3})
+    assert type(got) is int and got == 10
+    got = v.specialize({"mu": Fraction(1, 2)})
+    assert type(got) is Fraction and got == Fraction(-5, 6)
 
 
 def test_qq_roundtrip():
+    """A scalar of Q is an int when integral and a Fraction otherwise."""
+    assert type(scalar(Fraction(3, 4))) is Fraction
     assert scalar(Fraction(3, 4)) == Fraction(3, 4)
-    assert type(scalar(0)) is Fraction and not scalar(0)
+    assert type(scalar(0)) is int and not scalar(0)
+    assert type(scalar(Fraction(6, 3))) is int and scalar(Fraction(6, 3)) == 2
+    assert type(scalar(True)) is int and scalar(True) == 1
     assert isinstance(scalar(2, ("mu",)), FieldElem)
 
 
@@ -44,24 +52,36 @@ def test_field_elem_over_q_raises():
 
 
 def test_q_coefficients_are_fractions():
-    """Over Q every Poly and RatFun result has Fraction coefficients:
-    ints are converted on construction, and no int / int gives a float."""
-    def fractions(p):
-        return all(type(c) is Fraction for c in p.coeffs)
+    """Over Q every Poly and RatFun coefficient is an int when integral
+    and a Fraction otherwise: an integral Fraction is taken as its int on
+    construction, and no int / int gives a float."""
+    def canonical(p):
+        return all(canonical_q(c) for c in p.coeffs)
+
+    def types(p):
+        return [type(c) for c in p.coeffs]
 
     a = Poly([1, 2, 3], "x")
     b = Poly([Fraction(1, 2), -1], "x")
     q, r = a.divmod(b)
     for p in (a, b, a + b, a - b, a * b, q, r, a.gcd(b), (a * b).gcd(a),
               a.monic(), a.derivative(), 2 - a, a * 3, Poly.gen("x")):
-        assert fractions(p), p
+        assert canonical(p), p
+    assert types(a) == [int] * 3 and types(b) == [Fraction, int]
+    assert types(Poly([Fraction(4, 2), Fraction(1, 3)], "x")) == [int, Fraction]
+    assert types(a.monic()) == [Fraction, Fraction, int]
+    assert types(b * 2) == [int, int] and types(b.monic()) == [Fraction, int]
+    assert types(q) == [Fraction, int] and types(r) == [Fraction]
     mu = FieldElem.parameter("mu", ("mu",))
     v = mu / 3 + 1
     assert type(v.specialize({"mu": 2})) is Fraction
-    assert fractions(Poly([mu, 1, v], "x", ("mu",)).specialize({"mu": 2}))
+    assert type(v.specialize({"mu": 3})) is int
+    assert types(Poly([mu, 1, v], "x", ("mu",)).specialize({"mu": 3})) \
+        == [int] * 3
     f, g = RatFun(a, b), RatFun(b, a * a)
     for h in (f + g, f - g, f * g, f / g, f / 3, 1 / f, f + 1):
-        assert fractions(h.num) and fractions(h.den), h
+        assert canonical(h.num) and canonical(h.den), h
+    assert types(RatFun(a, Poly([2, 2], "x")).den) == [int, int]
     with pytest.raises(ValueError):
         Poly([1.5], "x")
     with pytest.raises(ValueError):
@@ -255,7 +275,11 @@ def test_parameter_ratfun_subtraction_is_fast():
 def test_ratfun_coercion():
     f = ratfun(3, "t")
     assert f.is_constant()
-    assert type(f.constant_value()) is Fraction and f.constant_value() == 3
+    assert type(f.constant_value()) is int and f.constant_value() == 3
+    f = ratfun(Fraction(6, 4), "t")
+    assert type(f.constant_value()) is Fraction
+    assert f.constant_value() == Fraction(3, 2)
+    assert type(ratfun(Fraction(6, 3), "t").constant_value()) is int
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +369,7 @@ def _check_dense(a, b, zero):
     assert dense_add(a, b) == _naive_add(a, b, zero)
     prod = dense_mul(a, b)
     assert prod == _naive_mul(a, b, zero)
-    assert all(type(c) is type(zero) for c in prod)
+    assert all(same_field(c, zero) for c in prod)
     if _trimmed(b):
         q, r = dense_divmod(a, b)
         assert _naive_add(_naive_mul(q, b, zero), r, zero) == _trimmed(a)
@@ -478,7 +502,7 @@ def test_dense_gcd_of_a_monomial_matches_euclid(zero):
         for a, b in ((m, other), (other, m)):
             g = dense_gcd(a, b)
             assert g == euclid_gcd(a, b)
-            assert all(type(x) is type(zero) for x in g)
+            assert all(same_field(x, zero) for x in g)
 
     check()
 
@@ -637,7 +661,7 @@ def test_ratfun_ops_match_full_gcd_and_sympy(params):
     factor = coeff.map(lambda c: Poly([c, 1], "x", params))
 
     def field_sympy(c):
-        if isinstance(c, Fraction):
+        if isinstance(c, (int, Fraction)):
             return sympy.Rational(c.numerator, c.denominator)
 
         def part(d):

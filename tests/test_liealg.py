@@ -14,7 +14,7 @@ from irred.linear import in_span, mat_bracket, mat_transpose, rank
 from irred.linops import sym_power_matrix
 from irred.poly import Poly, RatFun
 from irred.verdict import _family_psi
-from oracles import block_f_matrices, cinf_c0, sl2_triplet_check
+from oracles import block_f_matrices, canonical_q, cinf_c0, sl2_triplet_check
 
 
 def _scaled(M, c):
@@ -168,8 +168,8 @@ def test_lie_closure_self_check_is_reachable(monkeypatch):
 
 
 def test_lie_closure_reduces_exactly(monkeypatch):
-    """int entries are reduced as Fractions, never in floats, and a float
-    entry is refused."""
+    """int entries are reduced as canonical ints and Fractions, never in
+    floats, and a float or a bool entry is refused."""
     import irred.liealg as liealg
     seen = []
     real = liealg._reduce
@@ -183,10 +183,10 @@ def test_lie_closure_reduces_exactly(monkeypatch):
     monkeypatch.setattr(liealg, "_reduce", spy)
     alg = lie_closure([[[3, 1], [0, 7]], [[0, 0], [1, 0]]])
     assert alg.dimension == 4
-    assert seen and all(isinstance(x, Fraction) for x in seen)
-    assert all(isinstance(x, Fraction) for M in alg.basis
-               for row in M for x in row)
-    for bad in (0.1, 1.0, "1"):
+    assert seen and all(canonical_q(x) for x in seen)
+    assert any(type(x) is Fraction for x in seen)
+    assert all(type(x) is int for M in alg.basis for row in M for x in row)
+    for bad in (0.1, 1.0, "1", True):
         with pytest.raises(ValueError, match="exact entries"):
             lie_closure([[[bad, 0], [0, 0]]])
 
@@ -235,8 +235,7 @@ def test_lie_dimension_p3_generators(p3_chain, level):
     gens = list(cinf_c0(getattr(p3_chain, level)))
     graded = _graded_image(gens)
     assert graded is not None
-    assert all(isinstance(x, Fraction) and x.denominator == 1
-               for M in graded for row in M for x in row)
+    assert all(type(x) is int for M in graded for row in M for x in row)
     assert lie_dimension(gens) == lie_closure(gens).dimension
     if level == "At3":
         assert lie_dimension(gens) == 8
@@ -248,18 +247,18 @@ def test_lie_dimension_over_q(name, monkeypatch):
     generators with the spans of the given ones."""
     import irred.liealg as liealg
     gens, dim = _closure_case(name)
-    gens = [[[x / 3 for x in row] for row in G] for G in gens]
+    gens = [[[Fraction(x, 3) for x in row] for row in G] for G in gens]
     seen = []
     real = liealg.lie_closure
 
-    def spying(gs):
+    def spying(gs, limit=None):
         seen.append(gs)
-        return real(gs)
+        return real(gs, limit)
 
     monkeypatch.setattr(liealg, "lie_closure", spying)
     assert lie_dimension(gens) == real(gens).dimension == dim
     scaled, = seen
-    assert all(x.denominator == 1 for M in scaled for row in M for x in row)
+    assert all(type(x) is int for M in scaled for row in M for x in row)
     assert rank([[x for row in M for x in row] for M in scaled]) == \
         rank([[x for row in M for x in row] for M in gens])
 

@@ -340,12 +340,12 @@ def _closure_rejecting_field_elems(monkeypatch):
     calls = []
     real = liealg.lie_closure
 
-    def rational_only(gens):
+    def rational_only(gens, limit=None):
         types = {type(x) for G in gens for row in G for x in row}
         calls.append(types)
         if FieldElem in types:
             raise AssertionError("lie_closure over Q(mu)")
-        return real(gens)
+        return real(gens, limit)
 
     monkeypatch.setattr(liealg, "lie_closure", rational_only)
     return calls
@@ -379,6 +379,41 @@ def test_p3_lie_dimension_claim_of_nine_fails(p3_certificate_text):
         replay(doc)
 
 
+def _crafted_lie_record(p3_certificate_text, size, dimension):
+    """The p3 certificate with its lie_dimension record replaced by two
+    random small-integer size x size generators and the given claimed
+    dimension, re-hashed."""
+    import random
+    from irred.verdict import _record_hash
+    doc, rec = _p3_lie_record(p3_certificate_text)
+    rng = random.Random(size)
+    rec["generators"] = [[[str(rng.randint(-3, 3)) for _ in range(size)]
+                          for _ in range(size)] for _ in range(2)]
+    rec["dimension"] = dimension
+    rec["hash"] = _record_hash(rec)
+    return doc
+
+
+@pytest.mark.parametrize("size,dimension,match", [
+    (10, 8, "at most 9 x 9"),
+    (9, 81, "not an integer from 0 to 16"),
+    (9, 16, "passes dimension 16"),
+    (9, 8, "passes dimension 8"),
+], ids=["10x10", "9x9 claims 81", "9x9 claims 16", "9x9 claims 8"])
+def test_crafted_lie_record_fails_fast(p3_certificate_text, size, dimension,
+                                       match):
+    """A well-hashed lie_dimension record with random generators and a
+    false dimension is refused, or its closure stopped past the claim,
+    in well under 2 s of CPU: left to run, the 10 x 10 closure takes
+    minutes."""
+    import time
+    doc = _crafted_lie_record(p3_certificate_text, size, dimension)
+    start = time.process_time()
+    with pytest.raises(CertificateError, match=match):
+        replay(doc)
+    assert time.process_time() - start < 2
+
+
 @pytest.mark.parametrize("k,i,j,entry,dim", [
     (1, 7, 1, "4/3*mu^3 + 4/3*mu^2", 8),
     (0, 7, 5, "mu + 1", 13),
@@ -386,32 +421,32 @@ def test_p3_lie_dimension_claim_of_nine_fails(p3_certificate_text):
 def test_p3_ungraded_generator_replays_through_lie_closure(
         p3_certificate_text, monkeypatch, k, i, j, entry, dim):
     """An edited entry that is no monomial in mu sends replay to
-    lie_closure over Q(mu), which it must call, and whose dimension it
-    checks against the record's 8."""
+    lie_closure over Q(mu), which it must call with the record's 8 as its
+    limit: a span of the claimed dimension replays, and a larger one
+    stops as soon as it passes 8."""
     import irred.liealg as liealg
     from irred.field import FieldElem
     from irred.verdict import _record_hash
     doc, rec = _p3_lie_record(p3_certificate_text)
     rec["generators"][k][i][j] = entry
     rec["hash"] = _record_hash(rec)
-    dims = []
+    calls = []
     real = liealg.lie_closure
 
-    def spying(gens):
-        alg = real(gens)
+    def spying(gens, limit=None):
         if any(isinstance(x, FieldElem) for G in gens for row in G
                for x in row):
-            dims.append(alg.dimension)
-        return alg
+            calls.append((limit, real(gens).dimension))
+        return real(gens, limit)
 
     monkeypatch.setattr(liealg, "lie_closure", spying)
     if dim == 8:
         assert replay(doc) == len(doc["evidence"])
     else:
         with pytest.raises(CertificateError,
-                           match="lie dimension changed: %d vs 8" % dim):
+                           match="passes dimension 8"):
             replay(doc)
-    assert dims == [dim]
+    assert calls == [(8, dim)]
 
 
 def _p3_decomposition(doc, name):

@@ -3,7 +3,7 @@ Painleve III case, via variational equations and differential Galois
 obstructions."""
 
 from .field import FieldElem
-from .grammar import ParseError, parse_ratfun, print_ratfun
+from .grammar import ParseError, parse_ratfun
 from .jets import (EquationFamily, JetSystem, VectorFieldSpec,
                    build_lnve_airy_family, build_p3_chain, linearize,
                    normal_restrict, prolong, restrict_along_curve)
@@ -36,7 +36,7 @@ __all__ = [
     "denominator_bound", "exponential_solutions_restricted", "has_log_at",
     "indicial_polynomial", "lie_closure", "lie_dimension", "linearize",
     "lnve_group_dimension", "normal_restrict", "parse_operator",
-    "parse_ratfun", "print_ratfun", "prolong", "ratfun",
+    "parse_ratfun", "prolong", "ratfun",
     "rational_solutions", "reduced_form_obstruction", "replay",
     "restrict_along_curve", "sym_power_matrix", "sym_power_operator",
     "system_rational_solutions",

@@ -189,10 +189,15 @@ def mp_eval(f, values):
 def scalar(c, params=()):
     """The rational constant c in Q(params): over Q an int when it is
     integral and a Fraction otherwise, a FieldElem when there are
-    parameters."""
+    parameters.  A float is refused rather than read as its binary
+    fraction."""
     if params:
         return FieldElem.from_fraction(c, params)
-    return c if c.__class__ is int else qnorm(Fraction(c))
+    if c.__class__ is int:
+        return c
+    if isinstance(c, float):
+        raise ValueError("a float is not an exact constant: %r" % c)
+    return qnorm(Fraction(c))
 
 
 class FieldElem:

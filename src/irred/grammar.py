@@ -178,7 +178,3 @@ class _Parser:
 
 def parse_ratfun(text: str, var="t", params=()) -> RatFun:
     return _Parser(tokenize(text), var, params).parse()
-
-
-def print_ratfun(f: RatFun) -> str:
-    return str(f)

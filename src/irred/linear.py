@@ -138,21 +138,6 @@ def solve_all(m, rhss, one):
     return solutions, kernel
 
 
-def solve(m, rhs, one):
-    """One solution of m x = rhs, or None when inconsistent."""
-    return solve_all(m, [rhs], one)[0][0]
-
-
-def inverse(m, one):
-    n, n2 = mat_shape(m)
-    if n != n2:
-        raise ValueError("inverse of a non-square matrix")
-    cols, kernel = solve_all(m, mat_identity(n, one), one)
-    if kernel:
-        raise ValueError("matrix is singular")
-    return mat_transpose(cols)
-
-
 def in_span(vectors, v, one):
     """Is v in the row span of vectors?"""
     if not vectors:

@@ -8,13 +8,12 @@ the left; composition uses the Leibniz rule D o c = c D + c'.
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 
 from .field import FieldElem
 from .grammar import (ParseError, _Parser, max_size, ratfun_size,
                       tokenize)
-from .linear import inverse, mat_mul, mat_shape
+from .linear import mat_mul, mat_shape
 from .mpoly import dense_add, dense_mul, power, print_sum, qnorm
 from .poly import Poly, RatFun, ratfun
 
@@ -268,27 +267,28 @@ class ScalarizeResult(tuple):
         return self[1]
 
 
-def cyclic_vector_scalarize(A, b=None, v=None, retries=0):
+def cyclic_vector_scalarize(A, b=None):
     """Turn the system F' = A F + b into one scalar equation M(f) = h.
 
-    f = v.F for the covector v; solvability in rational functions is
-    preserved both ways.  The returned object unpacks as (M, h) and has a
-    back_substitute(f) method recovering the full vector F.
+    f = v.F for a covector v read off A; solvability in rational
+    functions is preserved both ways.  The returned object unpacks as
+    (M, h) and has a back_substitute(f) method recovering the full
+    vector F.
 
-    Without v the covector is read off A.  If A is upper Hessenberg with
-    a nonzero constant subdiagonal, it is e_n: the Krylov rows v_k are
-    then anti-triangular with a nonzero constant anti-diagonal, so e_n
-    is cyclic, det V is a nonzero constant and M has no singularity that
-    A lacks (for the family matrix Psi(n), M is Sym^(n+1)(D^2 - t)).
-    Otherwise it is e_1.
+    If A is upper Hessenberg with a nonzero constant subdiagonal, v is
+    e_n: the Krylov rows v_k are then anti-triangular with a nonzero
+    constant anti-diagonal, so e_n is cyclic, det V is a nonzero
+    constant and M has no singularity that A lacks (for the family
+    matrix Psi(n), M is Sym^(n+1)(D^2 - t)).  Otherwise v is e_1, which
+    gives a triangular V on a matrix with a constant superdiagonal
+    (the P3 obstruction systems).
 
-    The Krylov matrix V is solved by substitution when it is triangular
-    up to a column order with constant pivots, as for e_n above and for
-    e_1 on a matrix with a constant superdiagonal (every family and P3
-    system); by elimination otherwise, e.g. for the retry covectors.
-
-    Raises ValueError("cyclic vector failed") if v (and, when retries > 0,
-    a handful of random small-integer covectors) never spans.
+    The Krylov matrix V is solved by substitution.  Each row v_k must
+    bring exactly one column that the rows above it do not use, with a
+    constant entry there; every row is checked as it is computed.  If
+    one does not, v is not cyclic or V is not triangular up to a column
+    order, and ValueError reports the system as unsupported: a refusal,
+    never a guess.
     """
     n, n2 = mat_shape(A)
     if n != n2:
@@ -297,61 +297,52 @@ def cyclic_vector_scalarize(A, b=None, v=None, retries=0):
     if b is None:
         b = [zero] * n
     b = [ratfun(x, zero.var, zero.params) for x in b]
-    if v is None:
-        hessenberg = all(A[i][i - 1].is_constant() and A[i][i - 1]
-                         and not any(A[i][:i - 1]) for i in range(1, n))
-        k = n - 1 if hessenberg else 0
-        v = [one if i == k else zero for i in range(n)]
-    v = [ratfun(x, zero.var, zero.params) for x in v]
+    hessenberg = all(A[i][i - 1].is_constant() and A[i][i - 1]
+                     and not any(A[i][:i - 1]) for i in range(1, n))
+    k = n - 1 if hessenberg else 0
+    rows = [[one if i == k else zero for i in range(n)]]
+    pivots = [k]
+    ws = [zero]
+    Ab = [list(row) + [bk] for row, bk in zip(A, b)]
+    for i in range(1, n + 1):
+        vi = rows[-1]
+        # the last row times A and times b in one product
+        vAb = mat_mul([vi], Ab)[0]
+        row = [x.derivative() + y for x, y in zip(vi, vAb)]
+        rows.append(row)
+        ws.append(ws[-1].derivative() + vAb[n])
+        if i < n:
+            new = [j for j, x in enumerate(row) if x and j not in pivots]
+            if len(new) != 1 or not row[new[0]].is_constant():
+                raise ValueError(
+                    "unsupported system: Krylov row %d of the covector "
+                    "e_%d does not bring exactly one new column with a "
+                    "constant pivot" % (i, k + 1))
+            pivots.append(new[0])
+    left, right = _krylov_solvers(rows[:n], pivots, one)
+    # c_0..c_{n-1} with sum_i c_i v_i = -v_n
+    c = left([-x for x in rows[n]])
+    op = DiffOp(c + [one])
+    h = ws[n] + sum((c[i] * ws[i] for i in range(n)), zero)
 
-    def attempts():
-        yield v
-        rng = random.Random(0)
-        for r in range(retries):
-            # low-degree polynomial covectors; a generic one is cyclic for
-            # any system, which plain constants are not (e.g. A = 0)
-            deg = 0 if r < retries // 2 else n - 1
-            yield [RatFun(Poly([Fraction(rng.randint(-3, 3))
-                                for _ in range(deg + 1)],
-                               zero.var, zero.params))
-                   for _ in range(n)]
+    def back(f):
+        f = ratfun(f, zero.var, zero.params)
+        derivs = []
+        g = f
+        for i in range(n):
+            derivs.append(g - ws[i])
+            g = g.derivative()
+        return right(derivs)
 
-    for cand in attempts():
-        res = _scalarize_once(A, b, cand, zero, one, n)
-        if res is not None:
-            return res
-    raise ValueError("cyclic vector failed")
+    return ScalarizeResult(op, h, back)
 
 
-def _triangular_pivots(V):
-    """The pivot column of each row when V is triangular up to a column
-    order, else None: each row has exactly one nonzero entry outside the
-    columns of the rows above it, and that entry is a constant."""
-    pivots, seen = [], set()
-    for row in V:
-        new = [j for j, x in enumerate(row) if x and j not in seen]
-        if len(new) != 1 or not row[new[0]].is_constant():
-            return None
-        pivots.append(new[0])
-        seen.add(new[0])
-    return pivots
-
-
-def _krylov_solvers(V, one):
-    """The maps r -> r V^-1 and d -> V^-1 d, or None when V is singular.
-
-    When V is triangular up to a column order both maps are
-    substitutions: O(n^2) products and divisions by the constant pivots
-    only.  Otherwise V is inverted by elimination.
+def _krylov_solvers(V, pivots, one):
+    """The maps r -> r V^-1 and d -> V^-1 d by substitution, for V
+    triangular up to a column order: row i of V has its constant pivot
+    in column pivots[i] and is zero outside the columns pivots[0..i].
+    O(n^2) products and divisions by the pivots only.
     """
-    pivots = _triangular_pivots(V)
-    if pivots is None:
-        try:
-            Vinv = inverse(V, one)
-        except ValueError:
-            return None
-        return (lambda r: mat_mul([r], Vinv)[0],
-                lambda d: [row[0] for row in mat_mul(Vinv, [[x] for x in d])])
     n = len(V)
     invs = [one / V[i][j] for i, j in enumerate(pivots)]
 
@@ -368,7 +359,6 @@ def _krylov_solvers(V, one):
         return x
 
     def right(d):
-        # row i of V is zero outside the columns pivots[0..i]
         F = [None] * n
         for i, row in enumerate(V):
             s = d[i]
@@ -379,37 +369,6 @@ def _krylov_solvers(V, one):
         return F
 
     return left, right
-
-
-def _scalarize_once(A, b, v, zero, one, n):
-    rows = [list(v)]
-    ws = [zero]
-    Ab = [list(row) + [bk] for row, bk in zip(A, b)]
-    for _ in range(n):
-        vi = rows[-1]
-        # v_i A and v_i . b in one product
-        vAb = mat_mul([vi], Ab)[0]
-        rows.append([x.derivative() + y for x, y in zip(vi, vAb)])
-        ws.append(ws[-1].derivative() + vAb[n])
-    solvers = _krylov_solvers(rows[:n], one)
-    if solvers is None:
-        return None          # v_0..v_{n-1} do not span: v is not cyclic
-    left, right = solvers
-    # c_0..c_{n-1} with sum_i c_i v_i = -v_n
-    c = left([-x for x in rows[n]])
-    op = DiffOp(c + [one])
-    h = ws[n] + sum((c[i] * ws[i] for i in range(n)), zero)
-
-    def back(f):
-        f = ratfun(f, zero.var, zero.params)
-        derivs = []
-        g = f
-        for i in range(n):
-            derivs.append(g - ws[i])
-            g = g.derivative()
-        return right(derivs)
-
-    return ScalarizeResult(op, h, back)
 
 
 def sym_power_operator(L: DiffOp, m: int) -> DiffOp:

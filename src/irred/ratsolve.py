@@ -13,7 +13,7 @@ specialized first (integer-root extraction is only decidable over Q).
 from __future__ import annotations
 
 from .field import scalar
-from .linear import mat_mul, mat_shape, solve_all
+from .linear import mat_mul, solve_all
 from .linops import DiffOp, cyclic_vector_scalarize
 from .mpoly import qdiv
 from .poly import Poly, RatFun, common_denominator, ratfun
@@ -333,27 +333,12 @@ def rational_solutions(L: DiffOp, g=None) -> SolutionSpace:
     return SolutionSpace(part, basis, denominator=D, degree=bound)
 
 
-def scalarize_system(A, b=None):
-    """The cyclic_vector_scalarize result of F' = A F + b for a square
-    A over Q, with up to 20 retry covectors.
-
-    The Krylov matrix is inverted by substitution when it is triangular
-    up to a column order (every family and P3 system) and by
-    elimination otherwise.
-    """
-    n, n2 = mat_shape(A)
-    if n != n2:
-        raise ValueError("system matrix must be square")
-    if A[0][0].params:
-        raise ValueError("rational solving needs Q coefficients")
-    return cyclic_vector_scalarize(A, b, retries=20)
-
-
 def system_rational_solutions(A, b=None) -> SolutionSpace:
-    """Rational solutions F of F' = A F + b via a cyclic vector: the
-    system is scalarized by scalarize_system and the scalar solutions
-    are lifted by lift_solutions."""
-    res = scalarize_system(A, b)
+    """Rational solutions F of F' = A F + b for a square A over Q: the
+    system is scalarized by cyclic_vector_scalarize and the scalar
+    solutions are lifted by lift_solutions.  A system that
+    cyclic_vector_scalarize does not support raises its ValueError."""
+    res = cyclic_vector_scalarize(A, b)
     return lift_solutions(A, b, res, rational_solutions(res.op, res.rhs))
 
 

@@ -32,8 +32,7 @@ from .linops import (cyclic_vector_scalarize, parse_operator,
                      sym_power_matrix, sym_power_operator)
 from .poly import RatFun, ratfun
 from .ratsolve import (_clear_denominators, _indicial_infinity,
-                       degree_bound, lift_solutions, rational_solutions,
-                       scalarize_system)
+                       degree_bound, lift_solutions, rational_solutions)
 from .screen import TAG_SL2, certify_sl2, exponential_solutions_restricted
 
 IRREDUCIBLE = "IRREDUCIBLE"
@@ -47,6 +46,10 @@ OBSTRUCTION_SOLVABLE = \
 # file of a few kB, so replay refuses the first and stops the second.
 MAX_LIE_GENERATOR_SIZE = 9   # the 9x9 order-3 constants of check_p3
 MAX_LIE_DIMENSION = 16       # twice the dimension 8 of every honest record
+# Replay bound on a rational_system record, checked before any Krylov
+# product: Psi(n) is (n+2) x (n+2), 34 x 34 at the family budget n = 32;
+# the P3 systems are 5 x 5.
+MAX_SYSTEM_SIZE = 34
 
 
 class CertificateError(RuntimeError):
@@ -273,9 +276,16 @@ def _replay_record(rec, parsed):
             raise CertificateError("operator identity fails")
         return
     if kind == "rational_system":
-        A = parsed.mat(rec["matrix"], var, params)
-        b = [parsed.entry(s, var, params) for s in rec["rhs"]]
-        res = scalarize_system(A, b)
+        rows, rhs = rec["matrix"], rec["rhs"]
+        if params or not (0 < len(rows) <= MAX_SYSTEM_SIZE
+                          and len(rhs) == len(rows)
+                          and all(len(row) == len(rows) for row in rows)):
+            raise CertificateError("a system matrix must be over Q, square "
+                                   "and at most %d x %d, with a rhs of its "
+                                   "size" % ((MAX_SYSTEM_SIZE,) * 2))
+        A = parsed.mat(rows, var, params)
+        b = [parsed.entry(s, var, params) for s in rhs]
+        res = cyclic_vector_scalarize(A, b)
         space = lift_solutions(A, b, res, parsed.solve(res.op, res.rhs))
         if (space.particular is not None) != rec["solvable"]:
             raise CertificateError("system solvability changed")
@@ -646,11 +656,9 @@ def check_p3(mus=(Fraction(1, 2),)) -> Certificate:
     cert.add("trace_zero", matrix=_mat_str(ch.At1), var=var,
              params=list(params))
 
-    # scalar form of the first gauged system is the order-2 operator
-    # (the second coordinate is the cyclic one giving the clean form)
-    zero1 = RatFun.zero(var, params)
-    one1 = RatFun.const(1, var, params)
-    op1 = cyclic_vector_scalarize(ch.At1, v=[zero1, one1]).op
+    # scalar form of the first gauged system is the order-2 operator;
+    # At1[1][0] = 4*mu is a nonzero constant, so the covector is e_2
+    op1 = cyclic_vector_scalarize(ch.At1).op
     l2 = parse_operator("D^2 - 4 - 4*mu/x", var, params)
     cert.add("operator_identity", a=str(op1), b=str(l2), var=var,
              params=list(params))

@@ -10,7 +10,8 @@ from irred.field import scalar
 from irred.jets import (EquationFamily, VectorFieldSpec, linearize,
                         normal_restrict, prolong, restrict_along_curve)
 from irred.liealg import block_e_matrices
-from irred.linear import inverse, mat_bracket, mat_mul, mat_sub
+from irred.linear import (mat_bracket, mat_identity, mat_mul, mat_shape,
+                          mat_sub, mat_transpose, solve_all)
 from irred.linops import DiffOp
 from irred.mpoly import _trim, dense_divmod, qdiv
 from irred.poly import Poly, RatFun
@@ -48,6 +49,18 @@ def sym_power_by_composition(L, m):
 
 def mat_derivative(a):
     return [[x.derivative() for x in row] for row in a]
+
+
+def inverse(m, one):
+    """m^-1 by one elimination with every unit vector as a right-hand
+    side; ValueError when m is singular."""
+    n, n2 = mat_shape(m)
+    if n != n2:
+        raise ValueError("inverse of a non-square matrix")
+    cols, kernel = solve_all(m, mat_identity(n, one), one)
+    if kernel:
+        raise ValueError("matrix is singular")
+    return mat_transpose(cols)
 
 
 def gauge_transform(P, A):

@@ -217,7 +217,7 @@ def test_criterion_10_property_suite():
 
     # (b) planted-solution recovery, 100 instances of order <= 3
     t = RatFun.gen("t")
-    from irred.linear import solve as lin_solve
+    from irred.linear import solve_all
 
     def rand_poly(deg):
         return Poly([Fraction(rng.randint(-2, 2)) for _ in range(deg + 1)],
@@ -255,7 +255,7 @@ def test_criterion_10_property_suite():
         cols = [[p.coeff(i) for i in range(size)] for p in ps[:-1]]
         rhs = [ps[-1].coeff(i) for i in range(size)]
         m = [[cols[j][r] for j in range(len(cols))] for r in range(size)]
-        sol = lin_solve(m, rhs, Fraction(1))
+        sol = solve_all(m, [rhs], Fraction(1))[0][0]
         assert sol is not None, "planted solution outside the returned space"
         recovered += 1
     assert recovered == 100

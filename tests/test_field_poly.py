@@ -34,6 +34,20 @@ def test_field_elem_specialize():
     assert type(got) is Fraction and got == Fraction(-5, 6)
 
 
+def test_floats_are_refused_as_constants():
+    """A float is not read as its binary fraction: check_p3([0.1]) would
+    otherwise certify mu = 3602879701896397/36028797018963968."""
+    from irred.verdict import check_p3
+    mu = FieldElem.parameter("mu", ("mu",))
+    for call in (lambda: scalar(0.1), lambda: scalar(2.0),
+                 lambda: scalar(0.5, ("mu",)),
+                 lambda: FieldElem.from_fraction(0.1, ("mu",)),
+                 lambda: (mu + 1).specialize({"mu": 0.1}),
+                 lambda: check_p3([0.1])):
+        with pytest.raises(ValueError, match="float is not an exact"):
+            call()
+
+
 def test_qq_roundtrip():
     """A scalar of Q is an int when integral and a Fraction otherwise."""
     assert type(scalar(Fraction(3, 4))) is Fraction

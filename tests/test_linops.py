@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 
 from irred.grammar import ParseError, parse_ratfun
+from irred.linear import mat_mul
 from irred.linops import (DiffOp, cyclic_vector_scalarize, parse_operator,
                           sym_power_matrix, sym_power_operator)
 from irred.poly import Poly, RatFun
-from oracles import companion, gauge_transform, sym_power_by_composition
+from oracles import (companion, gauge_transform, inverse,
+                     sym_power_by_composition)
 
 
 def test_operator_parse_print_roundtrip():
@@ -82,7 +84,7 @@ def test_sym_power_operator_annihilates_products():
     L = parse_operator("D^2 - t")
     A = companion(L)
     S = sym_power_matrix(A, 2)
-    res = cyclic_vector_scalarize(S, retries=10)
+    res = cyclic_vector_scalarize(S)
     L2 = sym_power_operator(L, 2)
     # both annihilate the same 3-dimensional space: equal up to left factor;
     # here orders agree so they are proportional, hence equal once monic
@@ -122,11 +124,27 @@ def test_sym_power_operator_eliminates_nothing(rref_calls):
     assert rref_calls == []
 
 
-def test_cyclic_vector_zero_matrix():
+def test_cyclic_vector_zero_matrix(monkeypatch):
+    """No constant covector is cyclic for the zero matrix, so it is
+    refused, and at once: the first Krylov row brings no new column, and
+    only that one row is computed, whatever the size."""
+    import irred.linops as linops
+    products = []
+    mul = linops.mat_mul
+
+    def counting(a, b):
+        products.append(len(b))
+        return mul(a, b)
+
+    monkeypatch.setattr(linops, "mat_mul", counting)
     zero = RatFun.zero("t")
-    A = [[zero, zero], [zero, zero]]
-    res = cyclic_vector_scalarize(A, retries=20)
-    assert res.op.order() == 2
+    for n in (2, 10, 34):
+        products.clear()
+        with pytest.raises(ValueError, match="Krylov row 1 of the covector "
+                                             "e_1 does not bring exactly "
+                                             "one new column"):
+            cyclic_vector_scalarize([[zero] * n for _ in range(n)])
+        assert products == [n]
 
 
 def test_cyclic_vector_back_substitution():
@@ -135,24 +153,30 @@ def test_cyclic_vector_back_substitution():
     A = companion(L)
     one = RatFun.const(1, "t")
     zero = RatFun.zero("t")
-    res = cyclic_vector_scalarize(A, v=[one, zero])
+    res = cyclic_vector_scalarize(A)
     assert res.op.monic() == L.monic()
+    # the covector is e_1, so back substitution keeps f as F_1
+    assert res.back_substitute(one) == [one, zero]
 
 
-def test_cyclic_vector_retries_draw_in_a_fixed_order():
-    # e_0 is not cyclic for A = 0, nor is any constant covector; the first
-    # success is a drawn linear covector, which back_substitute reveals
-    zero = RatFun.zero("t")
-    t = RatFun.gen("t")
-    res = cyclic_vector_scalarize([[zero, zero], [zero, zero]], retries=20)
-    assert [str(x) for x in res.back_substitute(t)] == ["-1/12", "1/4"]
-    assert [str(x) for x in res.back_substitute(t * t)] == [
-        "(-1/4)*t^2 + (-1/6)*t", "(-1/4)*t^2 + (1/2)*t"]
+def test_cyclic_vector_refuses_a_nonconstant_pivot():
+    # e_1 is cyclic for [[0, t], [0, 0]], but its Krylov matrix
+    # [[1, 0], [0, t]] has the pivot t: the system is refused rather
+    # than solved by a division the substitution does not make
+    zero, t = RatFun.zero("t"), RatFun.gen("t")
+    with pytest.raises(ValueError, match="Krylov row 1 .* constant pivot"):
+        cyclic_vector_scalarize([[zero, t], [zero, zero]])
 
 
 def test_cyclic_vector_failure_without_retries():
+    # one route: the covector comes from the matrix, and no other is drawn
+    import inspect
+    import irred.linops as linops
+    assert list(inspect.signature(cyclic_vector_scalarize).parameters) == [
+        "A", "b"]
+    assert not hasattr(linops, "random") and not hasattr(linops, "inverse")
     zero = RatFun.zero("t")
-    with pytest.raises(ValueError, match="cyclic vector failed"):
+    with pytest.raises(ValueError, match="unsupported system"):
         cyclic_vector_scalarize([[zero, zero], [zero, zero]])
 
 
@@ -163,15 +187,39 @@ def test_scalarization_eliminates_once(rref_calls):
     # the Krylov matrix of e_1 on a companion matrix is the identity, so
     # the scalarization substitutes and eliminates nothing
     assert rref_calls == []
-    # the covector (1, t, 0, 0, 0) has two entries in new columns: the
-    # Krylov matrix is not triangular and is eliminated once
-    t = RatFun.gen("t")
+    # a Krylov matrix that is not triangular is refused, not eliminated
+    with pytest.raises(ValueError, match="unsupported system"):
+        cyclic_vector_scalarize(_two_new_columns())
+    assert rref_calls == []
+
+
+def _two_new_columns():
+    """A 3 x 3 matrix for which e_1 is cyclic, with Krylov rows
+    e_1, (0, 1, t) and (t, 0, 2): det V = 2, but the row (0, 1, t)
+    brings two new columns, so V is not triangular."""
     zero, one = RatFun.zero("t"), RatFun.const(1, "t")
-    v = [one, t, zero, zero, zero]
-    res = cyclic_vector_scalarize(companion(L), v=v)
-    assert rref_calls == [5]
-    f = t ** 3 + 1 / t
-    assert sum((a * x for a, x in zip(v, res.back_substitute(f))), zero) == f
+    t = RatFun.gen("t")
+    return [[zero, one, t], [zero, zero, one], [one, zero, zero]]
+
+
+def test_cyclic_vector_refuses_two_new_columns():
+    """cyclic_vector_scalarize and system_rational_solutions refuse a
+    cyclic system whose Krylov matrix is not triangular."""
+    from irred.ratsolve import system_rational_solutions
+    A = _two_new_columns()
+    zero, one = RatFun.zero("t"), RatFun.const(1, "t")
+    rows, v = [], [one, zero, zero]
+    for _ in range(3):
+        rows.append(v)
+        v = [x.derivative() + y for x, y in zip(v, mat_mul([v], A)[0])]
+    assert [[str(x) for x in row] for row in rows] == [
+        ["1", "0", "0"], ["0", "1", "t"], ["t", "0", "2"]]
+    inverse(rows, one)      # V is invertible: e_1 is cyclic
+    msg = "Krylov row 1 of the covector e_1 does not bring exactly one new"
+    with pytest.raises(ValueError, match=msg):
+        cyclic_vector_scalarize(A)
+    with pytest.raises(ValueError, match=msg):
+        system_rational_solutions(A, [one, one, one])
 
 
 @pytest.mark.parametrize("n", [*range(2, 9), 16, 32])
@@ -189,14 +237,14 @@ def test_family_system_scalarizes_to_the_symmetric_power(n):
     assert rhs == (-1) ** (n + 1) * math.factorial(n + 1) * p
 
 
-def test_triangular_krylov_solves_match_the_inverse(rref_calls):
+def test_triangular_krylov_solves_match_the_inverse(rref_calls,
+                                                    monkeypatch):
     """A Krylov matrix triangular up to a column order (lower,
     anti-triangular or with permuted pivots; constant pivots, rational
     functions below them) is solved by substitution, without an
     elimination, exactly as its inverse solves it."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    from irred.linear import inverse, mat_mul
     from irred.linops import _krylov_solvers
     t = Poly.gen("t")
     zero, one = RatFun.zero("t"), RatFun.const(1, "t")
@@ -222,15 +270,15 @@ def test_triangular_krylov_solves_match_the_inverse(rref_calls):
                 V[i][k] = draw(entries)
         r = [draw(entries) for _ in range(n)]
         d = [draw(entries) for _ in range(n)]
-        return V, r, d
+        return V, pivots, r, d
 
     @hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
                          database=None)
     @hypothesis.given(systems())
     def check(system):
-        V, r, d = system
+        V, pivots, r, d = system
         rref_calls.clear()
-        left, right = _krylov_solvers(V, one)
+        left, right = _krylov_solvers(V, pivots, one)
         c, F = left(r), right(d)
         assert rref_calls == []
         Vinv = inverse(V, one)
@@ -239,17 +287,15 @@ def test_triangular_krylov_solves_match_the_inverse(rref_calls):
 
     check()
 
-    # a row with two new columns: V is inverted by one elimination
-    x = RatFun.gen("t")
-    V = [[one, x], [x, one]]
-    rref_calls.clear()
-    left, right = _krylov_solvers(V, one)
-    assert rref_calls == [2]
-    r = [x, 1 / x]
-    assert mat_mul([left(r)], V)[0] == r
-    assert [row[0] for row in mat_mul(V, [[f] for f in right(r)])] == r
-    # and a singular one is reported, not solved
-    assert _krylov_solvers([[one, x], [one, x]], one) is None
+    # a Krylov row with two new columns is refused before any solve
+    import irred.linops as linops
+
+    def no_solve(*args):
+        raise AssertionError("a refused system reached the solvers")
+
+    monkeypatch.setattr(linops, "_krylov_solvers", no_solve)
+    with pytest.raises(ValueError, match="unsupported system"):
+        cyclic_vector_scalarize(_two_new_columns())
 
 
 def test_p3_shaped_system_keeps_the_first_covector():
@@ -261,12 +307,10 @@ def test_p3_shaped_system_keeps_the_first_covector():
     for i in range(4):
         A[i][i + 1] = (4 * i - 16) * one
         A[i + 1][i] = (-1) ** i * (i + 1) * (2 + 1 / x)
-    default = cyclic_vector_scalarize(A)
-    explicit = cyclic_vector_scalarize(A, v=[one] + [zero] * 4)
-    assert default.op == explicit.op
-    assert str(default.op) == str(explicit.op)
-    assert [str(f) for f in default.back_substitute(x)] == [
-        str(f) for f in explicit.back_substitute(x)]
+    res = cyclic_vector_scalarize(A)
+    # back substitution keeps f as F_1 exactly when the covector is e_1
+    for f in (one, x, 1 / (x + 1)):
+        assert res.back_substitute(f)[0] == f
 
 
 def test_gauge_transform_shape():

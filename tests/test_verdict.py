@@ -90,8 +90,8 @@ def test_family_identity_guard_rejects_a_perturbed_rhs(monkeypatch):
     from irred.linops import ScalarizeResult
     scalarize = verdict.cyclic_vector_scalarize
 
-    def perturbed(A, b=None, **kw):
-        res = scalarize(A, b, **kw)
+    def perturbed(A, b=None):
+        res = scalarize(A, b)
         return ScalarizeResult(res.op, res.rhs * 2, res.back_substitute)
 
     monkeypatch.setattr(verdict, "cyclic_vector_scalarize", perturbed)
@@ -198,8 +198,8 @@ def test_p3_identity_guard_rejects_a_perturbed_rhs(monkeypatch):
     from irred.linops import ScalarizeResult
     scalarize = verdict.cyclic_vector_scalarize
 
-    def perturbed(A, b=None, **kw):
-        res = scalarize(A, b, **kw)
+    def perturbed(A, b=None):
+        res = scalarize(A, b)
         if A[0][0].params:
             return res
         return ScalarizeResult(res.op, -res.rhs, res.back_substitute)
@@ -616,3 +616,77 @@ def test_rational_solutions_with_denominator_bound_one_composes_nothing(
     monkeypatch.setattr(ratsolve, "DiffOp", None)
     space = ratsolve.rational_solutions(L, L.apply(t))
     assert space.denominator == 1 and space.particular == t
+
+
+def _crafted_system_record(rows, cols, rhs, params=()):
+    """The family n = 3, P = 2 certificate with its rational_system
+    record given a rows x cols zero matrix, a zero rhs of length rhs and
+    the given parameters, re-hashed."""
+    from irred.verdict import _record_hash
+    d = json.loads(criterion_airy_family(EquationFamily(3, "2")).to_json())
+    rec, = [r for r in d["evidence"] if r["kind"] == "rational_system"]
+    rec["matrix"] = [["0"] * cols for _ in range(rows)]
+    rec["rhs"] = ["0"] * rhs
+    if params:
+        rec["params"] = list(params)
+    rec["hash"] = _record_hash(rec)
+    return d
+
+
+def test_zero_matrix_system_record_fails_fast():
+    """e_1 is not cyclic for a zero matrix; replay refuses the
+    re-hashed 10 x 10 record after one Krylov row, in well under 1 s of
+    CPU (drawing retry covectors once took about 38 s)."""
+    import time
+    d = _crafted_system_record(10, 10, 10)
+    start = time.process_time()
+    with pytest.raises(CertificateError, match="unsupported system"):
+        replay(d)
+    assert time.process_time() - start < 1
+
+
+@pytest.mark.parametrize("rows,cols,rhs,params,refused", [
+    (35, 35, 35, (), True), (3, 4, 3, (), True), (4, 4, 3, (), True),
+    (4, 4, 4, ("mu",), True), (34, 34, 34, (), False),
+], ids=["35x35", "not square", "short rhs", "over Q(mu)", "34x34"])
+def test_system_record_size_is_checked_before_scalarizing(
+        monkeypatch, rows, cols, rhs, params, refused):
+    """A rational_system matrix that is not square, is larger than
+    34 x 34 (Psi(32)), has parameters, or whose rhs does not match, is
+    refused before cyclic_vector_scalarize runs."""
+    import irred.verdict as verdict
+    calls = []
+    scalarize = verdict.cyclic_vector_scalarize
+
+    def counting(A, b=None):
+        calls.append(len(A))
+        return scalarize(A, b)
+
+    d = _crafted_system_record(rows, cols, rhs, params)
+    monkeypatch.setattr(verdict, "cyclic_vector_scalarize", counting)
+    match = "at most 34 x 34" if refused else "unsupported system"
+    with pytest.raises(CertificateError, match=match):
+        replay(d)
+    assert calls == ([] if refused else [34])
+
+
+def test_p3_first_scalar_form_takes_the_default_covector(monkeypatch):
+    """check_p3 passes no covector for At1: At1[1][0] = 4*mu is a nonzero
+    constant, so the covector is e_2 and the scalar form is
+    D^2 - 4 - 4*mu/x."""
+    from fractions import Fraction
+    import irred.verdict as verdict
+    calls = []
+    scalarize = verdict.cyclic_vector_scalarize
+
+    def recording(*args, **kw):
+        calls.append((len(args), kw))
+        return scalarize(*args, **kw)
+
+    monkeypatch.setattr(verdict, "cyclic_vector_scalarize", recording)
+    cert = check_p3([Fraction(1, 2)])
+    assert calls[0] == (1, {})
+    rec, = cert.find("operator_identity")
+    l2 = parse_operator("D^2 - 4 - 4*mu/x", "x", ("mu",))
+    assert rec["a"] == rec["b"] == str(l2)
+    assert replay(cert) == len(cert.evidence)

@@ -137,15 +137,13 @@ class VectorFieldSpec:
 class JetSystem:
     """Prolonged system: x^(l)' = rhs[x^(l)], polynomials in jet vars."""
 
-    def __init__(self, field, k, varnames, rhs, jet_order, curve=None,
-                 normal=False):
+    def __init__(self, field, k, varnames, rhs, jet_order, curve=None):
         self.field = field
         self.k = k
         self.vars = tuple(varnames)
         self.rhs = rhs
         self.jet_order = dict(jet_order)  # var name -> jet weight
         self.curve = curve
-        self.normal = normal
 
     def __repr__(self):
         lines = ["%s' = %s" % (v, self.rhs[v]) for v in self.vars]
@@ -257,11 +255,10 @@ def restrict_along_curve(J: JetSystem, curve) -> JetSystem:
         return out
 
     rhs = {v: project(J.rhs[v]) for v in newvars}
-    return JetSystem(X, J.k, newvars, rhs, order, curve=dict(vals),
-                     normal=J.normal)
+    return JetSystem(X, J.k, newvars, rhs, order, curve=dict(vals))
 
 
-def _keep_vars(J: JetSystem, newvars, k, normal):
+def _keep_vars(J: JetSystem, newvars, k):
     """J on the variables newvars, of jet order at most k; every other
     variable is set to zero."""
     keep_idx = [J.vars.index(v) for v in newvars]
@@ -275,8 +272,7 @@ def _keep_vars(J: JetSystem, newvars, k, normal):
             out[tuple(e[i] for i in keep_idx)] = coef
         rhs[v] = MPoly(newvars, out, J.field.czero)
     order = {v: J.jet_order[v] for v in newvars}
-    return JetSystem(J.field, k, newvars, rhs, order, curve=J.curve,
-                     normal=normal)
+    return JetSystem(J.field, k, newvars, rhs, order, curve=J.curve)
 
 
 def normal_restrict(J: JetSystem) -> JetSystem:
@@ -286,7 +282,7 @@ def normal_restrict(J: JetSystem) -> JetSystem:
         raise ValueError("normal restriction needs an independent coordinate")
     dropped = {jet_name(X.indep, l) for l in range(1, J.k + 1)}
     newvars = tuple(v for v in J.vars if v not in dropped)
-    return _keep_vars(J, newvars, J.k, True)
+    return _keep_vars(J, newvars, J.k)
 
 
 def truncate(J: JetSystem, k: int) -> JetSystem:
@@ -304,7 +300,7 @@ def truncate(J: JetSystem, k: int) -> JetSystem:
             high = [u for u, m in zip(J.vars, e) if m and J.jet_order[u] > k]
             if high:
                 raise ValueError("%s' involves %s" % (v, high[0]))
-    return _keep_vars(J, newvars, k, J.normal)
+    return _keep_vars(J, newvars, k)
 
 
 class LinearizedSystem:

@@ -255,8 +255,8 @@ def adjoint_action_matrix(diag, offbasis):
     return mat_transpose(span_coordinates(brs, offbasis))
 
 
-def classify_lnve_lie_algebra(basis: LieAlgebraBasis, n: int) -> str:
-    d = basis.dimension
+def classify_lnve_lie_algebra(d: int, n: int) -> str:
+    """The family's Lie algebra of dimension d, by name."""
     if d == 3:
         return "sl2"
     if d == n + 3:

@@ -168,14 +168,6 @@ class DiffOp:
             raise ValueError("cannot monicize the zero operator")
         return DiffOp([c / lc for c in self.coeffs])
 
-    def adjoint(self):
-        """Formal adjoint Sum (-D)^i o c_i."""
-        D = DiffOp.identity_d(self.var, self.params)
-        out = DiffOp([RatFun.zero(self.var, self.params)])
-        for i, c in enumerate(self.coeffs):
-            out = out + ((-D) ** i) * c
-        return out
-
     def apply(self, f) -> RatFun:
         f = ratfun(f, self.var, self.params)
         acc = RatFun.zero(self.var, self.params)

@@ -19,6 +19,14 @@ from .mpoly import qdiv
 from .poly import Poly, RatFun, common_denominator, ratfun
 
 
+# Largest degree bound rational_solutions accepts, checked before any
+# image is built.  The family's P is parsed under the grammar's degree
+# budget of 64, so p has degree at most 64 and the bound of
+# Sym^(n+1)(D^2 - t) y = p stays below it (63 at n = 3, P = x^64); the P3
+# bound is 0.  A crafted t*D - 6000 (exponent 6000 at infinity) passes it.
+MAX_DEGREE_BOUND = 64
+
+
 class IndicialData:
     """Local exponent data of an operator at one singular point.
 
@@ -297,8 +305,9 @@ def _polynomial_solutions(L: DiffOp, rhs, bound):
 def rational_solutions(L: DiffOp, g=None) -> SolutionSpace:
     """Complete affine space of rational solutions of L(y) = g.
 
-    Absence of a solution is reported in the result, never raised.  All
-    claimed solutions are re-checked by exact substitution.
+    Absence of a solution is reported in the result, never raised; a
+    degree bound above MAX_DEGREE_BOUND raises ValueError.  All claimed
+    solutions are re-checked by exact substitution.
     """
     if L.params:
         raise ValueError("rational solving needs Q coefficients")
@@ -314,6 +323,9 @@ def rational_solutions(L: DiffOp, g=None) -> SolutionSpace:
     # monic factor, so the indicial data at infinity, and with them the
     # homogeneous degree candidates, are those of degree_bound(M, None)
     bound = degree_bound(M, g)
+    if bound > MAX_DEGREE_BOUND:
+        raise ValueError("degree bound %d exceeds %d"
+                         % (bound, MAX_DEGREE_BOUND))
     part, basis = _polynomial_solutions(
         M, g if g is not None else RatFun.zero(var), bound)
     Dr = RatFun(Poly.const(1, var), D)

@@ -4,7 +4,10 @@ A Certificate is a plain JSON document {input, evidence[], verdict}.
 Every evidence record carries the data needed to re-run its check from
 the certificate alone (matrices verbatim, coefficient strings in the
 textual grammar) plus a content hash, so certificates are diffable and
-replayable bit for bit.
+replayable bit for bit.  The claimed fields of a record are derived by
+one function per kind (the *_claims functions below): the build writes
+what it returns, and replay calls it on the record's inputs and compares
+every field.
 
 Verdict vocabulary: IRREDUCIBLE is only emitted when both required
 pieces of evidence are present (an SL2-certified first variational
@@ -33,12 +36,15 @@ from .linops import (cyclic_vector_scalarize, parse_operator,
 from .poly import RatFun, ratfun
 from .ratsolve import (_clear_denominators, _indicial_infinity,
                        degree_bound, lift_solutions, rational_solutions)
-from .screen import TAG_SL2, certify_sl2, exponential_solutions_restricted
+from .screen import TAG_SL2, certify_sl2
+
+# lie_closure is re-exported: perfbench's tracer test wraps this binding
+__all__ = ["Certificate", "CertificateError", "INCONCLUSIVE", "IRREDUCIBLE",
+           "check_p2", "check_p3", "criterion_airy_family", "lie_closure",
+           "lnve_group_dimension", "reduced_form_obstruction", "replay"]
 
 IRREDUCIBLE = "IRREDUCIBLE"
 INCONCLUSIVE = "INCONCLUSIVE"
-OBSTRUCTION_SOLVABLE = \
-    "OBSTRUCTION-SOLVABLE (reduction exists; theorem hypotheses fail)"
 
 # Replay bounds on a lie_dimension record.  Honest records have 6x6 (p2)
 # or 9x9 (p3) generators and claim dimension 8.  A larger matrix, or a
@@ -64,9 +70,10 @@ class _Parsed:
     """Values of the strings of one certificate, each distinct (text,
     var, params) parsed once, and its scalar equations, each solved once.
 
-    One lives for one replay call, so nothing parsed or solved from an
-    untrusted certificate seeds a later replay.  Sharing values between
-    records is safe because RatFun and DiffOp values are immutable.
+    One lives for one build or one replay call, so nothing parsed or
+    solved from an untrusted certificate seeds a later replay.  Sharing
+    values between records is safe because RatFun and DiffOp values are
+    immutable.
     """
 
     def __init__(self):
@@ -107,6 +114,76 @@ class _Parsed:
         space = rational_solutions(L, g)
         self.solved.append((L, g, space))
         return space
+
+
+# ---------------------------------------------------------------------------
+# the claimed fields of each evidence kind, one derivation for build and
+# replay; solve is the _Parsed.solve of the build or replay call
+
+def _screen_claims(L):
+    v = certify_sl2(L)
+    return {"tag": v.tag, "reason": v.reason}
+
+
+def _pole_claims(p, n):
+    """A pole of order 1..n+2 at a finite point already blocks rational
+    solvability of the family's scalar obstruction equation."""
+    orders = sorted(p.pole_orders()[0].values())
+    return {"orders": orders, "applies": any(1 <= k <= n + 2 for k in orders)}
+
+
+def _degree_claims(L, g, solve):
+    qs, _ = _clear_denominators(L)
+    ind = _indicial_infinity(qs)
+    space = solve(L, g)
+    return {"sigma": max(q.degree() - i for i, q in enumerate(qs)
+                         if not q.is_zero()),
+            "indicial_infinity": str(ind.poly),
+            "integer_roots": list(ind.integer_roots),
+            # with denominator bound 1 the solver bounded the degree for L
+            "degree_bound": space.degree if space.denominator == 1
+            else degree_bound(L, g)}
+
+
+def _scalar_claims(L, g, solve):
+    space = solve(L, g)
+    return {"solvable": space.particular is not None,
+            "denominator": str(space.denominator), "degree": space.degree,
+            "homogeneous_dimension": len(space.basis),
+            "particular": None if space.particular is None
+            else str(space.particular)}
+
+
+def _solve_system(A, b, solve, expect=None):
+    """SolutionSpace of F' = A F + b: the system is scalarized, its
+    scalar equation solved through solve, and the solutions lifted and
+    re-checked against the system.  With expect = (L, g) the scalar
+    equation must be exactly L y = g, checked before the solve."""
+    res = cyclic_vector_scalarize(A, b)
+    if expect is not None and not (res.op == expect[0]
+                                   and res.rhs == expect[1]):
+        raise RuntimeError("the system does not scalarize to (%s) y = %s"
+                           % expect)
+    return lift_solutions(A, b, res, solve(res.op, res.rhs))
+
+
+def _system_claims(space):
+    """Claims of a rational_system record, from _solve_system's space."""
+    return {"solvable": space.particular is not None,
+            "homogeneous_dimension": len(space.basis)}
+
+
+def _lie_claims(gens, limit=None):
+    return {"dimension": lie_dimension(gens, limit)}
+
+
+def _check_claims(rec, claims):
+    """Each claimed field of rec must be what its inputs give, as JSON."""
+    for field, value in claims.items():
+        got, want = json.dumps(value), json.dumps(rec[field])
+        if got != want:
+            raise CertificateError("%s.%s changed: %s vs %s"
+                                   % (rec["kind"], field, got, want))
 
 
 def _record_hash(record):
@@ -203,32 +280,6 @@ def _replay_record(rec, parsed):
     params = tuple(rec.get("params", ()))
     if kind in ("matrix", "operator", "note", "vector"):
         return  # data witness; hash already checked
-    if kind == "screen":
-        L = parsed.operator(rec["operator"], var, params)
-        v = certify_sl2(L)
-        if v.tag != rec["tag"]:
-            raise CertificateError("screen tag changed: %s vs %s"
-                                   % (v.tag, rec["tag"]))
-        return
-    if kind == "lie_dimension":
-        claimed = rec["dimension"]
-        if type(claimed) is not int or not 0 <= claimed <= MAX_LIE_DIMENSION:
-            raise CertificateError("claimed lie dimension %r is not an "
-                                   "integer from 0 to %d"
-                                   % (claimed, MAX_LIE_DIMENSION))
-        for g in rec["generators"]:
-            if not (0 < len(g) <= MAX_LIE_GENERATOR_SIZE
-                    and all(len(row) == len(g) for row in g)):
-                raise CertificateError("generators must be square, at "
-                                       "most %d x %d"
-                                       % ((MAX_LIE_GENERATOR_SIZE,) * 2))
-        gens = [parsed.const_mat(g, var, params) for g in rec["generators"]]
-        # the closure stops as soon as its span passes the claim
-        dim = lie_dimension(gens, claimed)
-        if dim != claimed:
-            raise CertificateError("lie dimension changed: %d vs %d"
-                                   % (dim, claimed))
-        return
     if kind == "trace_zero":
         M = parsed.mat(rec["matrix"], var, params)
         tr = sum((M[i][i] for i in range(len(M))), RatFun.zero(var, params))
@@ -275,7 +326,17 @@ def _replay_record(rec, parsed):
         if not (a == b):
             raise CertificateError("operator identity fails")
         return
-    if kind == "rational_system":
+    # the claim kinds: parse the inputs, derive the claims, compare
+    if kind == "screen":
+        claims = _screen_claims(parsed.operator(rec["operator"], var, params))
+    elif kind == "pole_shortcut":
+        claims = _pole_claims(parsed.entry(rec["p"], var, params), rec["n"])
+    elif kind in ("degree_argument", "scalar_rational"):
+        derive = (_degree_claims if kind == "degree_argument"
+                  else _scalar_claims)
+        claims = derive(parsed.operator(rec["operator"], var, params),
+                        parsed.entry(rec["rhs"], var, params), parsed.solve)
+    elif kind == "rational_system":
         rows, rhs = rec["matrix"], rec["rhs"]
         if params or not (0 < len(rows) <= MAX_SYSTEM_SIZE
                           and len(rhs) == len(rows)
@@ -285,49 +346,25 @@ def _replay_record(rec, parsed):
                                    "size" % ((MAX_SYSTEM_SIZE,) * 2))
         A = parsed.mat(rows, var, params)
         b = [parsed.entry(s, var, params) for s in rhs]
-        res = cyclic_vector_scalarize(A, b)
-        space = lift_solutions(A, b, res, parsed.solve(res.op, res.rhs))
-        if (space.particular is not None) != rec["solvable"]:
-            raise CertificateError("system solvability changed")
-        if len(space.basis) != rec["homogeneous_dimension"]:
-            raise CertificateError("homogeneous dimension changed")
-        return
-    if kind == "scalar_rational":
-        L = parsed.operator(rec["operator"], var, params)
-        g = parsed.entry(rec["rhs"], var, params)
-        space = parsed.solve(L, g)
-        if (space.particular is not None) != rec["solvable"]:
-            raise CertificateError("scalar solvability changed")
-        return
-    if kind == "pole_shortcut":
-        p = parsed.entry(rec["p"], var, params)
-        n = rec["n"]
-        orders = sorted(_finite_pole_orders(p))
-        if orders != sorted(rec["orders"]):
-            raise CertificateError("pole orders changed")
-        applies = any(1 <= k <= n + 2 for k in orders)
-        if applies != rec["applies"]:
-            raise CertificateError("shortcut applicability changed")
-        return
-    if kind == "degree_argument":
-        L = parsed.operator(rec["operator"], var, params)
-        g = parsed.entry(rec["rhs"], var, params)
-        qs, _ = _clear_denominators(L)
-        sigma = max(q.degree() - i for i, q in enumerate(qs)
-                    if not q.is_zero())
-        if sigma != rec["sigma"]:
-            raise CertificateError("image degree shift changed")
-        ind = _indicial_infinity(qs)
-        if str(ind.poly) != rec["indicial_infinity"]:
-            raise CertificateError("indicial data at infinity changed")
-        # with denominator bound 1 the solver bounded the degree for L
-        space = parsed.solve(L, g)
-        bound = (space.degree if space.denominator == 1
-                 else degree_bound(L, g))
-        if bound != rec["degree_bound"]:
-            raise CertificateError("degree bound changed")
-        return
-    raise CertificateError("unknown evidence kind %r" % kind)
+        claims = _system_claims(_solve_system(A, b, parsed.solve))
+    elif kind == "lie_dimension":
+        claimed = rec["dimension"]
+        if type(claimed) is not int or not 0 <= claimed <= MAX_LIE_DIMENSION:
+            raise CertificateError("claimed lie dimension %r is not an "
+                                   "integer from 0 to %d"
+                                   % (claimed, MAX_LIE_DIMENSION))
+        for g in rec["generators"]:
+            if not (0 < len(g) <= MAX_LIE_GENERATOR_SIZE
+                    and all(len(row) == len(g) for row in g)):
+                raise CertificateError("generators must be square, at "
+                                       "most %d x %d"
+                                       % ((MAX_LIE_GENERATOR_SIZE,) * 2))
+        gens = [parsed.const_mat(g, var, params) for g in rec["generators"]]
+        # the closure stops as soon as its span passes the claim
+        claims = _lie_claims(gens, claimed)
+    else:
+        raise CertificateError("unknown evidence kind %r" % kind)
+    _check_claims(rec, claims)
 
 
 def replay(cert) -> int:
@@ -337,11 +374,6 @@ def replay(cert) -> int:
     elif isinstance(cert, dict):
         cert = Certificate.from_dict(cert)
     return cert.replay()
-
-
-def _finite_pole_orders(p: RatFun):
-    factors, _ = p.pole_orders()
-    return [k for _, k in factors.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +397,7 @@ def reduction_matrix(n, F):
             for i, row in enumerate(mat_identity(m, RatFun.const(1, "t")))]
 
 
-def reduced_form_obstruction(n, p):
+def reduced_form_obstruction(n, p, L=None, solve=rational_solutions):
     """(Psi, b, SolutionSpace) for the off-diagonal reduction of (NVE_n).
 
     Empty means the Lie algebra is the full sl2 x Sym^(n+1) of dimension
@@ -373,10 +405,11 @@ def reduced_form_obstruction(n, p):
     reduction gauge as .reduction.
 
     With the covector e_last the system F' = Psi F + b scalarizes, by
-    substitution, to L y = (-1)^(n+1) (n+1)! p with L = Sym^(n+1)(D^2 - t);
-    both identities are checked exactly.  The one scalar solve, of
-    L y = p, is kept as .scalar and L as .operator; its solutions are
-    lifted to the system and re-checked there.
+    substitution, to L y = (-1)^(n+1) (n+1)! p with L = Sym^(n+1)(D^2 - t)
+    (checked exactly; a caller that has built L passes it); that scalar
+    equation is solved once through solve (a build passes its solve-once
+    table), and its solutions are lifted to the system and re-checked
+    there.
     """
     if n < 2:
         raise ValueError("family needs n >= 2")
@@ -384,27 +417,20 @@ def reduced_form_obstruction(n, p):
     Psi = _family_psi(n)
     zero = RatFun.zero("t")
     b = [p] + [zero] * (n + 1)
-    res = cyclic_vector_scalarize(Psi, b)
-    L = sym_power_operator(_airy_ve1(), n + 1)
+    if L is None:
+        L = sym_power_operator(_airy_ve1(), n + 1)
     c = (-1) ** (n + 1) * math.factorial(n + 1)
-    if not (res.op == L and res.rhs == c * p):
-        raise RuntimeError("the family system does not scalarize to "
-                           "Sym^%d(D^2 - t) y = %d p" % (n + 1, c))
-    scalar = rational_solutions(L, p)
-    space = lift_solutions(Psi, b, res, scalar.scaled(c))
-    space.scalar, space.operator = scalar, L
-    space.reduction = None
-    if space.particular is not None:
-        space.reduction = reduction_matrix(n, space.particular)
+    space = _solve_system(Psi, b, solve, (L, c * p))
+    space.reduction = (None if space.particular is None
+                       else reduction_matrix(n, space.particular))
     return Psi, b, space
 
 
 def lnve_group_dimension(n, p):
     """(dimension, classification) of the Lie algebra of (LNVE_n)."""
     _, _, space = reduced_form_obstruction(n, p)
-    if space.particular is not None:
-        return 3, "sl2"
-    return n + 5, "sl2 x Sym^(n+1)"
+    d = 3 if space.particular is not None else n + 5
+    return d, classify_lnve_lie_algebra(d, n)
 
 
 # ---------------------------------------------------------------------------
@@ -417,11 +443,10 @@ def _airy_ve1():
 def criterion_airy_family(family) -> Certificate:
     """Irreducibility certificate for y'' = x y + y^n P(x, y).
 
-    On the full path the scalar equation Sym^(n+1)(D^2 - t) y = p is
-    solved once (reduced_form_obstruction): the scalar_rational and
-    degree_argument records read that solve, and the rational_system
-    record its lift to the off-diagonal system, whose Krylov matrix is
-    inverted by substitution.
+    On the full path the off-diagonal system is scalarized to
+    Sym^(n+1)(D^2 - t) y = c p and solved once (reduced_form_obstruction)
+    through the build's solve-once table, which the degree_argument and
+    scalar_rational claims of L y = p then read, as in replay.
     """
     if not isinstance(family, EquationFamily):
         raise ValueError("expected an EquationFamily")
@@ -434,10 +459,9 @@ def criterion_airy_family(family) -> Certificate:
 
     # hypothesis 1: the first variational equation has group SL(2, C)
     ve1 = _airy_ve1()
-    sv = certify_sl2(ve1)
-    cert.add("screen", operator=str(ve1), var="t", tag=sv.tag,
-             reason=sv.reason)
-    if sv.tag != TAG_SL2:
+    screen = _screen_claims(ve1)
+    cert.add("screen", operator=str(ve1), var="t", **screen)
+    if screen["tag"] != TAG_SL2:
         cert.verdict = INCONCLUSIVE
         return cert
 
@@ -448,11 +472,9 @@ def criterion_airy_family(family) -> Certificate:
         return cert
 
     # fast path: a pole of order 1..n+2 already blocks rational solvability
-    orders = _finite_pole_orders(p)
-    applies = any(1 <= k <= n + 2 for k in orders)
-    cert.add("pole_shortcut", p=str(p), var="t", n=n,
-             orders=sorted(orders), applies=applies)
-    if applies:
+    pole = _pole_claims(p, n)
+    cert.add("pole_shortcut", p=str(p), var="t", n=n, **pole)
+    if pole["applies"]:
         cert.add("note", text="pole of order between 1 and %d at a finite "
                  "point: the scalar obstruction equation has no rational "
                  "solution, so the Lie algebra has dimension %d > 5"
@@ -461,36 +483,27 @@ def criterion_airy_family(family) -> Certificate:
         return cert
 
     # full path: the off-diagonal system and its scalar form, solved once
-    Psi, b, sys_space = reduced_form_obstruction(n, p)
-    L, space = sys_space.operator, sys_space.scalar
+    solve = _Parsed().solve
+    L = sym_power_operator(ve1, n + 1)
+    Psi, b, space = reduced_form_obstruction(n, p, L, solve)
+    text = str(L)
     cert.add("operator", name="sym^%d of the first variational operator"
-             % (n + 1), var="t", text=str(L))
-    qs, _ = _clear_denominators(L)
-    sigma = max(q.degree() - i for i, q in enumerate(qs) if not q.is_zero())
-    ind = _indicial_infinity(qs)
-    # with denominator bound 1 the solver bounded the degree for L itself
-    cert.add("degree_argument", operator=str(L), rhs=str(p), var="t",
-             sigma=sigma, indicial_infinity=str(ind.poly),
-             integer_roots=list(ind.integer_roots),
-             degree_bound=space.degree if space.denominator == 1
-             else degree_bound(L, p))
-    cert.add("scalar_rational", operator=str(L), rhs=str(p), var="t",
-             solvable=space.particular is not None,
-             denominator=str(space.denominator), degree=space.degree,
-             homogeneous_dimension=len(space.basis),
-             particular=None if space.particular is None
-             else str(space.particular))
+             % (n + 1), var="t", text=text)
+    cert.add("degree_argument", operator=text, rhs=str(p), var="t",
+             **_degree_claims(L, p, solve))
+    scalar_rec = _scalar_claims(L, p, solve)
+    cert.add("scalar_rational", operator=text, rhs=str(p), var="t",
+             **scalar_rec)
     cert.add("rational_system", matrix=_mat_str(Psi), rhs=[str(x) for x in b],
-             var="t", solvable=sys_space.particular is not None,
-             homogeneous_dimension=len(sys_space.basis))
+             var="t", **_system_claims(space))
 
-    if space.particular is None:
+    if not scalar_rec["solvable"]:
         cert.add("note", text="no rational solution: Lie algebra dimension "
                  "%d > 5" % (n + 5))
         cert.verdict = IRREDUCIBLE
     else:
         cert.add("matrix", name="reduction gauge", var="t",
-                 rows=_mat_str(sys_space.reduction))
+                 rows=_mat_str(space.reduction))
         cert.add("note", text="obstruction solvable: Lie algebra sl2 of "
                  "dimension 3, criterion silent")
         cert.verdict = INCONCLUSIVE
@@ -514,14 +527,14 @@ def check_p2() -> Certificate:
     cert.add("matrix", name="third normal variational system", var="t",
              rows=_mat_str(A))
     coeffs, mats = associated_lie_algebra(A)
-    alg = lie_closure(mats)
-    cls = classify_lnve_lie_algebra(alg, 3)
+    lie = _lie_claims(mats)
+    dim = lie["dimension"]
     cert.add("lie_dimension", var="t",
              generators=[_mat_str(M) for M in mats],
-             coefficients=[str(c) for c in coeffs],
-             dimension=alg.dimension, classification=cls)
+             coefficients=[str(c) for c in coeffs], **lie,
+             classification=classify_lnve_lie_algebra(dim, 3))
     cert.evidence.append(dict(system))
-    route1 = (alg.dimension > 5 and not system["solvable"])
+    route1 = (dim > 5 and not system["solvable"])
 
     cert.evidence += [dict(rec) for rec in sub.evidence]
     route2 = sub.verdict == IRREDUCIBLE
@@ -529,8 +542,7 @@ def check_p2() -> Certificate:
     if route1 != route2:
         raise RuntimeError("the two routes disagree")
     cert.add("note", text="both routes agree: Lie dimension %d > 5 and the "
-             "scalar obstruction has no rational solution"
-             % alg.dimension)
+             "scalar obstruction has no rational solution" % dim)
     cert.verdict = IRREDUCIBLE if route1 else sub.verdict
     return cert
 
@@ -622,8 +634,9 @@ def check_p3(mus=(Fraction(1, 2),)) -> Certificate:
     obstruction runs at each requested rational non-integer mu.  There
     the system F' = Psi F + b scalarizes exactly to Sym^4(L2) y = -g
     with L2 = D^2 - 4 - 4*mu/x and g the displayed right side (checked);
-    the one scalar solve, of Sym^4(L2) y = g, is recorded as
-    scalar_rational and its lift to the system as rational_system.
+    that one scalar equation is solved once, through the build's
+    solve-once table, for the rational_system and scalar_rational claims.
+    An integer mu is refused at once, with no search for the witness.
     """
     mus = [scalar(m) for m in mus]
     if not mus:
@@ -633,10 +646,10 @@ def check_p3(mus=(Fraction(1, 2),)) -> Certificate:
         if m == 0:
             raise ValueError("Q1 singular")
         if m.denominator == 1:
-            wits = exponential_solutions_restricted(_l2_operator(m))
             raise ValueError(
-                "exponential solution exists at integer mu=%s: %r"
-                % (m, wits[0] if wits else None))
+                "at integer mu=%s, D^2 - 4 - 4*mu/x has an exponential "
+                "solution (its polynomial part has degree |mu|), so its "
+                "group is not SL(2)" % m)
 
     params = ("mu",)
     var = "x"
@@ -694,12 +707,12 @@ def check_p3(mus=(Fraction(1, 2),)) -> Certificate:
 
     # order 3: the Lie algebra generated by the constants has dimension 8
     Ci, C0 = ch.parts["At3"]
-    dim = lie_dimension([Ci, C0])
+    lie = _lie_claims([Ci, C0])
     cert.add("lie_dimension", var=var, params=list(params),
-             generators=[_mat_str(Ci), _mat_str(C0)],
-             dimension=dim, classification=None)
-    if dim != 8:
-        raise RuntimeError("order-3 Lie dimension is %d" % dim)
+             generators=[_mat_str(Ci), _mat_str(C0)], **lie,
+             classification=None)
+    if lie["dimension"] != 8:
+        raise RuntimeError("order-3 Lie dimension is %d" % lie["dimension"])
 
     # off-diagonal reduction data
     Psi, Psi1, Psi2, b = p3_psi_and_b(ch)
@@ -724,13 +737,13 @@ def check_p3(mus=(Fraction(1, 2),)) -> Certificate:
 
     # pointwise obstruction at each requested mu
     all_ok = True
+    solve = _Parsed().solve
     for m in mus:
         sub = {"mu": m}
         l2m = l2.specialize(sub)
-        sv = certify_sl2(l2m)
-        cert.add("screen", operator=str(l2m), var=var, tag=sv.tag,
-                 reason=sv.reason, mu=str(m))
-        if sv.tag != TAG_SL2:
+        screen = _screen_claims(l2m)
+        cert.add("screen", operator=str(l2m), var=var, **screen, mu=str(m))
+        if screen["tag"] != TAG_SL2:
             all_ok = False
             continue
         Psim = [[f.specialize(sub) for f in row] for row in Psi]
@@ -738,28 +751,14 @@ def check_p3(mus=(Fraction(1, 2),)) -> Certificate:
         # the system scalarizes to Sym^4(l2m) y = -g_m: one scalar solve
         L4m = sym_power_operator(l2m, 4)
         gm = _p3_g_display(m)
-        res = cyclic_vector_scalarize(Psim, bm)
-        if not (res.op == L4m and res.rhs == -gm):
-            raise RuntimeError("the P3 system at mu=%s does not scalarize "
-                               "to Sym^4(D^2 - 4 - 4*mu/x) y = -g" % m)
-        sc = rational_solutions(L4m, gm)
-        space = lift_solutions(Psim, bm, res, sc.scaled(-1))
+        space = _solve_system(Psim, bm, solve, (L4m, -gm))
         cert.add("rational_system", matrix=_mat_str(Psim),
                  rhs=[str(f) for f in bm], var=var, mu=str(m),
-                 solvable=space.particular is not None,
-                 homogeneous_dimension=len(space.basis))
+                 **_system_claims(space))
         cert.add("scalar_rational", operator=str(L4m), rhs=str(gm), var=var,
-                 mu=str(m), solvable=sc.particular is not None,
-                 denominator=str(sc.denominator), degree=sc.degree,
-                 homogeneous_dimension=len(sc.basis),
-                 particular=None if sc.particular is None
-                 else str(sc.particular))
+                 mu=str(m), **_scalar_claims(L4m, gm, solve))
         if space.particular is not None:
             all_ok = False
 
     cert.verdict = IRREDUCIBLE if all_ok else INCONCLUSIVE
     return cert
-
-
-def _l2_operator(m):
-    return parse_operator("D^2 - 4 - %s/x" % (4 * scalar(m)), "x")

@@ -114,6 +114,17 @@ def test_p3_integer_mu_rejected(capsys):
     assert "exponential solution" in err
 
 
+@pytest.mark.parametrize("mu", ["100", "1e400"])
+def test_p3_integer_mu_refused_at_once(capsys, mu):
+    """An integer mu is refused before any witness search: the witness
+    has a polynomial part of degree |mu|."""
+    import time
+    start = time.process_time()
+    assert main(["p3", "--mu", mu]) == 1
+    assert time.process_time() - start < 1
+    assert "exponential solution" in capsys.readouterr().err
+
+
 def test_p3_mu_zero_rejected(capsys):
     assert main(["p3", "--mu", "0"]) == 1
     assert "Q1 singular" in capsys.readouterr().err
@@ -154,7 +165,7 @@ def test_replay_edited_record_with_kept_hash(capsys, tmp_path):
     rec["hash"] = _record_hash(rec)
     path.write_text(json.dumps(doc))
     assert main(["replay", str(path)]) == 1
-    assert "system solvability changed" in capsys.readouterr().err
+    assert "rational_system.solvable changed" in capsys.readouterr().err
 
 
 def test_replay_missing_file(capsys, tmp_path):

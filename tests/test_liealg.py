@@ -61,7 +61,7 @@ def test_lie_closure_sl2():
     X, Y, H = block_xyh(2)
     alg = lie_closure([X, Y])
     assert alg.dimension == 3
-    assert classify_lnve_lie_algebra(alg, 2) == "sl2"
+    assert classify_lnve_lie_algebra(alg.dimension, 2) == "sl2"
 
 
 def test_classify_full():
@@ -69,7 +69,7 @@ def test_classify_full():
     gens = [X, Y] + block_e_matrices(3)
     alg = lie_closure(gens)
     assert alg.dimension == 8
-    assert classify_lnve_lie_algebra(alg, 3) == "sl2 x Sym^(n+1)"
+    assert classify_lnve_lie_algebra(alg.dimension, 3) == "sl2 x Sym^(n+1)"
 
 
 def test_associated_lie_algebra_airy():

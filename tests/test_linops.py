@@ -323,11 +323,6 @@ def test_gauge_transform_shape():
     assert len(B) == 2 and len(B[0]) == 2
 
 
-def test_adjoint_involution_simple():
-    L = parse_operator("D^3 + t*D + 1")
-    assert L.adjoint().adjoint() == L
-
-
 def test_diffop_sum_cancels_to_zero_operator():
     L = parse_operator("D^3 + t*D + 1")
     assert (L - L).is_zero() and str(L - L) == "0"

@@ -208,3 +208,16 @@ def test_hessenberg_systems_scalarize_without_new_singularities():
         assert F is None or space.particular is not None
 
     check()
+
+
+def test_degree_bound_past_the_budget_is_refused_before_any_image(
+        monkeypatch):
+    """t*D - 2000 has the integer exponent 2000 at infinity; its degree
+    bound passes MAX_DEGREE_BOUND, and the solver refuses it before it
+    applies the operator to any monomial."""
+    import irred.ratsolve as ratsolve
+    L = parse_operator("t*D - 2000")
+    assert degree_bound(L) == 2000 > ratsolve.MAX_DEGREE_BOUND == 64
+    monkeypatch.setattr(ratsolve, "_polynomial_solutions", None)
+    with pytest.raises(ValueError, match="degree bound 2000 exceeds 64"):
+        rational_solutions(L, t())

@@ -375,7 +375,7 @@ def test_p3_lie_dimension_claim_of_nine_fails(p3_certificate_text):
     rec["dimension"] = 9
     rec["hash"] = _record_hash(rec)
     with pytest.raises(CertificateError,
-                       match="lie dimension changed: 8 vs 9"):
+                       match="lie_dimension.dimension changed: 8 vs 9"):
         replay(doc)
 
 
@@ -554,11 +554,11 @@ def test_solve_table_scales_an_earlier_space(monkeypatch, op, rhs, var, c):
     as in P3, c = (-1)^(n+1) (n+1)! = 24 as in the family at n = 3)."""
     from fractions import Fraction
     from irred.ratsolve import rational_solutions
-    from irred.verdict import _Parsed, _p3_g_display, _l2_operator
+    from irred.verdict import _Parsed, _p3_g_display
     if op == "Sym4":
         L = sym_power_operator(parse_operator("D^2 - t"), 4)
     elif op == "P3":
-        L = sym_power_operator(_l2_operator(Fraction(1, 2)), 4)
+        L = sym_power_operator(parse_operator("D^2 - 4 - 2/x", "x"), 4)
     else:
         L = parse_operator(op, var)
     g = (_p3_g_display(Fraction(1, 2)) if rhs == "P3"
@@ -602,7 +602,7 @@ def test_flipped_solvability_fails_beside_its_partner(kind):
     rec, = [r for r in d["evidence"] if r["kind"] == kind]
     rec["solvable"] = not rec["solvable"]
     rec["hash"] = _record_hash(rec)
-    with pytest.raises(CertificateError, match="solvability changed"):
+    with pytest.raises(CertificateError, match="solvable changed"):
         replay(d)
 
 
@@ -690,3 +690,164 @@ def test_p3_first_scalar_form_takes_the_default_covector(monkeypatch):
     l2 = parse_operator("D^2 - 4 - 4*mu/x", "x", ("mu",))
     assert rec["a"] == rec["b"] == str(l2)
     assert replay(cert) == len(cert.evidence)
+
+
+# ---------------------------------------------------------------------------
+# every claimed field is re-derived by replay
+
+# the fields of each claim-carrying kind: its inputs and data, then the
+# fields the build derives and replay re-derives
+_RECORD_FIELDS = {
+    "screen": ({"operator", "var", "mu"}, ("tag", "reason")),
+    "pole_shortcut": ({"p", "var", "n"}, ("orders", "applies")),
+    "degree_argument": ({"operator", "rhs", "var"},
+                        ("sigma", "indicial_infinity", "integer_roots",
+                         "degree_bound")),
+    "scalar_rational": ({"operator", "rhs", "var", "mu"},
+                        ("solvable", "denominator", "degree",
+                         "homogeneous_dimension", "particular")),
+    "rational_system": ({"matrix", "rhs", "var", "mu"},
+                        ("solvable", "homogeneous_dimension")),
+    "lie_dimension": ({"var", "params", "generators", "coefficients",
+                       "classification"}, ("dimension",)),
+}
+_FAMILY_KINDS = ("screen", "pole_shortcut", "degree_argument",
+                 "scalar_rational", "rational_system")
+_CLAIM_CERTIFICATES = {
+    "family": _FAMILY_KINDS,
+    "family-solvable": _FAMILY_KINDS,
+    "p2": _FAMILY_KINDS + ("lie_dimension",),
+    "p3": ("screen", "lie_dimension", "rational_system", "scalar_rational"),
+}
+
+
+@pytest.fixture(scope="module")
+def claim_certificates(p3_certificate_text):
+    from irred.verdict import check_p2
+    return {
+        "family": criterion_airy_family(EquationFamily(3, "x")).to_json(),
+        "family-solvable": criterion_airy_family(
+            EquationFamily(3, "64*x^2/3")).to_json(),
+        "p2": check_p2().to_json(),
+        "p3": p3_certificate_text,
+    }
+
+
+def _edited(value):
+    if value is None:
+        return "1"
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, list):
+        return value + [1]
+    return value + "1"
+
+
+def test_every_record_field_is_an_input_or_a_claim(claim_certificates):
+    seen = set()
+    for name, text in claim_certificates.items():
+        for rec in json.loads(text)["evidence"]:
+            if rec["kind"] in _RECORD_FIELDS:
+                inputs, claims = _RECORD_FIELDS[rec["kind"]]
+                assert set(rec) - {"kind", "hash"} <= inputs | set(claims)
+                assert set(claims) <= set(rec)
+                seen.add((name, rec["kind"]))
+    assert seen == {(name, kind) for name, kinds in _CLAIM_CERTIFICATES.items()
+                    for kind in kinds}
+
+
+@pytest.mark.parametrize("name,kind,field", [
+    (name, kind, field) for name, kinds in _CLAIM_CERTIFICATES.items()
+    for kind in kinds for field in _RECORD_FIELDS[kind][1]])
+def test_edited_claim_fails_replay(claim_certificates, name, kind, field):
+    """An edit of any claimed field, re-hashed, fails replay: the build
+    and replay derive each claim by the same function."""
+    from irred.verdict import _record_hash
+    doc = json.loads(claim_certificates[name])
+    assert replay(doc) == len(doc["evidence"])
+    rec = next(r for r in doc["evidence"] if r["kind"] == kind)
+    rec[field] = _edited(rec[field])
+    rec["hash"] = _record_hash(rec)
+    with pytest.raises(CertificateError):
+        replay(doc)
+
+
+def _spy_calls(monkeypatch, names):
+    """Count the calls of each function named "module.function", through
+    every binding of it in the irred modules."""
+    import importlib
+    import pkgutil
+    from collections import Counter
+    import irred
+    modules = [irred] + [importlib.import_module("irred." + m.name)
+                         for m in pkgutil.iter_modules(irred.__path__)]
+    calls = Counter()
+    for name in names:
+        module, attr = name.rsplit(".", 1)
+        real = getattr(importlib.import_module("irred." + module), attr)
+
+        def counting(*args, real=real, attr=attr, **kw):
+            calls[attr] += 1
+            return real(*args, **kw)
+
+        for m in modules:
+            if getattr(m, attr, None) is real:
+                monkeypatch.setattr(m, attr, counting)
+    return calls
+
+
+@pytest.mark.parametrize("name,build_counts,replay_counts", [
+    ("family", dict(cyclic_vector_scalarize=1, degree_bound=1),
+     dict(cyclic_vector_scalarize=1, degree_bound=1)),
+    ("p3", dict(cyclic_vector_scalarize=2, degree_bound=5),
+     dict(cyclic_vector_scalarize=1, degree_bound=5)),
+])
+def test_build_and_replay_operation_counts(monkeypatch, name, build_counts,
+                                           replay_counts):
+    """A family n = 8 and a p3 certificate each solve one scalar equation,
+    lift it once and screen once, in the build and in its replay; the
+    build alone forms the symmetric power (the p3 build also scalarizes
+    the first gauged system, and certify_sl2 bounds degrees)."""
+    from fractions import Fraction
+    calls = _spy_calls(monkeypatch, [
+        "ratsolve.rational_solutions", "linops.cyclic_vector_scalarize",
+        "ratsolve.lift_solutions", "screen.certify_sl2",
+        "ratsolve.degree_bound", "linops.sym_power_operator"])
+    one = dict(rational_solutions=1, lift_solutions=1, certify_sl2=1)
+    cert = (criterion_airy_family(EquationFamily(8, "x")) if name == "family"
+            else check_p3([Fraction(1, 2)]))
+    assert dict(calls) == dict(one, sym_power_operator=1, **build_counts)
+    calls.clear()
+    assert replay(cert.to_json()) == len(cert.evidence)
+    assert dict(calls) == dict(one, **replay_counts)
+
+
+# ---------------------------------------------------------------------------
+# the degree bound the rational solver accepts
+
+@pytest.mark.parametrize("n,P,bound", [
+    (3, "x^64", 63), (2, "x^64", 62), (2, "x^32/(x-1)^32", 26)])
+def test_honest_degree_bounds_build_and_replay(n, P, bound):
+    cert = criterion_airy_family(EquationFamily(n, P))
+    rec, = cert.find("scalar_rational")
+    assert rec["degree"] == bound
+    assert replay(cert.to_json()) == len(cert.evidence)
+
+
+def test_crafted_degree_bound_fails_fast():
+    """A re-hashed scalar_rational record on t*D - 1000000, whose integer
+    exponent 1000000 at infinity would make the solver build a million
+    images, fails replay in well under 1 s of CPU."""
+    import time
+    from irred.verdict import _record_hash
+    d = json.loads(criterion_airy_family(EquationFamily(3, "x")).to_json())
+    rec, = [r for r in d["evidence"] if r["kind"] == "scalar_rational"]
+    rec["operator"] = "t*D - 1000000"
+    rec["hash"] = _record_hash(rec)
+    start = time.process_time()
+    with pytest.raises(CertificateError,
+                       match="degree bound 1000000 exceeds 64"):
+        replay(d)
+    assert time.process_time() - start < 1

@@ -17,6 +17,7 @@ from fractions import Fraction
 from .grammar import ParseError
 from .jets import (EquationFamily, VectorFieldSpec, linearize,
                    normal_restrict, prolong, restrict_along_curve)
+from .poly import RatFun
 from .verdict import (CertificateError, check_p2, check_p3,
                       criterion_airy_family, replay)
 
@@ -64,11 +65,17 @@ def _parse_curve(text, X):
     return curve
 
 
+def _entry(x):
+    """An entry; a scalar with a space is wrapped, as a constant RatFun."""
+    s = str(x)
+    return "(%s)" % s if " " in s and not isinstance(x, RatFun) else s
+
+
 def _print_matrix(A, labels=None):
     if labels:
         print("variables: %s" % ", ".join(labels))
     for row in A:
-        print("[ " + ", ".join(str(x) for x in row) + " ]")
+        print("[ " + ", ".join(_entry(x) for x in row) + " ]")
 
 
 def _emit(cert, args):

@@ -303,6 +303,9 @@ class FieldElem:
             return NotImplemented
         if not self.num or not o.num:
             return FieldElem(self.params, {})
+        if _is_const(self.den) and _is_const(o.den):  # polynomials
+            return FieldElem(self.params, mp_mul(self.num, o.num), self.den,
+                             _normalized=True)
         # Henrici: cancel gcd(a, d) and gcd(c, b); what is left is coprime
         nv = len(self.params)
         a, d, _ = _cancel(self.num, o.den, nv)

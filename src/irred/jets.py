@@ -5,7 +5,9 @@ c^(l) by the total-derivative derivation delta = sum c^(l+1) d/dc^(l);
 the right-hand side of c^(l) is delta^l(a_c).  Restricting along an
 invariant curve (at an equilibrium point, for a field with no independent
 coordinate) and introducing normalized monomial variables in the jet
-coordinates produces the linearized variational systems.
+coordinates produces the linearized variational systems.  Coefficients
+are rational functions of the independent coordinate, or for a field with
+none the scalars of Q(params) themselves (int, Fraction or FieldElem).
 """
 
 from __future__ import annotations
@@ -13,12 +15,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .field import FieldElem
-from .grammar import (ParseError, _Parser, max_size, parse_ratfun,
-                      ratfun_size, tokenize)
+from .field import FieldElem, scalar
+from .grammar import (ParseError, _coeff_size, _Parser, max_size,
+                      parse_ratfun, ratfun_size, tokenize)
 from .linear import mat_mul, mat_transpose, solve_all
 from .linops import sym_power_matrix, sym_power_rep
-from .mpoly import MPoly
+from .mpoly import MPoly, qdiv, qnorm
 from .poly import Poly, RatFun, ratfun
 
 
@@ -32,35 +34,42 @@ def rename_ratfun(f: RatFun, var: str) -> RatFun:
                   Poly(f.den.coeffs, var, f.params), _normalized=True)
 
 
+def _coeff(c, var, params):
+    """c as a coefficient: a RatFun in var, or with var None a scalar."""
+    if var is not None:
+        return ratfun(c, var, params)
+    return c if isinstance(c, FieldElem) else scalar(c, params)
+
+
 class _MPParser(_Parser):
-    """Parses expressions into MPoly in the dependent coordinates with
-    rational-function coefficients in the independent variable.  A power
-    or product past the budgets of _Parser (MAX_DEGREE in the
-    coordinates, the variable or a parameter; MAX_BITS) is rejected
-    before it is computed, and so is a parsed result past them, which
-    sums can build."""
+    """Parses expressions into MPoly in the dependent coordinates, with
+    coefficients rational in cvar, or in Q(params) when cvar is None.  A
+    power or product past the budgets of _Parser (MAX_DEGREE in the
+    coordinates, the variable or a parameter; MAX_BITS) is rejected before
+    it is computed, and so is a parsed result past them (sums build one)."""
 
     def __init__(self, toks, deps, cvar, params):
         super().__init__(toks, cvar, params)
         self.deps = tuple(deps)
-        self.czero = RatFun.zero(cvar, params)
-        self.cone = RatFun.const(1, cvar, params)
+        self.czero = _coeff(0, cvar, params)
+        self.cone = _coeff(1, cvar, params)
 
     def _const(self, c):
-        return MPoly.const(c, self.deps, self.czero)
+        return MPoly.const(_coeff(c, self.var, self.params), self.deps,
+                           self.czero)
 
     def atom(self):
         kind, val = self.next()
         if kind == "int":
-            return self._const(RatFun.const(val, self.var, self.params))
+            return self._const(val)
         if kind == "name":
             if val in self.deps:
                 return MPoly.gen(val, self.deps, self.cone, self.czero)
             if val in self.params:
-                return self._const(RatFun.const(
-                    FieldElem.parameter(val, self.params), self.var, self.params))
+                return self._const(FieldElem.parameter(val, self.params))
             if val == self.var:
-                return self._const(RatFun.gen(self.var, self.params))
+                return MPoly.const(RatFun.gen(self.var, self.params),
+                                   self.deps, self.czero)
             raise ParseError("unknown name %r" % val)
         if kind == "(":
             v = self.expr()
@@ -71,8 +80,9 @@ class _MPParser(_Parser):
     def size(self, v):
         """Degree in the coordinates, then the largest size of a
         coefficient."""
+        size = _coeff_size if self.var is None else ratfun_size
         return (v.total_degree() or 0,) + max_size(
-            [(0, 0, 0)] + [ratfun_size(c) for c in v.terms.values()])
+            [(0, 0, 0)] + [size(c) for c in v.terms.values()])
 
     def parse(self):
         v = super().parse()
@@ -91,7 +101,7 @@ class _MPParser(_Parser):
                 c = w.as_coeff()  # raises for non-constant divisors
                 if not c:
                     raise ParseError("division by zero")
-                v = v.scale(self.cone / c)
+                v = v.scale(qdiv(self.cone, c))
         return v
 
 
@@ -104,7 +114,8 @@ def parse_component(text, deps, cvar, params=()):
 
 class VectorFieldSpec:
     """Polynomial vector field; components polynomial in the dependent
-    coordinates with rational coefficients in the independent one."""
+    coordinates with coefficients rational in the independent one, or
+    in Q(params) when there is no independent coordinate."""
 
     def __init__(self, coords, components, params=(), indep=None):
         self.coords = tuple(coords)
@@ -112,16 +123,15 @@ class VectorFieldSpec:
         if indep is not None and indep not in self.coords:
             raise ValueError("independent coordinate %r not declared" % indep)
         self.indep = indep
-        self.cvar = indep if indep is not None else "t"
         self.deps = tuple(c for c in self.coords if c != indep)
-        self.czero = RatFun.zero(self.cvar, self.params)
-        self.cone = RatFun.const(1, self.cvar, self.params)
+        self.czero = _coeff(0, indep, self.params)
+        self.cone = _coeff(1, indep, self.params)
         if len(components) != len(self.coords):
             raise ValueError("component count does not match coordinates")
         comps = {}
         for name, comp in zip(self.coords, components):
             if isinstance(comp, str):
-                comp = parse_component(comp, self.deps, self.cvar, self.params)
+                comp = parse_component(comp, self.deps, indep, self.params)
             comps[name] = comp
         if indep is not None:
             if comps[indep] != MPoly.const(self.cone, self.deps, self.czero):
@@ -196,8 +206,8 @@ def prolong(X: VectorFieldSpec, k: int) -> JetSystem:
     return JetSystem(X, k, universe, rhs, order)
 
 
-def _eval_mpoly(p: MPoly, assign) -> RatFun:
-    """Fully evaluate an MPoly with RatFun values for every variable."""
+def _eval_mpoly(p: MPoly, assign):
+    """Fully evaluate an MPoly with a coefficient for every variable."""
     czero = p.czero
     total = czero
     for e, c in p.terms.items():
@@ -209,33 +219,34 @@ def _eval_mpoly(p: MPoly, assign) -> RatFun:
     return total
 
 
-def restrict_along_curve(J: JetSystem, curve) -> JetSystem:
-    """Substitute an invariant solution curve for the order-0 coordinates.
-
-    curve maps each dependent coordinate to a rational function of the
-    independent variable; invariance is checked symbolically first.  A
-    field with no independent coordinate is restricted at a point: each
-    value must be a constant, and invariance says X(point) = 0.
-    """
-    X = J.field
+def curve_values(X: VectorFieldSpec, curve) -> dict:
+    """Each dependent coordinate's value on curve (text or not) as a
+    coefficient of X; with no independent coordinate the curve is a point."""
     vals = {}
     for c in X.deps:
         v = curve[c] if isinstance(curve, dict) else None
         if v is None:
             raise ValueError("curve missing coordinate %r" % c)
         if isinstance(v, str):
-            v = parse_ratfun(v, X.cvar, X.params)
-        vals[c] = ratfun(v, X.cvar, X.params)
-        if X.indep is None and not vals[c].is_constant():
-            raise ValueError("with no independent coordinate the curve is a "
-                             "point, but %s = %s" % (c, vals[c]))
+            v = (parse_ratfun(v, X.indep, X.params) if X.indep is not None
+                 else parse_component(v, (), None, X.params).as_coeff())
+        vals[c] = _coeff(v, X.indep, X.params)
+    return vals
+
+
+def restrict_along_curve(J: JetSystem, curve) -> JetSystem:
+    """Substitute an invariant solution curve (`curve_values`) for the
+    order-0 coordinates.  Invariance is checked symbolically first; at a
+    point, with no independent coordinate, it says X(point) = 0."""
+    X = J.field
+    vals = curve_values(X, curve)
     # invariance: c' along the curve must equal the field component
     for c in X.deps:
-        comp = X.components[c]
-        ev = _eval_mpoly(comp, vals)
-        if not (vals[c].derivative() == ev):
+        ev = _eval_mpoly(X.components[c], vals)
+        dv = X.czero if X.indep is None else vals[c].derivative()
+        if not (dv == ev):
             raise ValueError("curve is not invariant: %s' = %s but field "
-                             "gives %s" % (c, vals[c].derivative(), ev))
+                             "gives %s" % (c, dv, ev))
 
     newvars = tuple(v for v in J.vars if J.jet_order[v] >= 1)
     order = {v: J.jet_order[v] for v in newvars}
@@ -248,7 +259,7 @@ def restrict_along_curve(J: JetSystem, curve) -> JetSystem:
             for v, kk in zip(p.vars, e):
                 if J.jet_order[v] == 0:
                     if kk:
-                        factor = factor * vals[v] ** kk
+                        factor = qnorm(factor * vals[v] ** kk)
                 else:
                     ne.append(kk)
             out = out + MPoly(newvars, {tuple(ne): factor}, X.czero)
@@ -363,7 +374,8 @@ def linearize(J: JetSystem) -> LinearizedSystem:
             rest = {tuple(e[:i] + (e[i] - 1,) + e[i + 1:]):
                     e[i] * X.cone}
             acc = acc + MPoly(vars_, rest, X.czero) * J.rhs[v]
-        return acc.scale(RatFun.const(_multinomial(e), X.cvar, X.params))
+        m = _multinomial(e)
+        return acc if m == 1 else acc.scale(_coeff(m, X.indep, X.params))
 
     seeds = [tuple(1 if j == i else 0 for j in range(len(vars_)))
              for i, v in enumerate(vars_) if J.jet_order[v] == k]
@@ -388,7 +400,8 @@ def linearize(J: JetSystem) -> LinearizedSystem:
             if e2 not in index:
                 raise ValueError("linearization left the monomial space "
                                  "(missing %s)" % (e2,))
-            A[i][index[e2]] = c * Fraction(1, _multinomial(e2))
+            m = _multinomial(e2)
+            A[i][index[e2]] = c if m == 1 else qnorm(c * Fraction(1, m))
     labels = [monomial_label(e, vars_) for e in basis]
     return LinearizedSystem(A, basis, vars_, labels)
 
@@ -473,8 +486,8 @@ class P3Chain:
 
 
 def _w_parts(M):
-    """Split a constant matrix over Q(mu, w), with entries c_inf + c_0 w
-    for c_inf, c_0 in Q(mu), into the parts (C_inf, C_0) over Q(mu).
+    """Split a matrix over Q(mu, w), with entries c_inf + c_0 w for
+    c_inf, c_0 in Q(mu), into the parts (C_inf, C_0) over Q(mu).
 
     w is the last parameter.  An entry is read off the coefficients of its
     polynomial numerator, without arithmetic; one of another form raises
@@ -483,10 +496,9 @@ def _w_parts(M):
     Cinf, C0 = [], []
     for row in M:
         ri, r0 = [], []
-        for f in row:
-            c = f.constant_value()
+        for c in row:
             if any(any(e) for e in c.den) or any(e[-1] > 1 for e in c.num):
-                raise ValueError("entry %s is not of the form a + b*w" % f)
+                raise ValueError("entry %s is not of the form a + b*w" % c)
             byw = ({}, {})
             for e, v in c.num.items():
                 byw[e[-1]][e[:-1]] = v
@@ -562,9 +574,8 @@ def build_p3_chain() -> P3Chain:
     """
     params = ("mu",)
     X = p3_w_field()
-    mu_w = RatFun.const(FieldElem.parameter("mu", X.params), X.cvar,
-                        X.params)
-    curve = {"y": RatFun.const(1, X.cvar, X.params), "z": -mu_w / 2}
+    mu_w = FieldElem.parameter("mu", X.params)
+    curve = {"y": 1, "z": mu_w * Fraction(-1, 2)}
     J3 = restrict_along_curve(prolong(X, 3), curve)
 
     L3 = linearize(J3)
@@ -581,20 +592,24 @@ def build_p3_chain() -> P3Chain:
 
     mu = FieldElem.parameter("mu", params)
     zero = one - one
-    Q1 = [[-2 * mu, one], [-mu * mu, zero]]
-    Q2 = _blockdiag([sym_power_rep(Q1, 2), Q1], zero)
-    Q3 = _blockdiag([sym_power_rep(Q1, 3), sym_power_rep(Q1, 2), Q1], zero)
+
+    def gauges(M):
+        """M and the block diagonals of Sym^j(M), j = 2, 1 and 3, 2, 1."""
+        S2 = sym_power_rep(M, 2)
+        return (M, _blockdiag([S2, M], zero),
+                _blockdiag([sym_power_rep(M, 3), S2, M], zero))
+
+    Q1, Q2, Q3 = gauges([[-2 * mu, one], [-mu * mu, zero]])
     # R_k = Q_k^-1 in closed form: the adjugate of Q1 (det Q1 = mu^2), and
     # Sym^j(Q1^-1) = Sym^j(Q1)^-1 block by block
     (a, b), (c, d) = Q1
     det = a * d - b * c
-    R1 = [[d / det, -b / det], [-c / det, a / det]]
-    R2 = _blockdiag([sym_power_rep(R1, 2), R1], zero)
-    R3 = _blockdiag([sym_power_rep(R1, 3), sym_power_rep(R1, 2), R1], zero)
+    R1, R2, R3 = gauges([[d / det, -b / det], [-c / det, a / det]])
 
-    # Q_k and R_k are constant, so At_k = R_k A_k Q_k part by part
+    # Q_k and R_k are constant, so At_k = R_k A_k Q_k part by part; C Q_k
+    # is polynomial in mu, so it is formed first
     for k, R, Q in ((1, R1, Q1), (2, R2, Q2), (3, R3, Q3)):
-        parts["At%d" % k] = tuple(mat_mul(mat_mul(R, C), Q)
+        parts["At%d" % k] = tuple(mat_mul(R, mat_mul(C, Q))
                                   for C in parts["A%d" % k])
     At1, At2, At3 = (_from_parts(*parts["At%d" % k], "x", params)
                      for k in (1, 2, 3))
@@ -603,9 +618,11 @@ def build_p3_chain() -> P3Chain:
 
 
 def _scale_conj(A, diag):
-    n = len(A)
-    return [[A[i][j] * Fraction(diag[i]) / Fraction(diag[j])
-             for j in range(n)] for i in range(n)]
+    """D A D^-1 for D = diag(diag), each entry scaled once, by its
+    ratio diag[i]/diag[j] unless that is 1."""
+    return [[a if r == 1 else a * r
+             for a, r in zip(row, [qdiv(di, dj) for dj in diag])]
+            for row, di in zip(A, diag)]
 
 
 def _blockdiag(blocks, zero):
@@ -624,41 +641,23 @@ def _p3_third_rows(L3: LinearizedSystem, one):
     """Rows over the weight-3 monomial basis that span the invariant
     subspace of the 9x9 third variational matrix: cubic block, polarized
     mixed block, jet block.  Entries are multiples of one."""
-    vars_ = L3.vars
-    idx = {e: i for i, e in enumerate(L3.basis)}
-    N = len(L3.basis)
     zero = one - one
 
-    def unit(exps, c=one):
-        v = [zero] * N
-        e = tuple(exps)
-        v[idx[e]] = c * Fraction(1, 1)
+    def row(c, *monomials):
+        """c at each monomial, given by its (variable, exponent) pairs."""
+        v = [zero] * len(L3.basis)
+        for mono in map(dict, monomials):
+            v[L3.basis.index(tuple(mono.get(x, 0) for x in L3.vars))] = c
         return v
 
-    def ex(*pairs):
-        e = [0] * len(vars_)
-        for name, k in pairs:
-            e[vars_.index(name)] = k
-        return tuple(e)
-
-    y1, z1 = "y^(1)", "z^(1)"
-    y2, z2 = "y^(2)", "z^(2)"
-    y3, z3 = "y^(3)", "z^(3)"
-    rows = []
+    y1, z1, y2, z2 = "y^(1)", "z^(1)", "y^(2)", "z^(2)"
     # cubic binomial basis s_k = C(3,k) y1^(3-k) z1^k: these are exactly the
     # normalized monomial variables
-    for k in range(4):
-        rows.append(unit(ex((y1, 3 - k), (z1, k))))
+    rows = [row(one, ((y1, 3 - k), (z1, k))) for k in range(4)]
     # polarized quadratic basis m_k = 3 * u_k(xi_2, xi_1); monomial variables
     # carry the multiset normalization 2 for mixed products
-    m0 = [zero] * N
-    m0[idx[ex((y2, 1), (y1, 1))]] = one * Fraction(3, 2)
-    m1 = [zero] * N
-    m1[idx[ex((y2, 1), (z1, 1))]] = one * Fraction(3, 2)
-    m1[idx[ex((z2, 1), (y1, 1))]] = one * Fraction(3, 2)
-    m2 = [zero] * N
-    m2[idx[ex((z2, 1), (z1, 1))]] = one * Fraction(3, 2)
-    rows.extend([m0, m1, m2])
-    rows.append(unit(ex((y3, 1))))
-    rows.append(unit(ex((z3, 1))))
-    return rows
+    c = one * Fraction(3, 2)
+    rows += [row(c, ((y2, 1), (y1, 1))),
+             row(c, ((y2, 1), (z1, 1)), ((z2, 1), (y1, 1))),
+             row(c, ((z2, 1), (z1, 1)))]
+    return rows + [row(one, (("y^(3)", 1),)), row(one, (("z^(3)", 1),))]

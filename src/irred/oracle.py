@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .grammar import parse_ratfun
-from .jets import prolong, jet_name
-from .poly import ratfun
+from .jets import curve_values, prolong, jet_name
+from .poly import RatFun
 
 # central difference stencils on offsets -2..2, error O(eps^2) or better
 _STENCILS = {
@@ -35,6 +34,9 @@ def _fpoly(p, t):
 
 
 def _frat(r, t):
+    """A coefficient at t; a scalar (no independent coordinate) as is."""
+    if not isinstance(r, RatFun):
+        return float(r)
     den = _fpoly(r.den, t)
     if den == 0.0:
         raise ZeroDivisionError("coefficient pole hit at t=%g" % t)
@@ -66,12 +68,7 @@ def numeric_ve_oracle(X, curve, k, seeds=None, eps=1e-3, t_span=(1.0, 2.0),
         raise ValueError("jet order %d outside the stencil table" % k)
     t0, t1 = float(t_span[0]), float(t_span[1])
 
-    vals = {}
-    for c in X.deps:
-        v = curve[c]
-        if isinstance(v, str):
-            v = parse_ratfun(v, X.cvar, X.params)
-        vals[c] = ratfun(v, X.cvar, X.params)
+    vals = curve_values(X, curve)
     base0 = [_frat(vals[c], t0) for c in X.deps]
 
     if seeds is None:

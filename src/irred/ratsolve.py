@@ -26,6 +26,14 @@ from .poly import Poly, RatFun, common_denominator, ratfun
 # bound is 0.  A crafted t*D - 6000 (exponent 6000 at infinity) passes it.
 MAX_DEGREE_BOUND = 64
 
+# Largest degree of the denominator bound, checked before it is built.
+# The family operator Sym^(n+1)(D^2 - t) is monic with polynomial
+# coefficients, so its bound comes from the poles of p, of total order at
+# most 64 (the grammar's degree budget): its degree is at most 64 - (n+2),
+# 28 at n = 2, P = x^32/(x-1)^32.  p2's bound is 1, and P3's at every mu
+# tried.  A crafted t*D + 1000000 would ask for t^1000000.
+MAX_DENOMINATOR_DEGREE = 64
+
 
 class IndicialData:
     """Local exponent data of an operator at one singular point.
@@ -217,14 +225,15 @@ def _rat_valuation(g: RatFun, f: Poly):
 
 
 def denominator_bound(L: DiffOp, g=None) -> Poly:
-    """Monic D with y D polynomial for every rational solution y of L(y)=g."""
+    """Monic D with y D polynomial for every rational solution y of L(y)=g;
+    ValueError, before it is built, past MAX_DENOMINATOR_DEGREE."""
     if L.params:
         raise ValueError("denominator bound needs Q coefficients")
     var = L.var
     qs, _ = _clear_denominators(L)
     lead = qs[-1]
     n = L.order()
-    D = Poly.const(1, var)
+    powers = []  # (f, N): D is the product of the f ** N
     sing = []
     if lead.degree() > 0:
         sing = coprime_basis([q for q in qs if not q.is_zero()])
@@ -248,7 +257,7 @@ def denominator_bound(L: DiffOp, g=None) -> Poly:
             cand.append(m - _rat_valuation(gtil, f))
         N = max(cand)
         if N > 0:
-            D = D * f ** N
+            powers.append((f, N))
     if g is not None and g.den.degree() > 0:
         # poles of g away from the singular locus: at an ordinary point a
         # solution pole of order d maps to one of order exactly d + n
@@ -258,7 +267,14 @@ def denominator_bound(L: DiffOp, g=None) -> Poly:
                 continue
             k = _poly_valuation(gden, f)[0] - n
             if k > 0:
-                D = D * f ** k
+                powers.append((f, k))
+    degree = sum(N * f.degree() for f, N in powers)
+    if degree > MAX_DENOMINATOR_DEGREE:
+        raise ValueError("denominator bound of degree %d exceeds %d"
+                         % (degree, MAX_DENOMINATOR_DEGREE))
+    D = Poly.const(1, var)
+    for f, N in powers:
+        D = D * f ** N
     return D.monic()
 
 

@@ -23,6 +23,17 @@ TAG_REDUCIBLE = "reducible (exponential solution found, " \
     "group virtually solvable possible)"
 TAG_UNDETERMINED = "undetermined"
 
+# Largest degree of an exponential witness searched for.  Honest screens
+# never search: D^2 - t has no candidate, and P3's degree bound is
+# negative at non-integer mu.  D^2 - 4 - 4k/t, with a witness of degree
+# k, takes 0.15 s CPU at k = 16 and 2 s at k = 24 (Python 3.11, x86-64).
+MAX_WITNESS_DEGREE = 16
+
+# Largest resonance index has_log_at expands to.  Honest screens have
+# index 1 (P3) or no finite singular point; D^2 - t - m(m+1)/t^2 + 1/t,
+# of index 2m + 1, takes 0.02 s CPU at m = 32 and 0.26 s at m = 128.
+MAX_RESONANCE_INDEX = 64
+
 
 class UnsupportedOperator(ValueError):
     """Singularity structure outside the restricted search classes."""
@@ -154,7 +165,7 @@ def exponential_solutions_restricted(L: DiffOp):
     Complete within the supported singularity classes: regular rational
     finite singularities, and an infinity that is either mild (rational
     constant candidates) or of provably obstructing fractional slope.
-    Raises UnsupportedOperator otherwise.
+    Raises UnsupportedOperator otherwise, or past MAX_WITNESS_DEGREE.
     """
     a, b = _monic_ab(L)
     var = L.var
@@ -204,6 +215,10 @@ def exponential_solutions_restricted(L: DiffOp):
             bound = degree_bound(M, None)
             if bound < 0:
                 continue
+            if bound > MAX_WITNESS_DEGREE:
+                raise UnsupportedOperator(
+                    "undetermined (search budget): witness degree bound "
+                    "%d exceeds %d" % (bound, MAX_WITNESS_DEGREE))
             _, basis = _polynomial_solutions(M, RatFun.zero(var), bound)
             for P in basis:
                 wit = ExpWitness(lam, dict(zip(points, combo)), P.as_poly())
@@ -241,7 +256,7 @@ def has_log_at(L: DiffOp, point) -> bool:
     """Does the local solution space at a regular singular point force a log?
 
     Frobenius analysis up to the resonance index; exact.  False at an
-    ordinary point, error on an irregular one.
+    ordinary point, error on an irregular one or past MAX_RESONANCE_INDEX.
     """
     a, b = _monic_ab(L)
     s = scalar(point)
@@ -265,6 +280,9 @@ def has_log_at(L: DiffOp, point) -> bool:
     m = int(diff)
     if m == 0:
         return True
+    if m > MAX_RESONANCE_INDEX:
+        raise ValueError("resonance index %d exceeds %d"
+                         % (m, MAX_RESONANCE_INDEX))
     pc = _taylor_coeffs(p, s, m)
     qc = _taylor_coeffs(q, s, m)
 

@@ -210,6 +210,27 @@ def test_ve_autonomous_field_at_a_point(capsys, curve, code):
         assert "not invariant" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "case", json.loads((Path(__file__).parent / "ve_pinned.json").read_text(
+        encoding="utf-8")), ids=lambda case: case["name"])
+def test_ve_output_is_pinned(capsys, case):
+    """`irred ve` prints, byte for byte, what it printed when the
+    coefficients of a field with no independent coordinate were constant
+    rational functions: the CI field, the P3 w-field at orders 1 to 3
+    (prolonged, and linearized at y = 1, z = -mu/2), and two fields with
+    an independent coordinate."""
+    assert main(case["argv"]) == 0
+    assert capsys.readouterr().out == case["stdout"]
+
+
+def test_ve_autonomous_field_has_no_t(capsys):
+    """A field with no independent coordinate has no variable t: it is
+    an unknown name, and bad input."""
+    assert main(["ve", "--field", "y = z/3 + t; z = 2*y^2",
+                 "--order", "1"]) == 1
+    assert "unknown name 't'" in capsys.readouterr().err
+
+
 def test_oracle_runs(capsys):
     code = main(["oracle", "--field", "x = 1; y = z; z = 0 - y",
                  "--curve", "y = 0; z = 0", "--order", "1"])

@@ -18,9 +18,7 @@ ALLOWED = {
     ("field", "FieldElem.__rtruediv__"): "operands are FieldElem",
     ("field", "FieldElem.__pow__"): "operands are FieldElem",
     ("grammar", "_Parser.term"): "operands are RatFun",
-    ("jets", "_MPParser.term"): "operands are RatFun",
-    ("jets", "build_p3_chain"): "operands are RatFun or FieldElem",
-    ("jets", "_scale_conj"): "the dividend is a FieldElem",
+    ("jets", "build_p3_chain"): "operands are FieldElem",
     ("linops", "DiffOp.monic"): "operands are RatFun",
     ("linops", "_OpParser.term"): "operands are RatFun",
     ("linops", "_krylov_solvers"): "operands are RatFun",

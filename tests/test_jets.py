@@ -12,7 +12,7 @@ from irred.jets import (_P3_SCALES, EquationFamily, VectorFieldSpec,
                         build_p3_chain, jet_name, linearize, normal_restrict,
                         p3_w_field, prolong, rename_ratfun,
                         restrict_along_curve, truncate)
-from irred.grammar import parse_ratfun
+from irred.grammar import ParseError, parse_ratfun
 from irred.liealg import adjoint_action_matrix
 from irred.linear import mat_identity, mat_mul
 from irred.mpoly import MPoly
@@ -53,16 +53,38 @@ def test_restrict_requires_invariance():
 
 
 def test_restrict_at_a_point_of_an_autonomous_field():
-    """With no independent coordinate the curve is a point, and it must
-    be an equilibrium: X(point) = 0."""
+    """With no independent coordinate the curve is a point, given as
+    text or as scalars, and it must be an equilibrium: X(point) = 0."""
     X = VectorFieldSpec(("y", "z"), ["z", "y - y^2"])
-    J = restrict_along_curve(prolong(X, 1), {"y": "1", "z": "0"})
-    assert J.vars == ("y^(1)", "z^(1)")
-    assert _strs(linearize(J).matrix) == [["0", "1"], ["-1", "0"]]
+    for point in ({"y": "1", "z": "0"}, {"y": 1, "z": 0}):
+        J = restrict_along_curve(prolong(X, 1), point)
+        assert J.vars == ("y^(1)", "z^(1)")
+        assert J.curve == {"y": 1, "z": 0}
+        assert linearize(J).matrix == [[0, 1], [-1, 0]]
     for curve, msg in (({"y": "0", "z": "1"}, "not invariant"),
-                       ({"y": "1", "z": "t"}, "curve is a point")):
+                       ({"y": 0, "z": 1}, "not invariant"),
+                       ({"y": "1", "z": "t"}, "unknown name 't'")):
         with pytest.raises(ValueError, match=msg):
             restrict_along_curve(prolong(X, 1), curve)
+
+
+def test_autonomous_field_has_scalar_coefficients():
+    """A field with no independent coordinate carries its coefficients
+    in Q(params) itself, and it has no variable t: a t in a component
+    is an unknown name."""
+    X = VectorFieldSpec(("y", "z"), ["z/3 + 2", "mu*y^2"], params=("mu",))
+    mu = FieldElem.parameter("mu", ("mu",))
+    assert X.indep is None and X.czero == 0 and X.cone == 1
+    assert isinstance(X.czero, FieldElem) and not hasattr(X, "cvar")
+    assert X.components["y"].terms == {(0, 1): Fraction(1, 3), (0, 0): 2}
+    assert X.components["z"].terms == {(2, 0): mu}
+    assert all(isinstance(c, FieldElem) for f in X.components.values()
+               for c in f.terms.values())
+    Q = VectorFieldSpec(("y", "z"), ["z/3 + 2", "-y/2 + 6/2"])
+    assert [type(c) for c in Q.components["z"].terms.values()] == [
+        Fraction, int]
+    with pytest.raises(ParseError, match="unknown name 't'"):
+        VectorFieldSpec(("y", "z"), ["z/3 + t", "2*y^2"])
 
 
 def test_ve1_is_airy_companion():
@@ -237,14 +259,12 @@ def test_p3_psi_from_parts_matches_adjoint_action(p3_chain):
     assert rebuilt == off
 
 
-def _at_w_is_1_over_x(f):
-    """The constant f, a polynomial in mu and w, over Q(mu)(x) at
-    w = 1/x."""
+def _at_w_is_1_over_x(c):
+    """c, a polynomial in mu and w, over Q(mu)(x) at w = 1/x."""
     params = ("mu",)
     x = RatFun.gen("x", params)
     mu = FieldElem.parameter("mu", params)
-    c = f.constant_value()
-    assert not any(any(e) for e in c.den)
+    assert isinstance(c, FieldElem) and not any(any(e) for e in c.den)
     return sum((v * mu ** a / x ** b for (a, b), v in c.num.items()),
                RatFun.zero("x", params))
 
@@ -261,8 +281,7 @@ def test_p3_w_field_is_p3_field_at_w_equal_1_over_x():
 
 def test_w_parts_reads_off_the_w_coefficients():
     params = ("mu", "w")
-    mu, w = (RatFun.const(FieldElem.parameter(p, params), "t", params)
-             for p in params)
+    mu, w = (FieldElem.parameter(p, params) for p in params)
     M = [[mu - mu, 3 + 2 * w, mu * w],
          [(mu * mu + 1) / 2 - w / 3, w, mu]]
     Ci, C0 = _w_parts(M)
@@ -272,14 +291,15 @@ def test_w_parts_reads_off_the_w_coefficients():
     assert all(c.params == ("mu",) for r in Ci + C0 for c in r)
     assert _from_parts(Ci, C0, "x", ("mu",)) == [
         [_at_w_is_1_over_x(f) for f in r] for r in M]
-    for bad in (w * w, 1 / mu, mu + RatFun.gen("t", params)):
-        with pytest.raises(ValueError):
+    for bad in (w * w, 1 / mu, w / (w + 1)):
+        with pytest.raises(ValueError, match="not of the form"):
             _w_parts([[bad]])
 
 
 def test_p3_chain_takes_no_gcd_and_no_normal_restriction(monkeypatch):
-    """The chain runs on polynomial coefficients over Q(mu, w): no
-    normal restriction, no Poly gcd and no arithmetic over Q(mu)(x)."""
+    """The chain runs on scalar coefficients in Q(mu, w): no normal
+    restriction, no Poly gcd and no RatFun arithmetic at all; A1 and
+    At1..At3 are built from their parts without it."""
     seen = set()
 
     def spy(name):
@@ -299,7 +319,7 @@ def test_p3_chain_takes_no_gcd_and_no_normal_restriction(monkeypatch):
     monkeypatch.setattr(Poly, "gcd", no_gcd)
     monkeypatch.setattr(irred.jets, "normal_restrict", None)
     build_p3_chain()
-    assert seen == {("mu", "w")}
+    assert seen == set()
 
 
 def test_cinf_c0_and_from_parts_are_inverse():

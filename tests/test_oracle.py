@@ -7,9 +7,12 @@ from irred.oracle import numeric_ve_oracle
 
 
 def test_linear_field_exact_ve():
+    """x' = x has no independent coordinate: its coefficient is the int
+    1, and the curve a scalar, given as text or as itself."""
     X = VectorFieldSpec(("x",), ["x"])
-    res = numeric_ve_oracle(X, {"x": "1"}, 1)
-    assert res < 1e-8
+    assert X.components["x"].terms == {(1,): 1}
+    for point in ({"x": "1"}, {"x": 1}):
+        assert numeric_ve_oracle(X, point, 1) < 1e-8
 
 
 def test_rotation_field():

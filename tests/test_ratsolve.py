@@ -221,3 +221,25 @@ def test_degree_bound_past_the_budget_is_refused_before_any_image(
     monkeypatch.setattr(ratsolve, "_polynomial_solutions", None)
     with pytest.raises(ValueError, match="degree bound 2000 exceeds 64"):
         rational_solutions(L, t())
+
+
+def test_denominator_bound_past_the_budget_is_refused_before_any_power(
+        monkeypatch):
+    """t*D + 1000000 has the integer exponent -1000000 at 0, so its
+    denominator bound would be t^1000000; it is refused before any factor
+    power is built.  A bound of degree MAX_DENOMINATOR_DEGREE is kept."""
+    import irred.ratsolve as ratsolve
+    assert ratsolve.MAX_DENOMINATOR_DEGREE == 64
+    L = parse_operator("D")
+    for k, ok in ((65, True), (66, False)):
+        # y' = 1/t^k: the pole of order k at an ordinary point needs t^(k-1)
+        g = RatFun(Poly.const(1, "t"), Poly.gen("t") ** k)
+        if ok:
+            assert denominator_bound(L, g) == Poly.gen("t") ** (k - 1)
+        else:
+            with pytest.raises(ValueError,
+                               match="denominator bound of degree 65 exceeds"):
+                denominator_bound(L, g)
+    monkeypatch.setattr(Poly, "__pow__", None)
+    with pytest.raises(ValueError, match="degree 1000000 exceeds 64"):
+        denominator_bound(parse_operator("t*D + 1000000"))

@@ -77,3 +77,34 @@ def test_unsupported_singularities_are_refused():
     v = certify_sl2(parse_operator("D^2 - 1/(t^2 - 2)"))
     assert v.tag == TAG_UNDETERMINED
     assert "unsupported" in (v.reason or "")
+
+
+def test_witness_search_past_the_degree_budget_is_refused():
+    """The witness of D^2 - 4 - 4k/x has degree k; k = 16 is searched,
+    and k = 17 is refused before its search, so certify_sl2 answers
+    undetermined."""
+    import irred.screen as screen
+    assert screen.MAX_WITNESS_DEGREE == 16
+    assert exponential_solutions_restricted(l2(16))
+    with pytest.raises(UnsupportedOperator,
+                       match="witness degree bound 17 exceeds 16"):
+        exponential_solutions_restricted(l2(17))
+    v = certify_sl2(l2(17))
+    assert v.tag == TAG_UNDETERMINED and "search budget" in v.reason
+
+
+def test_resonance_index_past_the_budget_is_refused():
+    """D^2 - t - m(m+1)/t^2 + 1/t has the exponents m + 1 and -m at 0,
+    so the resonance index 2m + 1: 63 is expanded, 65 is refused before
+    the Frobenius recurrence."""
+    import irred.screen as screen
+    assert screen.MAX_RESONANCE_INDEX == 64
+
+    def op(m):
+        return parse_operator("D^2 - t - %d/t^2 + 1/t" % (m * (m + 1)))
+
+    assert has_log_at(op(31), 0)
+    assert certify_sl2(op(31)).tag == TAG_SL2
+    with pytest.raises(ValueError, match="resonance index 65 exceeds 64"):
+        has_log_at(op(32), 0)
+    assert certify_sl2(op(32)).tag == TAG_UNDETERMINED

@@ -851,3 +851,27 @@ def test_crafted_degree_bound_fails_fast():
                        match="degree bound 1000000 exceeds 64"):
         replay(d)
     assert time.process_time() - start < 1
+
+
+@pytest.mark.parametrize("kind,operator,why", [
+    ("scalar_rational", "t*D + 1000000",
+     "denominator bound of degree 1000000 exceeds 64"),
+    ("screen", "D^2 - 4 - 400/t", 'screen.tag changed: "undetermined"'),
+    ("screen", "D^2 - t - 1000001000000/t^2 + 1/t",
+     'screen.tag changed: "undetermined"'),
+])
+def test_crafted_searches_fail_fast(kind, operator, why):
+    """Re-hashed records whose searches have no honest size: a
+    denominator t^1000000, an exponential witness of degree 100, and a
+    resonance index of 2000001.  Each budget refuses before the work,
+    and replay fails in under 0.1 s of CPU."""
+    import time
+    from irred.verdict import _record_hash
+    d = json.loads(criterion_airy_family(EquationFamily(3, "x")).to_json())
+    rec = next(r for r in d["evidence"] if r["kind"] == kind)
+    rec["operator"] = operator
+    rec["hash"] = _record_hash(rec)
+    start = time.process_time()
+    with pytest.raises(CertificateError, match=why):
+        replay(d)
+    assert time.process_time() - start < 0.1

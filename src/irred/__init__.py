@@ -11,7 +11,7 @@ from .liealg import (LieAlgebraBasis, adjoint_action_matrix,
                      associated_lie_algebra, classify_lnve_lie_algebra,
                      lie_closure, lie_dimension)
 from .linops import (DiffOp, cyclic_vector_scalarize, parse_operator,
-                     sym_power_matrix, sym_power_operator)
+                     sym_power_chain, sym_power_matrix, sym_power_operator)
 from .poly import Poly, RatFun, ratfun
 from .ratsolve import (SolutionSpace, denominator_bound, degree_bound,
                        indicial_polynomial, rational_solutions,
@@ -38,6 +38,7 @@ __all__ = [
     "lnve_group_dimension", "normal_restrict", "parse_operator",
     "parse_ratfun", "prolong", "ratfun",
     "rational_solutions", "reduced_form_obstruction", "replay",
-    "restrict_along_curve", "sym_power_matrix", "sym_power_operator",
+    "restrict_along_curve", "sym_power_chain", "sym_power_matrix",
+    "sym_power_operator",
     "system_rational_solutions",
 ]

@@ -363,26 +363,35 @@ def _krylov_solvers(V, pivots, one):
     return left, right
 
 
-def sym_power_operator(L: DiffOp, m: int) -> DiffOp:
-    """Monic operator annihilating all products of m solutions of L.
+def sym_power_chain(L: DiffOp, m: int) -> list:
+    """The operators L_0, ..., L_{m+1} of the recurrence for Sym^m(L).
 
     For monic L = D^2 + a D + b: L_0 = 1, L_1 = D and
     L_{i+1} = D L_i + i a L_i + i (m - i + 1) b L_{i-1}; Sym^m(L) is
-    L_{m+1} (Bronstein, Mulders & Weil, ISSAC 1997).
+    L_{m+1} (Bronstein, Mulders & Weil, ISSAC 1997).  For a solution y
+    of L, L_k(y^m) = m!/(m-k)! y^(m-k) y'^k.
     """
     if L.order() != 2:
         raise ValueError("symmetric power of operators implemented for order 2")
     Lm = L.monic()
     a, b = Lm.coeff(1), Lm.coeff(0)
     zero, one = _zero_one_of(a)
-    prev, cur = [one], [zero, one]
+    chain = [[one], [zero, one]]
     for i in range(1, m + 1):
+        prev, cur = chain[-2:]
         ia, s = i * a, i * (m - i + 1) * b
         # on coefficients, D o sum c_k D^k = sum (c_k' D^k + c_k D^(k+1))
-        nxt = [c.derivative() + ia * c for c in cur] + [zero]
+        nxt = [c.derivative() + ia * c if a else c.derivative()
+               for c in cur] + [zero]
         for k, c in enumerate(cur):
             nxt[k + 1] = nxt[k + 1] + c
         for k, c in enumerate(prev):
             nxt[k] = nxt[k] + s * c
-        prev, cur = cur, nxt
-    return DiffOp(cur)
+        chain.append(nxt)
+    return [DiffOp(cs) for cs in chain]
+
+
+def sym_power_operator(L: DiffOp, m: int) -> DiffOp:
+    """Monic operator annihilating all products of m solutions of L:
+    the last operator of sym_power_chain(L, m)."""
+    return sym_power_chain(L, m)[-1]

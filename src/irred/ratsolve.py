@@ -377,25 +377,11 @@ def lift_solutions(A, b, res, space) -> SolutionSpace:
     the SolutionSpace of res.op y = res.rhs.  Every vector is
     back-substituted and verified exactly against the system.
     """
-    n = len(A)
     var = A[0][0].var
-    bvec = b if b is not None else [RatFun.zero(var)] * n
-
-    def check(F, rhs_on):
-        AF = mat_mul(A, [[x] for x in F])
-        for i in range(n):
-            rhs = AF[i][0]
-            if rhs_on:
-                rhs = rhs + ratfun(bvec[i], var)
-            if not (F[i].derivative() == rhs):
-                return False
-        return True
-
     part = None
     if space.particular is not None:
         part = res.back_substitute(space.particular)
-        if not check(part, True):
-            raise RuntimeError("back substitution produced a wrong solution")
+        check_system_solution(A, b, part)
     # back substitution is affine; peel off its constant part for the
     # homogeneous solutions
     F0 = res.back_substitute(RatFun.zero(var))
@@ -403,8 +389,19 @@ def lift_solutions(A, b, res, space) -> SolutionSpace:
     for y in space.basis:
         raw = res.back_substitute(y)
         F = [a - c for a, c in zip(raw, F0)]
-        if not check(F, False):
-            raise RuntimeError("back substitution produced a wrong solution")
+        check_system_solution(A, None, F)
         basis.append(F)
     return SolutionSpace(part, basis, denominator=space.denominator,
                          degree=space.degree)
+
+
+def check_system_solution(A, b, F):
+    """Re-substitute a lifted vector: RuntimeError unless F' = A F + b
+    holds exactly (F' = A F when b is None)."""
+    var = A[0][0].var
+    AF = mat_mul(A, [[x] for x in F])
+    for i, f in enumerate(F):
+        rhs = AF[i][0] if b is None else AF[i][0] + ratfun(b[i], var)
+        if not (f.derivative() == rhs):
+            raise RuntimeError("a lifted vector fails re-substitution into "
+                               "the system")

@@ -256,7 +256,8 @@ def has_log_at(L: DiffOp, point) -> bool:
     """Does the local solution space at a regular singular point force a log?
 
     Frobenius analysis up to the resonance index; exact.  False at an
-    ordinary point, error on an irregular one or past MAX_RESONANCE_INDEX.
+    ordinary point, ValueError on an irregular one, and
+    UnsupportedOperator (a ValueError) past MAX_RESONANCE_INDEX.
     """
     a, b = _monic_ab(L)
     s = scalar(point)
@@ -281,8 +282,9 @@ def has_log_at(L: DiffOp, point) -> bool:
     if m == 0:
         return True
     if m > MAX_RESONANCE_INDEX:
-        raise ValueError("resonance index %d exceeds %d"
-                         % (m, MAX_RESONANCE_INDEX))
+        raise UnsupportedOperator(
+            "undetermined (search budget): resonance index %d exceeds %d"
+            % (m, MAX_RESONANCE_INDEX))
     pc = _taylor_coeffs(p, s, m)
     qc = _taylor_coeffs(q, s, m)
 
@@ -338,6 +340,9 @@ def certify_sl2(L: DiffOp) -> ScreenVerdict:
         return ScreenVerdict(
             TAG_UNDETERMINED,
             reason="no exponential solutions but no logarithm evidence")
+    # a point past the resonance budget gives no evidence either way; a
+    # later point that forces a logarithm still certifies
+    budget = None
     for s in points:
         try:
             if has_log_at(L, s):
@@ -345,8 +350,8 @@ def certify_sl2(L: DiffOp) -> ScreenVerdict:
                     TAG_SL2,
                     reason="no exponential solutions; logarithm forced in "
                            "the local solutions at %s" % s)
-        except ValueError:
-            continue
+        except UnsupportedOperator as e:
+            budget = budget or str(e)
     return ScreenVerdict(
         TAG_UNDETERMINED,
-        reason="no exponential solutions but no logarithm evidence")
+        reason=budget or "no exponential solutions but no logarithm evidence")

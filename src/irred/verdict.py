@@ -32,9 +32,11 @@ from .liealg import (_flat, associated_lie_algebra, block_e_matrices,
 from .linear import (mat_bracket, mat_identity, mat_mul, mat_shape,
                      mat_sub, mat_transpose)
 from .linops import (cyclic_vector_scalarize, parse_operator,
-                     sym_power_matrix, sym_power_operator)
-from .poly import RatFun, ratfun
-from .ratsolve import (_clear_denominators, _indicial_infinity,
+                     sym_power_chain, sym_power_operator)
+from .mpoly import qdiv
+from .poly import Poly, RatFun, ratfun
+from .ratsolve import (SolutionSpace, _clear_denominators,
+                       _indicial_infinity, check_system_solution,
                        degree_bound, lift_solutions, rational_solutions)
 from .screen import TAG_SL2, certify_sl2
 
@@ -155,10 +157,13 @@ def _scalar_claims(L, g, solve):
 
 
 def _solve_system(A, b, solve, expect=None):
-    """SolutionSpace of F' = A F + b: the system is scalarized, its
-    scalar equation solved through solve, and the solutions lifted and
-    re-checked against the system.  With expect = (L, g) the scalar
-    equation must be exactly L y = g, checked before the solve."""
+    """SolutionSpace of F' = A F + b by the Krylov pass: the system is
+    scalarized, its scalar equation solved through solve, and the
+    solutions lifted and re-checked against the system.  With
+    expect = (L, g) the scalar equation must be exactly L y = g, checked
+    before the solve.  The P3 build and every replay of a
+    rational_system record take this route; the family build takes its
+    scalar form and lift in closed form (reduced_form_obstruction)."""
     res = cyclic_vector_scalarize(A, b)
     if expect is not None and not (res.op == expect[0]
                                    and res.rhs == expect[1]):
@@ -382,11 +387,18 @@ def replay(cert) -> int:
 def _family_psi(n):
     """Adjoint action of the block system matrix on the recursion basis.
 
-    In closed form: -transpose(sym^(n+1)([[0, 1], [t, 0]])).
+    In closed form: -transpose(sym^(n+1)([[0, 1], [t, 0]])).  With
+    m = n + 1, sym_power_matrix puts k + 1 at (k, k + 1) and (m - k + 1) t
+    at (k, k - 1), and nothing else, so Psi has -(k + 1) at (k + 1, k)
+    and -(m - k + 1) t at (k - 1, k); it is built entry by entry.
     """
-    zero, one = RatFun.zero("t"), RatFun.const(1, "t")
-    S = sym_power_matrix([[zero, one], [RatFun.gen("t"), zero]], n + 1)
-    return [[-x for x in row] for row in mat_transpose(S)]
+    m = n + 1
+    zero = RatFun.zero("t")
+    Psi = [[zero] * (m + 1) for _ in range(m + 1)]
+    for k in range(m):
+        Psi[k + 1][k] = RatFun.const(-(k + 1), "t")
+        Psi[k][k + 1] = RatFun(Poly([0, -(m - k)], "t"))
+    return Psi
 
 
 def reduction_matrix(n, F):
@@ -397,19 +409,42 @@ def reduction_matrix(n, F):
             for i, row in enumerate(mat_identity(m, RatFun.const(1, "t")))]
 
 
-def reduced_form_obstruction(n, p, L=None, solve=rational_solutions):
+def _family_lift(chain, y):
+    """The vector F of F' = Psi(n) F + b whose last entry is y, in closed
+    form: with m = n + 1 and chain = L_0, ..., L_m, ... of
+    sym_power_chain(D^2 - t, m), F_(m-k) = (-1)^k (m-k)!/m! L_k(y) for
+    k = 0..m (0-based entries).  It is linear in y."""
+    m = len(chain) - 2
+    derivs = [y]
+    for _ in range(m):
+        derivs.append(derivs[-1].derivative())
+    zero = RatFun.zero(y.var)
+    F = [None] * (m + 1)
+    for k in range(m + 1):
+        Lky = sum((c * d for c, d in zip(chain[k].coeffs, derivs) if c and d),
+                  zero)
+        F[m - k] = Lky * qdiv((-1) ** k * math.factorial(m - k),
+                              math.factorial(m))
+    return F
+
+
+def reduced_form_obstruction(n, p, chain=None, solve=rational_solutions):
     """(Psi, b, SolutionSpace) for the off-diagonal reduction of (NVE_n).
 
     Empty means the Lie algebra is the full sl2 x Sym^(n+1) of dimension
     n+5; solvable means sl2, and the solution space carries the
     reduction gauge as .reduction.
 
-    With the covector e_last the system F' = Psi F + b scalarizes, by
-    substitution, to L y = (-1)^(n+1) (n+1)! p with L = Sym^(n+1)(D^2 - t)
-    (checked exactly; a caller that has built L passes it); that scalar
-    equation is solved once through solve (a build passes its solve-once
-    table), and its solutions are lifted to the system and re-checked
-    there.
+    The system F' = Psi F + b is equivalent to the scalar equation
+    L y = (-1)^(n+1) (n+1)! p with L = Sym^(n+1)(D^2 - t) and y the last
+    entry of F: the symmetric power of the companion system (Bronstein,
+    Mulders & Weil, ISSAC 1997), checked for every n the input budget
+    allows by a Tier-1 test against the Krylov pass.  chain is
+    sym_power_chain(D^2 - t, n + 1), whose last operator is L (a caller
+    that has built it passes it).  The scalar equation is solved once
+    through solve (a build passes its solve-once table), and each
+    solution is lifted by the closed form of _family_lift and
+    re-substituted into the system.
     """
     if n < 2:
         raise ValueError("family needs n >= 2")
@@ -417,12 +452,20 @@ def reduced_form_obstruction(n, p, L=None, solve=rational_solutions):
     Psi = _family_psi(n)
     zero = RatFun.zero("t")
     b = [p] + [zero] * (n + 1)
-    if L is None:
-        L = sym_power_operator(_airy_ve1(), n + 1)
+    if chain is None:
+        chain = sym_power_chain(_airy_ve1(), n + 1)
     c = (-1) ** (n + 1) * math.factorial(n + 1)
-    space = _solve_system(Psi, b, solve, (L, c * p))
-    space.reduction = (None if space.particular is None
-                       else reduction_matrix(n, space.particular))
+    scalar_space = solve(chain[-1], c * p)
+    part = None
+    if scalar_space.particular is not None:
+        part = _family_lift(chain, scalar_space.particular)
+        check_system_solution(Psi, b, part)
+    basis = [_family_lift(chain, y) for y in scalar_space.basis]
+    for F in basis:
+        check_system_solution(Psi, None, F)
+    space = SolutionSpace(part, basis, scalar_space.denominator,
+                          scalar_space.degree)
+    space.reduction = None if part is None else reduction_matrix(n, part)
     return Psi, b, space
 
 
@@ -443,10 +486,12 @@ def _airy_ve1():
 def criterion_airy_family(family) -> Certificate:
     """Irreducibility certificate for y'' = x y + y^n P(x, y).
 
-    On the full path the off-diagonal system is scalarized to
-    Sym^(n+1)(D^2 - t) y = c p and solved once (reduced_form_obstruction)
-    through the build's solve-once table, which the degree_argument and
-    scalar_rational claims of L y = p then read, as in replay.
+    On the full path the off-diagonal system is taken in its closed scalar
+    form Sym^(n+1)(D^2 - t) y = c p, with no Krylov pass: one
+    sym_power_chain gives L and the operators that lift a solution, and
+    reduced_form_obstruction solves L y = c p once through the build's
+    solve-once table, which the degree_argument and scalar_rational
+    claims of L y = p then read, as in replay.
     """
     if not isinstance(family, EquationFamily):
         raise ValueError("expected an EquationFamily")
@@ -484,8 +529,9 @@ def criterion_airy_family(family) -> Certificate:
 
     # full path: the off-diagonal system and its scalar form, solved once
     solve = _Parsed().solve
-    L = sym_power_operator(ve1, n + 1)
-    Psi, b, space = reduced_form_obstruction(n, p, L, solve)
+    chain = sym_power_chain(ve1, n + 1)
+    L = chain[-1]
+    Psi, b, space = reduced_form_obstruction(n, p, chain, solve)
     text = str(L)
     cert.add("operator", name="sym^%d of the first variational operator"
              % (n + 1), var="t", text=text)

@@ -6,13 +6,15 @@ is a second, plainer way to get a result the package computes otherwise.
 
 from fractions import Fraction
 
+# verdict._family_psi is looked up at each call, so a test can perturb it
+from irred import verdict
 from irred.field import scalar
 from irred.jets import (EquationFamily, VectorFieldSpec, linearize,
                         normal_restrict, prolong, restrict_along_curve)
 from irred.liealg import block_e_matrices
 from irred.linear import (mat_bracket, mat_identity, mat_mul, mat_shape,
                           mat_sub, mat_transpose, solve_all)
-from irred.linops import DiffOp
+from irred.linops import DiffOp, cyclic_vector_scalarize
 from irred.mpoly import _trim, dense_divmod, qdiv
 from irred.poly import Poly, RatFun
 
@@ -45,6 +47,17 @@ def sym_power_by_composition(L, m):
         prev, cur = cur, ((D + i * a) * cur
                           + DiffOp([i * (m - i + 1) * b]) * prev)
     return cur
+
+
+def family_scalar_form(n, p):
+    """The Krylov pass of linops.cyclic_vector_scalarize on
+    F' = Psi(n) F + [p, 0, ...]: it unpacks as the scalar form (M, h) and
+    lifts a scalar solution by back_substitute.  reduced_form_obstruction
+    takes both from closed forms instead (Sym^(n+1)(D^2 - t) and
+    verdict._family_lift)."""
+    zero = RatFun.zero("t")
+    return cyclic_vector_scalarize(verdict._family_psi(n),
+                                   [p] + [zero] * (n + 1))
 
 
 def mat_derivative(a):

@@ -108,3 +108,18 @@ def test_resonance_index_past_the_budget_is_refused():
     with pytest.raises(ValueError, match="resonance index 65 exceeds 64"):
         has_log_at(op(32), 0)
     assert certify_sl2(op(32)).tag == TAG_UNDETERMINED
+
+
+def test_resonance_budget_is_named_unless_a_point_forces_a_log():
+    """Index 65 at 0 leaves the screen undetermined, and the reason names
+    the budget as the witness budget does; a second point that forces a
+    logarithm still certifies, whether it comes before or after 0."""
+    v = certify_sl2(parse_operator("D^2 - t - 1056/t^2 + 1/t"))
+    assert v.tag == TAG_UNDETERMINED
+    assert v.reason == ("undetermined (search budget): resonance index 65 "
+                        "exceeds 64")
+    for text, point in [("D^2 - t - 1056/t^2 + 1/t + 1/(t-1)", "1"),
+                        ("D^2 - t - 1056/(t-1)^2 + 1/(t-1) + 1/t", "0")]:
+        v = certify_sl2(parse_operator(text))
+        assert v.tag == TAG_SL2
+        assert v.reason.endswith("local solutions at %s" % point)

@@ -68,10 +68,7 @@ def test_reduced_form_obstruction_gauge():
     assert not B[5][0]
 
 
-def test_family_identity_guard_rejects_a_perturbed_matrix(monkeypatch):
-    """The build checks that Psi(n) scalarizes to Sym^(n+1)(D^2 - t)
-    before it reads a verdict off the one scalar solve; a perturbed
-    matrix stops the build."""
+def _perturbed_family_psi(monkeypatch):
     import irred.verdict as verdict
     psi = verdict._family_psi
 
@@ -81,22 +78,55 @@ def test_family_identity_guard_rejects_a_perturbed_matrix(monkeypatch):
         return Psi
 
     monkeypatch.setattr(verdict, "_family_psi", perturbed)
-    with pytest.raises(RuntimeError, match="does not scalarize"):
-        criterion_airy_family(EquationFamily(3, "2"))
 
 
-def test_family_identity_guard_rejects_a_perturbed_rhs(monkeypatch):
-    import irred.verdict as verdict
-    from irred.linops import ScalarizeResult
-    scalarize = verdict.cyclic_vector_scalarize
+@pytest.mark.parametrize("n", [2, 3, 8, 32])
+def test_family_identity_test_fails_on_a_perturbed_matrix(monkeypatch, n):
+    """The build takes Sym^(n+1)(D^2 - t) y = (-1)^(n+1) (n+1)! p as the
+    scalar form of the family system with no runtime check; the Tier-1
+    identity test is that check, and a perturbed Psi(n) fails it."""
+    from test_linops import assert_family_scalarizes_to_the_symmetric_power
+    _perturbed_family_psi(monkeypatch)
+    with pytest.raises(AssertionError):
+        assert_family_scalarizes_to_the_symmetric_power(n)
 
-    def perturbed(A, b=None):
-        res = scalarize(A, b)
-        return ScalarizeResult(res.op, res.rhs * 2, res.back_substitute)
 
-    monkeypatch.setattr(verdict, "cyclic_vector_scalarize", perturbed)
-    with pytest.raises(RuntimeError, match="does not scalarize"):
-        criterion_airy_family(EquationFamily(4, "x^2"))
+def test_family_build_rejects_a_perturbed_matrix_at_resubstitution(
+        monkeypatch):
+    """n = 3, P = x is solvable (y = 3/32); its closed-form lift does not
+    solve a perturbed Psi(n), and the re-substitution stops the build."""
+    _perturbed_family_psi(monkeypatch)
+    with pytest.raises(RuntimeError, match="fails re-substitution"):
+        criterion_airy_family(EquationFamily(3, "x"))
+
+
+def _planted_family_p(n, y):
+    """p with Sym^(n+1)(D^2 - t) y = (-1)^(n+1) (n+1)! p."""
+    import math
+    L = sym_power_operator(parse_operator("D^2 - t"), n + 1)
+    return L.apply(y) / ((-1) ** (n + 1) * math.factorial(n + 1))
+
+
+_LIFT_CASES = [(n, y) for n in range(2, 9) for y in (
+    "t^2 + 1", "3/7", "t^5 - 2*t + 1/3", "t + 1/(t-1)^2", "1/(t^2 + 1)",
+    "(t^3 - 2)/(3*t - 1)^3")] + [(32, "t^3 - 2*t")]
+
+
+@pytest.mark.parametrize("n,y", _LIFT_CASES)
+def test_closed_form_lift_matches_the_krylov_lift(n, y):
+    """On planted solvable inputs the closed-form lift of the scalar
+    solution, and the particular vector of reduced_form_obstruction, are
+    the Krylov back-substitution of the same scalar solution."""
+    from oracles import family_scalar_form
+    from irred.linops import sym_power_chain
+    from irred.verdict import _family_lift
+    y = parse_ratfun(y, "t")
+    p = _planted_family_p(n, y)
+    krylov = family_scalar_form(n, p).back_substitute(y)
+    chain = sym_power_chain(parse_operator("D^2 - t"), n + 1)
+    assert _family_lift(chain, y) == krylov
+    _, _, space = reduced_form_obstruction(n, p)
+    assert space.particular == krylov and space.basis == []
 
 
 def test_certificate_roundtrip_and_replay():
@@ -799,29 +829,56 @@ def _spy_calls(monkeypatch, names):
 
 
 @pytest.mark.parametrize("name,build_counts,replay_counts", [
-    ("family", dict(cyclic_vector_scalarize=1, degree_bound=1),
+    ("family", dict(cyclic_vector_scalarize=0, lift_solutions=0,
+                    sym_power_chain=1, degree_bound=1),
      dict(cyclic_vector_scalarize=1, degree_bound=1)),
-    ("p3", dict(cyclic_vector_scalarize=2, degree_bound=5),
+    ("p3", dict(cyclic_vector_scalarize=2, sym_power_operator=1,
+                sym_power_chain=1, degree_bound=5),
      dict(cyclic_vector_scalarize=1, degree_bound=5)),
 ])
 def test_build_and_replay_operation_counts(monkeypatch, name, build_counts,
                                            replay_counts):
-    """A family n = 8 and a p3 certificate each solve one scalar equation,
-    lift it once and screen once, in the build and in its replay; the
-    build alone forms the symmetric power (the p3 build also scalarizes
-    the first gauged system, and certify_sl2 bounds degrees)."""
+    """A family n = 8 and a p3 certificate each solve one scalar equation
+    and screen once, in the build and in its replay; the build alone
+    forms the symmetric power.  The family build takes the scalar form
+    and the lift in closed form, with no Krylov pass; its replay, and
+    the p3 build and replay, scalarize by the Krylov pass and lift once
+    (the p3 build also scalarizes the first gauged system, and
+    certify_sl2 bounds degrees)."""
+    from collections import Counter
     from fractions import Fraction
     calls = _spy_calls(monkeypatch, [
         "ratsolve.rational_solutions", "linops.cyclic_vector_scalarize",
         "ratsolve.lift_solutions", "screen.certify_sl2",
-        "ratsolve.degree_bound", "linops.sym_power_operator"])
+        "ratsolve.degree_bound", "linops.sym_power_operator",
+        "linops.sym_power_chain"])
     one = dict(rational_solutions=1, lift_solutions=1, certify_sl2=1)
     cert = (criterion_airy_family(EquationFamily(8, "x")) if name == "family"
             else check_p3([Fraction(1, 2)]))
-    assert dict(calls) == dict(one, sym_power_operator=1, **build_counts)
+    # Counter equality counts a missing name as zero calls
+    assert calls == Counter(dict(one, **build_counts))
     calls.clear()
     assert replay(cert.to_json()) == len(cert.evidence)
-    assert dict(calls) == dict(one, **replay_counts)
+    assert calls == Counter(dict(one, **replay_counts))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_family_build_and_p2_run_no_krylov_pass(monkeypatch, n):
+    """Family builds, solvable (P planted, y = t^2 + 1) and not (P = x,
+    except at n = 3), and check_p2 neither scalarize by the Krylov pass
+    nor lift through it."""
+    import math
+    from irred.verdict import check_p2
+    calls = _spy_calls(monkeypatch, ["linops.cyclic_vector_scalarize",
+                                     "ratsolve.lift_solutions"])
+    planted = _planted_family_p(n, parse_ratfun("t^2 + 1", "t"))
+    solvable = str(planted / math.factorial(n)).replace("t", "x")
+    verdicts = [criterion_airy_family(EquationFamily(n, P)).verdict
+                for P in (solvable, "x")]
+    assert verdicts == [INCONCLUSIVE, INCONCLUSIVE if n == 3 else IRREDUCIBLE]
+    if n == 3:
+        assert check_p2().verdict == IRREDUCIBLE
+    assert not calls
 
 
 # ---------------------------------------------------------------------------

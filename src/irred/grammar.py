@@ -3,13 +3,21 @@
 Accepts integers, + - * / ^, parentheses, one main variable name and any
 declared parameter names.  print -> parse is the identity on canonical
 forms (tested), since parsing just evaluates the expression tree with
-exact RatFun arithmetic.
+exact arithmetic: a value is a scalar of Q(params) (an int, a Fraction
+or a FieldElem) until it meets the main variable, and a RatFun from then
+on; the parsed result is a RatFun, whose constructor makes its
+coefficients canonical.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .field import FieldElem
+from .mpoly import qdiv
 from .poly import RatFun
+
+_SCALARS = (int, Fraction, FieldElem)
 
 
 class ParseError(ValueError):
@@ -68,7 +76,7 @@ def ratfun_size(f: RatFun):
 
 
 class _Parser:
-    """Recursive-descent parser over RatFun values.
+    """Recursive-descent parser over scalar and RatFun values.
 
     A power is refused before it is computed when its result could pass
     MAX_DEGREE in some degree, or MAX_BITS in the bit length of an
@@ -101,6 +109,8 @@ class _Parser:
     def parse(self) -> RatFun:
         v = self.expr()
         self.expect("end")
+        if isinstance(v, _SCALARS):
+            return RatFun.const(v, self.var, self.params)
         return v
 
     def expr(self):
@@ -116,7 +126,7 @@ class _Parser:
         while self.peek() in "*/":
             op = self.next()[0]
             w = self.factor()
-            v = v * w if op == "*" else v / w
+            v = v * w if op == "*" else qdiv(v, w)
         return v
 
     def factor(self):
@@ -138,7 +148,7 @@ class _Parser:
     def size(self, v):
         """Degrees of a value, each bounded by MAX_DEGREE, then the bit
         length of its largest integer."""
-        return ratfun_size(v)
+        return _coeff_size(v) if isinstance(v, _SCALARS) else ratfun_size(v)
 
     def within_budget(self, *parts):
         """Raise unless the product of v^k over the (v, k) parts keeps
@@ -155,16 +165,17 @@ class _Parser:
 
     def power(self, v, k):
         self.within_budget((v, abs(k)))
+        if k < 0 and isinstance(v, _SCALARS):
+            return qdiv(1, v ** -k)
         return v ** k
 
     def atom(self):
         kind, val = self.next()
         if kind == "int":
-            return RatFun.const(val, self.var, self.params)
+            return val
         if kind == "name":
             if val in self.params:
-                return RatFun.const(
-                    FieldElem.parameter(val, self.params), self.var, self.params)
+                return FieldElem.parameter(val, self.params)
             if val == self.var:
                 return RatFun.gen(self.var, self.params)
             raise ParseError("unknown name %r (variable is %r, parameters %s)"

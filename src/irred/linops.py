@@ -14,7 +14,7 @@ from .field import FieldElem
 from .grammar import (ParseError, _Parser, max_size, ratfun_size,
                       tokenize)
 from .linear import mat_mul, mat_shape
-from .mpoly import dense_add, dense_mul, power, print_sum, qnorm
+from .mpoly import dense_add, dense_mul, power, print_sum, qdiv, qnorm
 from .poly import Poly, RatFun, ratfun
 
 
@@ -198,10 +198,18 @@ class DiffOp:
 
 
 class _OpParser(_Parser):
-    """Grammar parser whose values live in the operator ring."""
+    """Grammar parser over the operator ring.  A value stays below it, a
+    scalar or a RatFun as in _Parser, until it meets D, and becomes a
+    DiffOp then or at the end."""
+
+    def parse(self):
+        v = super().parse()
+        return v if isinstance(v, DiffOp) else DiffOp([v])
 
     def size(self, v):
         """The order, then the largest size of a coefficient."""
+        if not isinstance(v, DiffOp):
+            return (0,) + super().size(v)
         return (v.order(),) + max_size([ratfun_size(c) for c in v.coeffs])
 
     def atom(self):
@@ -209,32 +217,36 @@ class _OpParser(_Parser):
         if kind == "name" and val == "D":
             self.pos += 1
             return DiffOp.identity_d(self.var, self.params)
-        v = super().atom()
-        if isinstance(v, DiffOp):
-            # parenthesized subexpression, already operator-valued
-            return v
-        return DiffOp([v], self.var, self.params)
+        return super().atom()
 
     def power(self, v, k):
-        """D^k is built as the monomial, not composed by squaring."""
+        """D^k is built as the monomial, not composed by squaring.  A
+        negative power is taken of the value as an operator, which
+        DiffOp refuses, so a coefficient has none either."""
         D = DiffOp.identity_d(self.var, self.params)
-        if k > 0 and v == D:
+        if k > 0 and isinstance(v, DiffOp) and v == D:
             self.within_budget((v, k))
             zero, one = D.coeffs
             return DiffOp([zero] * k + [one])
+        if k < 0 and not isinstance(v, DiffOp):
+            v = DiffOp([v], self.var, self.params)
         return super().power(v, k)
 
     def term(self):
+        """As _Parser.term; dividing an operator by w composes it with
+        1/w, and w may not be an operator of positive order."""
         v = self.factor()
         while self.peek() in "*/":
             op = self.next()[0]
             w = self.factor()
             if op == "*":
                 v = v * w
-            else:
+                continue
+            if isinstance(w, DiffOp):
                 if w.order() != 0:
                     raise ParseError("cannot divide by a differential operator")
-                v = v * DiffOp([RatFun.const(1, w.var, w.params) / w.coeffs[0]])
+                w = w.coeffs[0]
+            v = v * qdiv(1, w) if isinstance(v, DiffOp) else qdiv(v, w)
         return v
 
 

@@ -11,6 +11,9 @@ never a wrong verdict.
 
 from __future__ import annotations
 
+import itertools
+import math
+
 from .field import scalar
 from .linops import DiffOp
 from .mpoly import qdiv
@@ -33,6 +36,20 @@ MAX_WITNESS_DEGREE = 16
 # index 1 (P3) or no finite singular point; D^2 - t - m(m+1)/t^2 + 1/t,
 # of index 2m + 1, takes 0.02 s CPU at m = 32 and 0.26 s at m = 128.
 MAX_RESONANCE_INDEX = 64
+
+# Largest number of finite singular points (the degree of the coprime
+# factor base of the denominators) whose rational roots are sought.
+# Honest screens have at most one.  On D^2 - 1 + sum 1/(t - i), i < k,
+# the root search and the regularity checks took 0.2 s CPU at k = 60 and
+# 2 s at k = 150 (Python 3.11, x86-64).
+MAX_SINGULAR_POINTS = 16
+
+# Largest number of exponent choices (lam and one exponent per finite
+# singular point) the witness search runs a degree bound for, up to
+# 2 * 2^k at k points.  Honest screens need at most 4 (P3: lam = +-2, one
+# point with exponents 0 and 1); D^2 - 1 + sum 1/(t - i), i < 5, needs 64
+# and takes 0.05 s CPU (Python 3.11, x86-64).
+MAX_EXPONENT_COMBINATIONS = 64
 
 
 class UnsupportedOperator(ValueError):
@@ -136,18 +153,25 @@ def _finite_singularities(a: RatFun, b: RatFun, var):
         dens.append(b.den)
     if not dens:
         return []
+    basis = coprime_basis(dens)
+    count = sum(f.degree() for f in basis)
+    if count > MAX_SINGULAR_POINTS:
+        raise UnsupportedOperator(
+            "undetermined (search budget): %d finite singular points exceed "
+            "%d" % (count, MAX_SINGULAR_POINTS))
     points = []
-    for f in coprime_basis(dens):
-        if f.degree() > 1:
+    for f in basis:
+        roots, rest = f.rational_roots()
+        if rest.degree() > 0:
             raise UnsupportedOperator(
                 "undetermined (unsupported singularity structure): "
                 "irrational singular points")
-        s = qdiv(-f.coeff(0), f.coeff(1))
-        if _pole_order(a, s) > 1 or _pole_order(b, s) > 2:
-            raise UnsupportedOperator(
-                "undetermined (unsupported singularity structure): "
-                "irregular finite singularity at %s" % s)
-        points.append(s)
+        for s in roots:
+            if _pole_order(a, s) > 1 or _pole_order(b, s) > 2:
+                raise UnsupportedOperator(
+                    "undetermined (unsupported singularity structure): "
+                    "irregular finite singularity at %s" % s)
+            points.append(s)
     return sorted(points)
 
 
@@ -201,9 +225,13 @@ def exponential_solutions_restricted(L: DiffOp):
                 "undetermined (unsupported singularity structure): "
                 "irrational exponents at %s" % s)
         rho_choices.append(roots)
+    combos = len(lams) * math.prod(map(len, rho_choices))
+    if combos > MAX_EXPONENT_COMBINATIONS:
+        raise UnsupportedOperator(
+            "undetermined (search budget): %d exponent combinations exceed "
+            "%d" % (combos, MAX_EXPONENT_COMBINATIONS))
 
     witnesses = []
-    import itertools
     for lam in lams:
         for combo in itertools.product(*rho_choices) if rho_choices \
                 else [()]:

@@ -7,7 +7,10 @@ textual grammar) plus a content hash, so certificates are diffable and
 replayable bit for bit.  The claimed fields of a record are derived by
 one function per kind (the *_claims functions below): the build writes
 what it returns, and replay calls it on the record's inputs and compares
-every field.
+every field.  The identity kinds (decomposition, bracket_identity,
+lincomb_identity) are checked the same way: replay parses their inputs,
+derives the expected matrix, and compares its canonical text with the
+record's, which it never parses.
 
 Verdict vocabulary: IRREDUCIBLE is only emitted when both required
 pieces of evidence are present (an SL2-certified first variational
@@ -29,8 +32,8 @@ from .jets import (EquationFamily, _from_parts, build_lnve_airy_family,
 from .liealg import (_flat, associated_lie_algebra, block_e_matrices,
                      classify_lnve_lie_algebra, lie_closure, lie_dimension,
                      span_coordinates)
-from .linear import (mat_bracket, mat_identity, mat_mul, mat_shape,
-                     mat_sub, mat_transpose)
+from .linear import (mat_bracket, mat_identity, mat_mul, mat_sub,
+                     mat_transpose)
 from .linops import (cyclic_vector_scalarize, parse_operator,
                      sym_power_chain, sym_power_operator)
 from .mpoly import qdiv
@@ -182,6 +185,15 @@ def _lie_claims(gens, limit=None):
     return {"dimension": lie_dimension(gens, limit)}
 
 
+def _one_shape(mats, square=False):
+    """Raise unless mats holds at least one matrix (a list of rows), all
+    rectangular and of one shape, and square when asked."""
+    heights = {len(M) for M in mats}
+    widths = {len(row) for M in mats for row in M}
+    if len(heights) != 1 or len(widths) > 1 or (square and widths - heights):
+        raise CertificateError("matrices are ragged or differ in shape")
+
+
 def _check_claims(rec, claims):
     """Each claimed field of rec must be what its inputs give, as JSON."""
     for field, value in claims.items():
@@ -291,37 +303,36 @@ def _replay_record(rec, parsed):
         if tr:
             raise CertificateError("trace is not zero")
         return
+    # the identity kinds: parse the inputs, derive the expected side and
+    # compare its canonical text, which replay never parses
     if kind == "decomposition":
-        # the parts are constants; C_inf + C_0/x is built reduced
-        M = parsed.mat(rec["matrix"], var, params)
+        _one_shape([rec["cinf"], rec["c0"]])
         Ci = parsed.const_mat(rec["cinf"], var, params)
         C0 = parsed.const_mat(rec["c0"], var, params)
-        if not ([len(r) for r in Ci] == [len(r) for r in C0]
-                == [len(r) for r in M]):
-            raise CertificateError("decomposition parts differ in shape")
-        if M != _from_parts(Ci, C0, var, params):
+        if _mat_str(_from_parts(Ci, C0, var, params)) != rec["matrix"]:
             raise CertificateError("matrix is not cinf + c0/x")
         return
     if kind == "bracket_identity":
-        A = parsed.mat(rec["a"], var, params)
-        B = parsed.mat(rec["b"], var, params)
-        E = parsed.mat(rec["expect"], var, params)
-        c = parsed.entry(rec.get("coeff", "1"), var, params)
+        # the inputs are constants, so the bracket runs over Q(params)
+        _one_shape([rec["a"], rec["b"]], square=True)
+        A = parsed.const_mat(rec["a"], var, params)
+        B = parsed.const_mat(rec["b"], var, params)
+        c = parsed.const_mat([[rec.get("coeff", "1")]], var, params)[0][0]
         got = [[c * x for x in row] for row in mat_bracket(A, B)]
-        if got != E:
+        if _mat_str(_const_to_rat(got, var, params)) != rec["expect"]:
             raise CertificateError("bracket identity %r fails"
                                    % rec.get("relation"))
         return
     if kind == "lincomb_identity":
-        E = parsed.mat(rec["expect"], var, params)
-        n, m = mat_shape(E)
-        acc = [[RatFun.zero(var, params)] * m for _ in range(n)]
+        _one_shape([rows for _, rows in rec["terms"]])
+        acc = [[RatFun.zero(var, params)] * len(row)
+               for row in rec["terms"][0][1]]
         for cstr, rows in rec["terms"]:
             c = parsed.entry(cstr, var, params)
             M = parsed.mat(rows, var, params)
             acc = [[a + c * x for a, x in zip(ra, rm)]
                    for ra, rm in zip(acc, M)]
-        if acc != E:
+        if _mat_str(acc) != rec["expect"]:
             raise CertificateError("linear combination identity %r fails"
                                    % rec.get("relation"))
         return

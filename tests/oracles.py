@@ -9,6 +9,8 @@ from fractions import Fraction
 # verdict._family_psi is looked up at each call, so a test can perturb it
 from irred import verdict
 from irred.field import scalar
+from irred.grammar import (ParseError, _Parser, max_size, ratfun_size,
+                           tokenize)
 from irred.jets import (EquationFamily, VectorFieldSpec, linearize,
                         normal_restrict, prolong, restrict_along_curve)
 from irred.liealg import block_e_matrices
@@ -191,3 +193,94 @@ def cinf_c0(M):
         Cinf.append(ri)
         C0.append(r0)
     return Cinf, C0
+
+
+class RatFunParser(_Parser):
+    """The grammar's evaluator with every value a RatFun from its atom
+    on, the reference that grammar._Parser's scalars must agree with:
+    the same tokens, precedence and power budget, over RatFun arithmetic
+    alone."""
+
+    def parse(self):
+        v = self.expr()
+        self.expect("end")
+        return v
+
+    def expr(self):
+        v = self.term()
+        while self.peek() in "+-":
+            op = self.next()[0]
+            w = self.term()
+            v = v + w if op == "+" else v - w
+        return v
+
+    def term(self):
+        v = self.factor()
+        while self.peek() in "*/":
+            op = self.next()[0]
+            w = self.factor()
+            v = v * w if op == "*" else v / w
+        return v
+
+    def size(self, v):
+        return ratfun_size(v)
+
+    def power(self, v, k):
+        self.within_budget((v, abs(k)))
+        return v ** k
+
+    def atom(self):
+        v = super().atom()
+        if isinstance(v, (RatFun, DiffOp)):
+            return v
+        return RatFun.const(v, self.var, self.params)
+
+
+class RatFunOpParser(RatFunParser):
+    """The operator parser with every value a DiffOp from its atom on,
+    the reference for linops._OpParser, which keeps a value a scalar or
+    a RatFun until it meets D."""
+
+    def size(self, v):
+        return (v.order(),) + max_size([ratfun_size(c) for c in v.coeffs])
+
+    def atom(self):
+        kind, val = self.toks[self.pos]
+        if kind == "name" and val == "D":
+            self.pos += 1
+            return DiffOp.identity_d(self.var, self.params)
+        v = super().atom()
+        if isinstance(v, DiffOp):
+            return v
+        return DiffOp([v], self.var, self.params)
+
+    def power(self, v, k):
+        D = DiffOp.identity_d(self.var, self.params)
+        if k > 0 and v == D:
+            self.within_budget((v, k))
+            zero, one = D.coeffs
+            return DiffOp([zero] * k + [one])
+        return super().power(v, k)
+
+    def term(self):
+        v = self.factor()
+        while self.peek() in "*/":
+            op = self.next()[0]
+            w = self.factor()
+            if op == "*":
+                v = v * w
+            else:
+                if w.order() != 0:
+                    raise ParseError("cannot divide by a differential "
+                                     "operator")
+                v = v * DiffOp([RatFun.const(1, w.var, w.params)
+                                / w.coeffs[0]])
+        return v
+
+
+def reference_parse_ratfun(text, var="t", params=()):
+    return RatFunParser(tokenize(text), var, params).parse()
+
+
+def reference_parse_operator(text, var="t", params=()):
+    return RatFunOpParser(tokenize(text), var, params).parse()

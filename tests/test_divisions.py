@@ -17,10 +17,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "irred"
 ALLOWED = {
     ("field", "FieldElem.__rtruediv__"): "operands are FieldElem",
     ("field", "FieldElem.__pow__"): "operands are FieldElem",
-    ("grammar", "_Parser.term"): "operands are RatFun",
     ("jets", "build_p3_chain"): "operands are FieldElem",
     ("linops", "DiffOp.monic"): "operands are RatFun",
-    ("linops", "_OpParser.term"): "operands are RatFun",
     ("linops", "_krylov_solvers"): "operands are RatFun",
     ("oracle", "_frat"): "floats of the numeric oracle",
     ("oracle", "numeric_ve_oracle"): "floats of the numeric oracle",

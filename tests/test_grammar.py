@@ -1,0 +1,128 @@
+"""The grammar's scalar-first evaluator against the RatFun-only one.
+
+grammar._Parser keeps a value a scalar of Q(params) until it meets the
+main variable; oracles.RatFunParser lifts every atom to a RatFun.  Both
+must give the same value and the same printed form on every input, and
+fail the same way: a budget refusal is a ParseError, a zero divisor a
+ZeroDivisionError, and a negative power of an operator a ValueError.
+"""
+
+import pytest
+
+from irred.grammar import ParseError, parse_ratfun
+from irred.linops import parse_operator
+from oracles import (canonical_q, reference_parse_operator,
+                     reference_parse_ratfun)
+
+CASES = [
+    # (parse, reference, variable, parameters, names an atom may be)
+    (parse_ratfun, reference_parse_ratfun, "t", (), ("t",)),
+    (parse_ratfun, reference_parse_ratfun, "x", ("mu",), ("x", "mu")),
+    (parse_operator, reference_parse_operator, "t", (), ("t", "D")),
+    (parse_operator, reference_parse_operator, "x", ("mu",),
+     ("x", "mu", "D")),
+]
+IDS = ["ratfun-Q", "ratfun-Qmu", "operator-Q", "operator-Qmu"]
+
+
+def _outcome(parse, text, var, params):
+    """(value, its text) of parse, or the type of the error it raises."""
+    try:
+        v = parse(text, var, params)
+    except (ValueError, ZeroDivisionError) as e:
+        return type(e)
+    return v, str(v)
+
+
+@pytest.mark.parametrize("parse, reference, var, params, names", CASES,
+                         ids=IDS)
+def test_parser_agrees_with_the_ratfun_reference(parse, reference, var,
+                                                 params, names):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    atoms = st.one_of(st.integers(0, 12).map(str), st.sampled_from(names))
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map(
+                lambda t: "(%s %s %s)" % t),
+            st.tuples(inner, st.integers(-2, 3)).map(
+                lambda t: "%s^%d" % t),
+            inner.map(lambda s: "-" + s))
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True,
+                         suppress_health_check=list(hypothesis.HealthCheck))
+    @hypothesis.given(st.recursive(atoms, extend, max_leaves=7))
+    def check(text):
+        assert (_outcome(parse, text, var, params)
+                == _outcome(reference, text, var, params)), text
+
+    check()
+
+
+@pytest.mark.parametrize("parse, reference, var, params, names", CASES,
+                         ids=IDS)
+@pytest.mark.parametrize("text", [
+    "2^5000", "(1/3)^2049", "2^-5000", "(7/2)^-3000", "(2^2048)^2",
+    "%(v)s^65", "(%(v)s + 1)^-65", "3*%(v)s^40*(1/%(v)s)^65",
+    "(%(v)s^2 + 2)^33",
+])
+def test_budget_refusals_stay_parse_errors(parse, reference, var, params,
+                                           names, text):
+    text = text % {"v": var}
+    for p in (parse, reference):
+        with pytest.raises(ParseError):
+            p(text, var, params)
+
+
+@pytest.mark.parametrize("parse, reference, var, params, names", CASES,
+                         ids=IDS)
+def test_budgets_are_sharp_on_both_evaluators(parse, reference, var, params,
+                                              names):
+    """A scalar's size is its coefficient size, so each budget stops at
+    the same power as on RatFun values."""
+    texts = ["2^2048", "2^2049", "(1/2)^-2048", "(1/2)^-2049",
+             "(3/2)^2048", "(3/2)^2049", "%(v)s^64", "(2*%(v)s)^-65"]
+    if params:
+        texts += ["mu^64", "mu^65", "(mu + 1/2)^64", "(2*mu/3)^-65"]
+    for text in texts:
+        text = text % {"v": var}
+        got = _outcome(parse, text, var, params)
+        assert got == _outcome(reference, text, var, params), text
+        assert (got is ParseError) == ("65" in text or "49" in text), text
+
+
+@pytest.mark.parametrize("var, params", [("t", ()), ("x", ("mu",))],
+                         ids=["Q", "Qmu"])
+@pytest.mark.parametrize("text", ["1/0", "0^-1", "1/(2 - 2)",
+                                  "(1/2 - 1/2)^-3", "x/(1/2 - 1/2)"])
+def test_zero_divisors_stay_zero_division_errors(var, params, text):
+    text = text.replace("x", var)
+    for p in (parse_ratfun, reference_parse_ratfun):
+        with pytest.raises(ZeroDivisionError):
+            p(text, var, params)
+    if "^" not in text:  # an operator has no negative powers at all
+        for p in (parse_operator, reference_parse_operator):
+            with pytest.raises(ZeroDivisionError):
+                p(text, var, params)
+
+
+def test_parameter_zero_divisor_is_a_zero_division_error():
+    for text in ["1/(mu - mu)", "(2*mu - mu*2)^-1"]:
+        with pytest.raises(ZeroDivisionError):
+            parse_ratfun(text, "x", ("mu",))
+
+
+@pytest.mark.parametrize("text, want", [
+    ("1/2 + 1/2", "1"), ("4/2", "2"), ("(1/2)^-2", "4"), ("2^-2", "1/4"),
+    ("6/4 - 1/2", "1"), ("2*mu*2", "4*mu"), ("mu/mu", "1"),
+    ("(mu + 1)^2 - mu^2 - 2*mu", "1"), ("2*mu*2/x", "4*mu/(x)"),
+])
+def test_scalars_stay_canonical(text, want):
+    """A scalar result is canonical once lifted: an integral Fraction
+    is its int, so the printed form is the reference's."""
+    f = parse_ratfun(text, "x", ("mu",) if "mu" in text else ())
+    assert str(f) == want == str(reference_parse_ratfun(
+        text, "x", ("mu",) if "mu" in text else ()))
+    if "mu" not in text:
+        assert canonical_q(f.constant_value())

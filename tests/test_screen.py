@@ -123,3 +123,86 @@ def test_resonance_budget_is_named_unless_a_point_forces_a_log():
         v = certify_sl2(parse_operator(text))
         assert v.tag == TAG_SL2
         assert v.reason.endswith("local solutions at %s" % point)
+
+
+@pytest.mark.parametrize("text, tag, reason", [
+    # 0 and 1 are rational regular points; the simple pole at 0 forces a
+    # logarithm (exponents 0 and 1, resonance coefficient 1)
+    ("D^2 - t + 1/t + 1/(t-1)", TAG_SL2,
+     "no exponential solutions; logarithm forced in the local solutions "
+     "at 0"),
+    ("D^2 - t - 2/t^2 - 2/(t-1)^2 + 1/t", TAG_SL2,
+     "no exponential solutions; logarithm forced in the local solutions "
+     "at 0"),
+    # exponents (1 +- sqrt(-3))/2 at 0 and at 1: no logarithm evidence
+    ("D^2 - t + 1/t^2 + 1/(t-1)^2", TAG_UNDETERMINED,
+     "no exponential solutions but no logarithm evidence"),
+    ("D^2 - t + 1/(t^2+1)", TAG_UNDETERMINED,
+     "undetermined (unsupported singularity structure): irrational "
+     "singular points"),
+])
+def test_rational_singular_points_are_split(text, tag, reason):
+    """A squarefree factor of the denominators that is a product of
+    rational linear factors gives its rational points; irrational points
+    are named only when a factor with no rational root is left."""
+    v = certify_sl2(parse_operator(text))
+    assert (v.tag, v.reason) == (tag, reason)
+
+
+def _many_points(k):
+    """D^2 - 1 + sum 1/(t - i), i < k: a mild infinity (lam = +-1) and k
+    regular points with exponents 0 and 1, so 2 * 2^k choices."""
+    return parse_operator(
+        "D^2 - 1 + " + " + ".join("1/(t-%d)" % i for i in range(k)))
+
+
+def test_exponent_combinations_past_the_budget_are_refused():
+    """2 * 2^5 = 64 exponent choices are searched; 128 are refused before
+    the first degree bound, and certify_sl2 names the budget."""
+    import irred.screen as screen
+    assert screen.MAX_EXPONENT_COMBINATIONS == 64
+    exponential_solutions_restricted(_many_points(5))
+    with pytest.raises(UnsupportedOperator,
+                       match="128 exponent combinations exceed 64"):
+        exponential_solutions_restricted(_many_points(6))
+    v = certify_sl2(_many_points(16))
+    assert v.tag == TAG_UNDETERMINED
+    assert v.reason == ("undetermined (search budget): %d exponent "
+                        "combinations exceed 64" % 2 ** 17)
+
+
+def test_singular_points_past_the_budget_are_refused(monkeypatch):
+    """16 finite singular points are split into rational roots; 17, or
+    a factor of degree 17 with no rational root, are refused before any
+    root is sought, and certify_sl2 names the budget."""
+    import irred.screen as screen
+    from irred.poly import Poly
+    assert screen.MAX_SINGULAR_POINTS == 16
+
+    def refuse(self):
+        raise AssertionError("a root was sought")
+
+    monkeypatch.setattr(Poly, "rational_roots", refuse)
+    for L in (_many_points(17), parse_operator("D^2 - 1/(t^17 + 2)")):
+        v = certify_sl2(L)
+        assert v.tag == TAG_UNDETERMINED
+        assert v.reason == ("undetermined (search budget): 17 finite "
+                            "singular points exceed 16")
+
+
+@pytest.mark.parametrize("lam, rho, poly", [
+    (1, {0: 1, 1: 2}, "t + 3"),
+    (-2, {0: Fraction(1, 2), 1: -1}, "1"),
+    (Fraction(1, 2), {0: 2, 1: Fraction(-1, 3), -2: 1}, "t - 5"),
+])
+def test_planted_witness_over_several_rational_points(lam, rho, poly):
+    """y = e^(lam t) prod (t - s)^rho_s P(t) solves D^2 - (u' + u^2) with
+    u = y'/y; the search over its two or three rational singular points
+    finds a witness with that logarithmic derivative."""
+    from irred.grammar import parse_ratfun
+    from irred.screen import ExpWitness
+    u = ExpWitness(lam, rho, parse_ratfun(poly).as_poly()).log_derivative("t")
+    b = u.derivative() + u * u
+    L = parse_operator("D^2") - parse_operator(str(b))
+    wits = exponential_solutions_restricted(L)
+    assert any(w.log_derivative("t") == u for w in wits)

@@ -518,6 +518,135 @@ def test_p3_decomposition_parts_must_sum_to_the_matrix(
         replay(doc)
 
 
+def _identity_records(doc):
+    """(kind, record, field holding its expected side) of every identity
+    record in doc."""
+    return [(r["kind"], r, "matrix" if r["kind"] == "decomposition"
+             else "expect") for r in doc["evidence"]
+            if r["kind"] in ("decomposition", "bracket_identity",
+                             "lincomb_identity")]
+
+
+def _respelled(text):
+    """The value of text, spelled otherwise."""
+    return "2*mu*2" if text == "4*mu" else "(%s)*2/2" % text
+
+
+@pytest.mark.parametrize("edit", ["wrong", "respelled"])
+def test_identity_expected_side_is_compared_as_canonical_text(
+        p3_certificate_text, edit):
+    """Replay derives the expected side of each identity record and
+    compares its printed form: a re-hashed record with a wrong value, or
+    with the right value spelled otherwise, fails."""
+    from irred.verdict import _record_hash
+    records = _identity_records(json.loads(p3_certificate_text))
+    assert sorted({k for k, _, _ in records}) == [
+        "bracket_identity", "decomposition", "lincomb_identity"]
+    for i in range(len(records)):
+        doc = json.loads(p3_certificate_text)
+        kind, rec, field = _identity_records(doc)[i]
+        row = next(r for r in rec[field] if any(e != "0" for e in r))
+        j = next(j for j, e in enumerate(row) if e != "0")
+        value = parse_ratfun(row[j], "x", ("mu",))
+        if edit == "wrong":
+            row[j] = str(value + 1)
+        else:
+            row[j] = _respelled(row[j])
+            assert parse_ratfun(row[j], "x", ("mu",)) == value
+        rec["hash"] = _record_hash(rec)
+        with pytest.raises(CertificateError, match="cinf \\+ c0/x|fails"):
+            replay(doc)
+
+
+def _p3_record(doc, relation):
+    return next(r for r in doc["evidence"] if r.get("relation") == relation)
+
+
+def _widened(rows):
+    """rows with a junk column and a junk row."""
+    return [row + ["7"] for row in rows] + [["7"] * (len(rows[0]) + 1)]
+
+
+_LINCOMB = "Psi = (1/mu + 1/x) Psi1 + 4 mu Psi2"
+
+
+@pytest.mark.parametrize("relation, paths, edit", [
+    # the second lincomb term widened, and the first one made ragged
+    (_LINCOMB, [("terms", 1, 1)], _widened),
+    (_LINCOMB, [("terms", 0, 1)],
+     lambda rows: rows[:2] + [rows[2][:-1]] + rows[3:]),
+    # b of a bracket widened, and a and b both made 5 x 6
+    ("[M2, M3] = M2", [("b",)], _widened),
+    ("[M2, M3] = M2", [("a",), ("b",)],
+     lambda rows: [row + ["0"] for row in rows]),
+], ids=["wide-term", "ragged-term", "wide-b", "non-square"])
+def test_identity_terms_of_other_shapes_fail(p3_certificate_text, relation,
+                                             paths, edit):
+    """zip would truncate a wider or ragged term, so each must be
+    refused on its shape before any product: every term, and a and b
+    of a bracket, are rectangular and of one shape (square for a
+    bracket)."""
+    from irred.verdict import _record_hash
+    doc = json.loads(p3_certificate_text)
+    rec = _p3_record(doc, relation)
+    for *outer, last in paths:
+        holder = rec
+        for key in outer:
+            holder = holder[key]
+        holder[last] = edit(holder[last])
+    rec["hash"] = _record_hash(rec)
+    with pytest.raises(CertificateError, match="ragged or differ in shape"):
+        replay(doc)
+
+
+def test_bracket_identity_inputs_must_be_constants(p3_certificate_text):
+    """The bracket is taken over Q(mu): an entry of a that depends on x
+    is refused before any bracket is formed."""
+    from irred.verdict import _record_hash
+    doc = json.loads(p3_certificate_text)
+    rec = _p3_record(doc, "[M2, M3] = M2")
+    rec["a"][0][0] = "x"
+    rec["hash"] = _record_hash(rec)
+    with pytest.raises(CertificateError, match="expected constant entry"):
+        replay(doc)
+
+
+def test_replay_parses_no_expected_side(p3_certificate_text, monkeypatch):
+    """Replay of the p3 certificate parses only the inputs of its
+    records: no string that only a decomposition matrix or an identity's
+    expect holds is ever parsed."""
+    import irred.verdict as verdict
+    parsed = set()
+    real = verdict.parse_ratfun
+
+    def spying(text, var, params):
+        parsed.add(text)
+        return real(text, var, params)
+
+    monkeypatch.setattr(verdict, "parse_ratfun", spying)
+    doc = json.loads(p3_certificate_text)
+    assert replay(doc) == len(doc["evidence"])
+
+    def leaves(x):
+        if isinstance(x, str):
+            return {x}
+        if isinstance(x, list):
+            return set().union(*map(leaves, x))
+        return set()
+
+    expected = set().union(*(leaves(rec[f])
+                             for _, rec, f in _identity_records(doc)))
+    inputs = set().union(*(
+        leaves(v) for rec in doc["evidence"]
+        if rec["kind"] not in ("matrix", "vector", "operator", "note")
+        for k, v in rec.items()
+        if k not in ("matrix", "expect") or rec["kind"] in (
+            "trace_zero", "rational_system")))
+    assert expected - inputs
+    assert parsed <= inputs
+    assert not parsed & (expected - inputs)
+
+
 def test_replay_parses_each_distinct_string_once(p3_certificate_text,
                                                  monkeypatch):
     """Within one replay call each (text, var, params) is parsed once;
@@ -916,11 +1045,13 @@ def test_crafted_degree_bound_fails_fast():
     ("screen", "D^2 - 4 - 400/t", 'screen.tag changed: "undetermined"'),
     ("screen", "D^2 - t - 1000001000000/t^2 + 1/t",
      'screen.tag changed: "undetermined"'),
+    ("screen", "D^2 - 1 + " + " + ".join("1/(t-%d)" % i for i in range(24)),
+     'screen.tag changed: "undetermined"'),
 ])
 def test_crafted_searches_fail_fast(kind, operator, why):
     """Re-hashed records whose searches have no honest size: a
-    denominator t^1000000, an exponential witness of degree 100, and a
-    resonance index of 2000001.  Each budget refuses before the work,
+    denominator t^1000000, an exponential witness of degree 100, a
+    resonance index of 2000001, and 24 rational singular points.  Each budget refuses before the work,
     and replay fails in under 0.1 s of CPU."""
     import time
     from irred.verdict import _record_hash

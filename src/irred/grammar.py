@@ -6,7 +6,9 @@ forms (tested), since parsing just evaluates the expression tree with
 exact arithmetic: a value is a scalar of Q(params) (an int, a Fraction
 or a FieldElem) until it meets the main variable, and a RatFun from then
 on; the parsed result is a RatFun, whose constructor makes its
-coefficients canonical.
+coefficients canonical.  Every power and every + - * / is refused with
+ParseError before it is computed when its result could pass the degree
+budget (see _Parser), so a parse never computes past that degree.
 """
 
 from __future__ import annotations
@@ -67,6 +69,27 @@ def _coeff_size(c):
     return 0, 0, max(c.numerator.bit_length(), c.denominator.bit_length())
 
 
+def _coeff_degree(c):
+    """(degree in the parameters, whether c has no denominator) of a
+    scalar: 0 over Q, the largest total degree of a FieldElem's terms."""
+    if not isinstance(c, FieldElem):
+        return 0, True
+    return (max(sum(e) for e in (*c.num, *c.den)),
+            len(c.den) == 1 and not any(next(iter(c.den))))
+
+
+def ratfun_degrees(fs, params):
+    """((degree in the variable, in the parameters), whether none has a
+    denominator) bounding the RatFuns fs: over Q read in O(1) per RatFun
+    from its coefficient lists, with parameters from their terms too."""
+    deg = max(max(len(f.num.coeffs), len(f.den.coeffs)) for f in fs) - 1
+    poly = all(len(f.den.coeffs) == 1 for f in fs)
+    if not params:
+        return (deg, 0), poly
+    ps = [_coeff_degree(c) for f in fs for c in f.num.coeffs + f.den.coeffs]
+    return (deg, max(d for d, _ in ps)), poly and all(q for _, q in ps)
+
+
 def ratfun_size(f: RatFun):
     """(degree in the variable, degree in the parameters, bits) of f,
     bits the bit length of the largest integer in its coefficients."""
@@ -81,6 +104,11 @@ class _Parser:
     A power is refused before it is computed when its result could pass
     MAX_DEGREE in some degree, or MAX_BITS in the bit length of an
     integer, as bounded by the size of its base (the `size` of a value).
+    So is every + - * /, when its result could pass MAX_DEGREE as bounded
+    by the `degrees` of its operands: a product or quotient adds them,
+    and so does a sum unless both operands have no denominator, when it
+    takes the larger.  Over Q those are read in O(1) from the lengths of
+    the coefficient lists; with parameters, from their terms.
     """
 
     MAX_DEGREE = 64
@@ -118,6 +146,7 @@ class _Parser:
         while self.peek() in "+-":
             op = self.next()[0]
             w = self.term()
+            self.check(op, v, w)
             v = v + w if op == "+" else v - w
         return v
 
@@ -126,6 +155,7 @@ class _Parser:
         while self.peek() in "*/":
             op = self.next()[0]
             w = self.factor()
+            self.check(op, v, w)
             v = v * w if op == "*" else qdiv(v, w)
         return v
 
@@ -149,6 +179,27 @@ class _Parser:
         """Degrees of a value, each bounded by MAX_DEGREE, then the bit
         length of its largest integer."""
         return _coeff_size(v) if isinstance(v, _SCALARS) else ratfun_size(v)
+
+    def degrees(self, v):
+        """(degrees, whether v has no denominator): v's degree in the
+        variable, then in the parameters."""
+        if isinstance(v, RatFun):
+            return ratfun_degrees((v,), self.params)
+        p, poly = _coeff_degree(v)
+        return (0, p), poly
+
+    def combined(self, op, v, w):
+        """The degrees that bound v op w (see the class)."""
+        (dv, pv), (dw, pw) = self.degrees(v), self.degrees(w)
+        if op in "+-" and pv and pw:
+            return list(map(max, dv, dw))
+        return [a + b for a, b in zip(dv, dw)]
+
+    def check(self, op, v, w):
+        """Raise before v op w is computed when it could pass MAX_DEGREE."""
+        deg = max(self.combined(op, v, w))
+        if deg > self.MAX_DEGREE:
+            raise ParseError("degree %d exceeds %d" % (deg, self.MAX_DEGREE))
 
     def within_budget(self, *parts):
         """Raise unless the product of v^k over the (v, k) parts keeps

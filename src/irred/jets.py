@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .field import FieldElem, scalar
 from .grammar import (ParseError, _coeff_size, _Parser, max_size,
@@ -45,8 +46,9 @@ class _MPParser(_Parser):
     """Parses expressions into MPoly in the dependent coordinates, with
     coefficients rational in cvar, or in Q(params) when cvar is None.  A
     power or product past the budgets of _Parser (MAX_DEGREE in the
-    coordinates, the variable or a parameter; MAX_BITS) is rejected before
-    it is computed, and so is a parsed result past them (sums build one)."""
+    coordinates, the variable or a parameter; MAX_BITS), or a sum past
+    MAX_DEGREE, is rejected before it is computed, and so is a parsed
+    result past them."""
 
     def __init__(self, toks, deps, cvar, params):
         super().__init__(toks, cvar, params)
@@ -83,6 +85,14 @@ class _MPParser(_Parser):
         size = _coeff_size if self.var is None else ratfun_size
         return (v.total_degree() or 0,) + max_size(
             [(0, 0, 0)] + [size(c) for c in v.terms.values()])
+
+    def degrees(self, v):
+        """The degree in the coordinates, then those of the coefficients
+        (_Parser)."""
+        ds = [super(_MPParser, self).degrees(c) for c in v.terms.values()]
+        return ((v.total_degree() or 0,)
+                + max_size([(0, 0)] + [d for d, _ in ds]),
+                all(poly for _, poly in ds))
 
     def parse(self):
         v = super().parse()
@@ -424,7 +434,7 @@ class EquationFamily:
             try:
                 P = parse_component(P, ("y",), "x")
             except ParseError as e:
-                raise ValueError("P must be polynomial in y and finite "
+                raise ParseError("P must be polynomial in y and finite "
                                  "along y=0: %s" % e)
         elif not isinstance(P, MPoly):
             P = MPoly.const(ratfun(P, "x"), ("y",), RatFun.zero("x"))
@@ -478,16 +488,13 @@ def build_lnve_airy_family(n: int, p) -> list:
 # ---------------------------------------------------------------------------
 # the Painleve III chain
 
-class P3Chain:
+class P3Chain(SimpleNamespace):
     """Variational matrices of orders 1..3 with their partial reductions."""
-
-    def __init__(self, **kw):
-        self.__dict__.update(kw)
 
 
 def _w_parts(M):
-    """Split a matrix over Q(mu, w), with entries c_inf + c_0 w for
-    c_inf, c_0 in Q(mu), into the parts (C_inf, C_0) over Q(mu).
+    """Split a matrix over Q(params, w), entries c_inf + c_0 w, into the
+    parts (C_inf, C_0) over Q(params), or over Q when w is alone.
 
     w is the last parameter.  An entry is read off the coefficients of its
     polynomial numerator, without arithmetic; one of another form raises
@@ -503,8 +510,9 @@ def _w_parts(M):
             for e, v in c.num.items():
                 byw[e[-1]][e[:-1]] = v
             params = c.params[:-1]
-            ri.append(FieldElem(params, byw[0], _normalized=True))
-            r0.append(FieldElem(params, byw[1], _normalized=True))
+            for r, d in zip((ri, r0), byw):
+                r.append(FieldElem(params, d, _normalized=True) if params
+                         else d.get((), 0))
         Cinf.append(ri)
         C0.append(r0)
     return Cinf, C0
@@ -535,13 +543,14 @@ def _subsystem_matrices(fulls, S, one):
     return [rows[i:i + k] for i in range(0, len(rows), k)]
 
 
-def p3_w_field() -> VectorFieldSpec:
+def p3_unit_field() -> VectorFieldSpec:
     """Hamiltonian vector field of the Painleve III case, x H =
     2 y^2 z^2 - (x y^2 - 2 mu y - x) z - mu x y, with w = 1/x taken for a
-    second parameter and no independent coordinate."""
-    ay = "4*w*y^2*z - y^2 + 2*mu*w*y + 1"
-    az = "-4*w*y*z^2 + 2*y*z - 2*mu*w*z + mu"
-    return VectorFieldSpec(("y", "z"), [ay, az], params=("mu", "w"))
+    parameter and no independent coordinate, at mu = 1: z = mu Z and
+    w = W/mu turn the field at any mu into this one."""
+    ay = "4*w*y^2*z - y^2 + 2*w*y + 1"
+    az = "-4*w*y*z^2 + 2*y*z - 2*w*z + 1"
+    return VectorFieldSpec(("y", "z"), [ay, az], params=("w",))
 
 
 # constant diagonal gauges of the order-2 and order-3 linearize outputs:
@@ -554,73 +563,84 @@ _P3_SCALES = {
 }
 
 
+def p3_weights(k):
+    """(s of A_k, s of At_k): s_i counts the z-jet factors of basis element
+    i, in Sym^j blocks j = k..1, and At_k shifts block j by k - j."""
+    blocks = [range(j + 1) for j in range(k, 0, -1)]
+    return ([i for b in blocks for i in b],
+            [i + k - len(b) + 1 for b in blocks for i in b])
+
+
+def mu_graded(C, rows, cols, shift=0):
+    """The rational matrix C over Q(mu), entry c at (i, j) times mu^e,
+    e = rows[i] - cols[j] + shift, each built reduced with no arithmetic."""
+
+    def monomial(c, e):  # c mu^e / 1, or c / mu^-e
+        if not c:
+            return FieldElem(("mu",), {}, {(0,): 1}, _normalized=True)
+        return FieldElem(("mu",), {(max(e, 0),): qnorm(c)},
+                         {(max(-e, 0),): 1}, _normalized=True)
+
+    return [[monomial(c, r - s + shift) for c, s in zip(row, cols)]
+            for row, r in zip(C, rows)]
+
+
 def build_p3_chain() -> P3Chain:
-    """Variational chain along y=1, z=-mu/2 with gauges Q1, Q2, Q3 and
-    their inverses R1, R2, R3; At_k = R_k A_k Q_k.
+    """Variational chain along y=1, z=-mu/2, mu symbolic: A1, Q1 and
+    At_k = R_k A_k Q_k, Q_k the block diagonal of Sym^j(Q1), j = k..1.
 
     Every field coefficient is c_inf + c_0/x and the curve is constant.
     Normal restriction drops every jet of x, so the x^(1) d/dx term of the
     total derivative never survives it, and prolong, restrict, truncate
     and linearize are linear in the coefficients: 1/x can be a plain
-    second parameter w.  The chain therefore prolongs the autonomous
-    `p3_w_field` over Q(mu, w), whose coefficients are polynomial (no
-    gcd), restricts it once at order 3 and reads the order-k system off
-    its truncation.  The w^0 and w^1 coefficients of each entry of A_k are
-    the constant parts (C_inf, C_0) over Q(mu), and past linearize the
-    chain runs on those pairs, kept in .parts by name; Q_k and R_k are
-    constant.  A1 and At1..At3 are built from their parts over Q(mu)(x),
-    with mu symbolic; specialize the entries for a rational mu.  The
-    gauge Q1 degenerates at mu = 0.
+    parameter w.  z = mu Z, w = W/mu take mu out, so the chain prolongs
+    `p3_unit_field` over Q(w), restricts it at (1, -1/2) once at order 3
+    and reads the order-k system off its truncation.  Past linearize it
+    runs on the w^0 and w^1 parts (C_inf, C_0) over Q, with Q1(1) =
+    [[-2, 1], [-1, 0]], and puts mu back once by `p3_weights`: c in C_inf
+    becomes c mu^(s_i - s_j), c in C_0 c mu^(s_i - s_j + 1), and Q1(mu) =
+    diag(1, mu) Q1(1) diag(mu, 1).  It keeps A1, Q1, At1..At3 over
+    Q(mu)(x), and the parts of A1..A3, At1..At3 by name over Q(mu)
+    (.parts) and over Q (.unit_parts).  Q1 degenerates at mu = 0.
     """
-    params = ("mu",)
-    X = p3_w_field()
-    mu_w = FieldElem.parameter("mu", X.params)
-    curve = {"y": 1, "z": mu_w * Fraction(-1, 2)}
-    J3 = restrict_along_curve(prolong(X, 3), curve)
-
+    J3 = restrict_along_curve(prolong(p3_unit_field(), 3),
+                              {"y": 1, "z": Fraction(-1, 2)})
     L3 = linearize(J3)
-    one = FieldElem.from_fraction(1, params)
-    S = _p3_third_rows(L3, one)
-    parts = {
+    unit = {
         "A1": _w_parts(linearize(truncate(J3, 1)).matrix),
         "A2": tuple(_scale_conj(C, _P3_SCALES[2])
                     for C in _w_parts(linearize(truncate(J3, 2)).matrix)),
         "A3": tuple(_scale_conj(B, _P3_SCALES[3]) for B in
-                    _subsystem_matrices(_w_parts(L3.matrix), S, one)),
+                    _subsystem_matrices(_w_parts(L3.matrix),
+                                        _p3_third_rows(L3), 1)),
     }
-    A1 = _from_parts(*parts["A1"], "x", params)
-
-    mu = FieldElem.parameter("mu", params)
-    zero = one - one
 
     def gauges(M):
         """M and the block diagonals of Sym^j(M), j = 2, 1 and 3, 2, 1."""
         S2 = sym_power_rep(M, 2)
-        return (M, _blockdiag([S2, M], zero),
-                _blockdiag([sym_power_rep(M, 3), S2, M], zero))
+        return (M, _blockdiag([S2, M], 0),
+                _blockdiag([sym_power_rep(M, 3), S2, M], 0))
 
-    Q1, Q2, Q3 = gauges([[-2 * mu, one], [-mu * mu, zero]])
-    # R_k = Q_k^-1 in closed form: the adjugate of Q1 (det Q1 = mu^2), and
+    # R1 = Q1^-1 is the adjugate of Q1 (det Q1(1) = 1), and
     # Sym^j(Q1^-1) = Sym^j(Q1)^-1 block by block
-    (a, b), (c, d) = Q1
-    det = a * d - b * c
-    R1, R2, R3 = gauges([[d / det, -b / det], [-c / det, a / det]])
-
-    # Q_k and R_k are constant, so At_k = R_k A_k Q_k part by part; C Q_k
-    # is polynomial in mu, so it is formed first
-    for k, R, Q in ((1, R1, Q1), (2, R2, Q2), (3, R3, Q3)):
-        parts["At%d" % k] = tuple(mat_mul(R, mat_mul(C, Q))
-                                  for C in parts["A%d" % k])
-    At1, At2, At3 = (_from_parts(*parts["At%d" % k], "x", params)
-                     for k in (1, 2, 3))
-    return P3Chain(A1=A1, Q1=Q1, R1=R1, At1=At1, Q2=Q2, R2=R2, At2=At2,
-                   Q3=Q3, R3=R3, At3=At3, parts=parts)
+    Q1 = [[-2, 1], [-1, 0]]
+    parts = {}
+    for k, R, Q in zip((1, 2, 3), gauges([[0, -1], [1, -2]]), gauges(Q1)):
+        unit["At%d" % k] = tuple(mat_mul(R, mat_mul(C, Q))
+                                 for C in unit["A%d" % k])
+        for name, s in zip(("A%d" % k, "At%d" % k), p3_weights(k)):
+            Ci, C0 = unit[name]
+            parts[name] = (mu_graded(Ci, s, s), mu_graded(C0, s, s, 1))
+    A1, At1, At2, At3 = (_from_parts(*parts[name], "x", ("mu",))
+                         for name in ("A1", "At1", "At2", "At3"))
+    return P3Chain(A1=A1, Q1=mu_graded(Q1, (0, 1), (-1, 0)), At1=At1,
+                   At2=At2, At3=At3, parts=parts, unit_parts=unit)
 
 
 def _scale_conj(A, diag):
     """D A D^-1 for D = diag(diag), each entry scaled once, by its
     ratio diag[i]/diag[j] unless that is 1."""
-    return [[a if r == 1 else a * r
+    return [[a if r == 1 else qnorm(a * r)
              for a, r in zip(row, [qdiv(di, dj) for dj in diag])]
             for row, di in zip(A, diag)]
 
@@ -637,15 +657,14 @@ def _blockdiag(blocks, zero):
     return out
 
 
-def _p3_third_rows(L3: LinearizedSystem, one):
-    """Rows over the weight-3 monomial basis that span the invariant
+def _p3_third_rows(L3: LinearizedSystem):
+    """Rows over Q, on the weight-3 monomial basis, that span the invariant
     subspace of the 9x9 third variational matrix: cubic block, polarized
-    mixed block, jet block.  Entries are multiples of one."""
-    zero = one - one
+    mixed block, jet block."""
 
     def row(c, *monomials):
         """c at each monomial, given by its (variable, exponent) pairs."""
-        v = [zero] * len(L3.basis)
+        v = [0] * len(L3.basis)
         for mono in map(dict, monomials):
             v[L3.basis.index(tuple(mono.get(x, 0) for x in L3.vars))] = c
         return v
@@ -653,11 +672,11 @@ def _p3_third_rows(L3: LinearizedSystem, one):
     y1, z1, y2, z2 = "y^(1)", "z^(1)", "y^(2)", "z^(2)"
     # cubic binomial basis s_k = C(3,k) y1^(3-k) z1^k: these are exactly the
     # normalized monomial variables
-    rows = [row(one, ((y1, 3 - k), (z1, k))) for k in range(4)]
+    rows = [row(1, ((y1, 3 - k), (z1, k))) for k in range(4)]
     # polarized quadratic basis m_k = 3 * u_k(xi_2, xi_1); monomial variables
     # carry the multiset normalization 2 for mixed products
-    c = one * Fraction(3, 2)
+    c = Fraction(3, 2)
     rows += [row(c, ((y2, 1), (y1, 1))),
              row(c, ((y2, 1), (z1, 1)), ((z2, 1), (y1, 1))),
              row(c, ((z2, 1), (z1, 1)))]
-    return rows + [row(one, (("y^(3)", 1),)), row(one, (("z^(3)", 1),))]
+    return rows + [row(1, (("y^(3)", 1),)), row(1, (("z^(3)", 1),))]

@@ -11,8 +11,8 @@ import math
 from fractions import Fraction
 
 from .field import FieldElem
-from .grammar import (ParseError, _Parser, max_size, ratfun_size,
-                      tokenize)
+from .grammar import (ParseError, _Parser, max_size, ratfun_degrees,
+                      ratfun_size, tokenize)
 from .linear import mat_mul, mat_shape
 from .mpoly import dense_add, dense_mul, power, print_sum, qdiv, qnorm
 from .poly import Poly, RatFun, ratfun
@@ -212,6 +212,24 @@ class _OpParser(_Parser):
             return (0,) + super().size(v)
         return (v.order(),) + max_size([ratfun_size(c) for c in v.coeffs])
 
+    def degrees(self, v):
+        """The order, then the degrees of the coefficients (_Parser)."""
+        if not isinstance(v, DiffOp):
+            d, poly = super().degrees(v)
+            return (0,) + d, poly
+        d, poly = ratfun_degrees(v.coeffs, self.params)
+        return (v.order(),) + d, poly
+
+    def combined(self, op, v, w):
+        """As _Parser; v * w and v / w differentiate w up to order(v)
+        times, each derivative adding a denominator, so w counts
+        order(v) + 1 times in the coefficient degrees."""
+        k = v.order() + 1 if isinstance(v, DiffOp) and op in "*/" else 1
+        if k == 1:
+            return super().combined(op, v, w)
+        (dv, _), (dw, _) = self.degrees(v), self.degrees(w)
+        return [dv[0] + dw[0]] + [a + k * b for a, b in zip(dv[1:], dw[1:])]
+
     def atom(self):
         kind, val = self.toks[self.pos]
         if kind == "name" and val == "D":
@@ -239,6 +257,7 @@ class _OpParser(_Parser):
         while self.peek() in "*/":
             op = self.next()[0]
             w = self.factor()
+            self.check(op, v, w)
             if op == "*":
                 v = v * w
                 continue

@@ -192,8 +192,13 @@ def exponential_solutions_restricted(L: DiffOp):
     Raises UnsupportedOperator otherwise, or past MAX_WITNESS_DEGREE.
     """
     a, b = _monic_ab(L)
+    return _exponential_solutions(L, a, b, _finite_singularities(a, b, L.var))
+
+
+def _exponential_solutions(L, a, b, points):
+    """exponential_solutions_restricted(L), given L = D^2 + a D + b and
+    its finite singular points."""
     var = L.var
-    points = _finite_singularities(a, b, var)
     da = _rat_degree(a)
     db = _rat_degree(b)
     da_ = da if da is not None else -10 ** 9
@@ -349,15 +354,12 @@ def certify_sl2(L: DiffOp) -> ScreenVerdict:
             TAG_UNDETERMINED,
             reason="nonzero trace: group not constrained to SL2")
     try:
-        wits = exponential_solutions_restricted(L)
+        points = _finite_singularities(a, b, L.var)
+        wits = _exponential_solutions(L, a, b, points)
     except UnsupportedOperator as e:
         return ScreenVerdict(TAG_UNDETERMINED, reason=str(e))
     if wits:
         return ScreenVerdict(TAG_REDUCIBLE, witness=wits[0])
-    try:
-        points = _finite_singularities(a, b, L.var)
-    except UnsupportedOperator as e:
-        return ScreenVerdict(TAG_UNDETERMINED, reason=str(e))
     if not points:
         db = _rat_degree(b)
         if db is not None and db >= 1 and db % 2 == 1:

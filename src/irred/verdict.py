@@ -28,7 +28,7 @@ from fractions import Fraction
 from .field import FieldElem, scalar
 from .grammar import parse_ratfun
 from .jets import (EquationFamily, _from_parts, build_lnve_airy_family,
-                   build_p3_chain)
+                   build_p3_chain, mu_graded)
 from .liealg import (_flat, associated_lie_algebra, block_e_matrices,
                      classify_lnve_lie_algebra, lie_closure, lie_dimension,
                      span_coordinates)
@@ -608,9 +608,8 @@ def check_p2() -> Certificate:
 # the Painleve III chain
 
 def _p3_n_basis():
-    """Constant 9x9 matrices N_1..N_5 spanning the bottom-left block."""
-    params = ("mu",)
-    zero = FieldElem.from_fraction(0, params)
+    """Constant 9x9 matrices N_1..N_5 over Q spanning the bottom-left
+    block."""
     blocks = [
         [[0, 0, 0, 0], [1, 0, 0, 0]],
         [[1, 0, 0, 0], [0, -1, 0, 0]],
@@ -620,10 +619,8 @@ def _p3_n_basis():
     ]
     out = []
     for blk in blocks:
-        M = [[zero] * 9 for _ in range(9)]
-        for i in range(2):
-            for j in range(4):
-                M[7 + i][j] = FieldElem.from_fraction(blk[i][j], params)
+        M = [[0] * 9 for _ in range(9)]
+        M[7][:4], M[8][:4] = blk
         out.append(M)
     return out
 
@@ -648,19 +645,15 @@ def p3_psi_and_b(chain):
     Psi is the adjoint action of the block part of the third gauged
     variational matrix of the chain on N_1..N_5; b collects the
     off-block coefficients.  Both are linear in that matrix, so each is
-    computed on its constant parts (C_inf, C_0) over Q(mu) and built as
-    P_inf + P_0/x with entries rational in x; Psi1 = P_0.
+    computed on its constant parts at mu = 1 over Q, then regraded (N_j
+    scales as mu^(n_j): Psi_ij carries mu^(n_i - n_j), b_i mu^(n_i),
+    times mu in P_0) and built as P_inf + P_0/x; Psi1 = P_0.
     """
-    params = ("mu",)
     Ns = _p3_n_basis()
-    zero = FieldElem.from_fraction(0, params)
-    diags, offs = [], []
-    for C in chain.parts["At3"]:
-        diag = [list(r) for r in C]
-        for i in (7, 8):
-            diag[i][:4] = [zero] * 4
-        diags.append(diag)
-        offs.append(mat_sub(C, diag))
+    At3 = chain.unit_parts["At3"]
+    diags = [[r if i < 7 else [0] * 4 + r[4:] for i, r in enumerate(C)]
+             for C in At3]
+    offs = [mat_sub(C, d) for C, d in zip(At3, diags)]
     # both parts' off-block coordinates and brackets [diag, N_j] in the N
     # basis: one elimination of its 81x5 matrix
     try:
@@ -668,20 +661,17 @@ def p3_psi_and_b(chain):
             offs + [mat_bracket(d, N) for d in diags for N in Ns], Ns)
     except ValueError:
         raise RuntimeError("off-diagonal block or bracket outside the N span")
-    bs = [[x] for x in coords[:2]]
-    psis = [mat_transpose(coords[2 + 5 * k:7 + 5 * k]) for k in range(2)]
-    Psi = _from_parts(*psis, "x", params)
-    b, = _from_parts(*bs, "x", params)
-    Cinf, C0 = psis
-    mu = FieldElem.parameter("mu", params)
-    Psi2 = [[(ci - c0 / mu) / (4 * mu) for ci, c0 in zip(ri, r0)]
+    Cinf, C0 = (mat_transpose(coords[2 + 5 * k:7 + 5 * k]) for k in range(2))
+    n = (3, 2, 1, 0, -1)  # s_(7+i) - s_c of p3_weights(3) at N_j's entries
+    Psi1 = mu_graded(C0, n, n, 1)
+    Psi = _from_parts(mu_graded(Cinf, n, n), Psi1, "x", ("mu",))
+    b, = _from_parts(*(mu_graded([v], (0,), [-e for e in n], k)
+                       for k, v in enumerate(coords[:2])), "x", ("mu",))
+    # Psi = (1/mu + 1/x) Psi1 + 4 mu Psi2 defines Psi2 = (P_inf - P_0/mu)
+    # / (4 mu); at mu = 1 that is (P_inf - P_0) / 4, of weight -1
+    Psi2 = [[qdiv(ci - c0, 4) for ci, c0 in zip(ri, r0)]
             for ri, r0 in zip(Cinf, C0)]
-    # Psi = (1/mu + 1/x) Psi1 + 4 mu Psi2 on the constant parts: Psi1 is
-    # P_0, and Psi1/mu + 4 mu Psi2 must give back P_inf
-    if [[c0 / mu + 4 * mu * p2 for c0, p2 in zip(r0, r2)]
-            for r0, r2 in zip(C0, Psi2)] != Cinf:
-        raise RuntimeError("Psi decomposition identity fails")
-    return Psi, C0, Psi2, b
+    return Psi, Psi1, mu_graded(Psi2, n, n, -1), b
 
 
 def check_p3(mus=(Fraction(1, 2),)) -> Certificate:

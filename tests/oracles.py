@@ -8,15 +8,18 @@ from fractions import Fraction
 
 # verdict._family_psi is looked up at each call, so a test can perturb it
 from irred import verdict
-from irred.field import scalar
+from irred.field import FieldElem, scalar
 from irred.grammar import (ParseError, _Parser, max_size, ratfun_size,
                            tokenize)
-from irred.jets import (EquationFamily, VectorFieldSpec, linearize,
-                        normal_restrict, prolong, restrict_along_curve)
+from irred.jets import (_P3_SCALES, EquationFamily, VectorFieldSpec,
+                        _blockdiag, _p3_third_rows, _scale_conj,
+                        _subsystem_matrices, _w_parts, linearize,
+                        normal_restrict, prolong, restrict_along_curve,
+                        truncate)
 from irred.liealg import block_e_matrices
 from irred.linear import (mat_bracket, mat_identity, mat_mul, mat_shape,
                           mat_sub, mat_transpose, solve_all)
-from irred.linops import DiffOp, cyclic_vector_scalarize
+from irred.linops import DiffOp, cyclic_vector_scalarize, sym_power_rep
 from irred.mpoly import _trim, dense_divmod, qdiv
 from irred.poly import Poly, RatFun
 
@@ -163,6 +166,59 @@ def p3_order(k):
     restricted along y = 1, z = -mu/2 and normal-restricted."""
     return normal_restrict(restrict_along_curve(prolong(p3_field(), k),
                                                 {"y": "1", "z": "-mu/2"}))
+
+
+def p3_w_field(mu="mu"):
+    """The P3 field with w = 1/x taken for a parameter, over Q(mu, w);
+    with mu the text of a rational, the field at that mu, over Q(w).
+    jets.p3_unit_field is its value at mu = 1."""
+    ay = "4*w*y^2*z - y^2 + 2*mu*w*y + 1"
+    az = "-4*w*y*z^2 + 2*y*z - 2*mu*w*z + mu"
+    return VectorFieldSpec(
+        ("y", "z"), [c.replace("mu", "(%s)" % mu) for c in (ay, az)],
+        params=("mu", "w") if mu == "mu" else ("w",))
+
+
+def p3_gauges(mu):
+    """(Q1, Q2, Q3) and their inverses (R1, R2, R3) at mu, a FieldElem
+    over Q(mu) or a rational: Q1 = [[-2 mu, 1], [-mu^2, 0]], and Q_k
+    the block diagonal of Sym^j(Q1), j = k, ..., 1."""
+    zero = mu - mu
+
+    def gauges(M):
+        S2 = sym_power_rep(M, 2)
+        return (M, _blockdiag([S2, M], zero),
+                _blockdiag([sym_power_rep(M, 3), S2, M], zero))
+
+    # det Q1 = mu^2, and Sym^j(Q1^-1) = Sym^j(Q1)^-1 block by block
+    one, det = zero + 1, mu * mu
+    return (gauges([[-2 * mu, one], [-det, zero]]),
+            gauges([[zero, -one / det], [one, -2 * mu / det]]))
+
+
+def p3_reference_parts(mu="mu"):
+    """The constant parts (C_inf, C_0) of A1..A3 and At1..At3, by name,
+    from the jet pass on p3_w_field(mu) along y = 1, z = -mu/2 with mu
+    left in: over Q(mu) for mu = "mu", over Q at the text of a
+    rational.  It is the pass jets.build_p3_chain runs at mu = 1 only."""
+    J3 = restrict_along_curve(prolong(p3_w_field(mu), 3),
+                              {"y": "1", "z": "-(%s)/2" % mu})
+    L3 = linearize(J3)
+    m = (FieldElem.parameter("mu", ("mu",)) if mu == "mu"
+         else scalar(Fraction(mu)))
+    one = m - m + 1
+    parts = {
+        "A1": _w_parts(linearize(truncate(J3, 1)).matrix),
+        "A2": tuple(_scale_conj(C, _P3_SCALES[2])
+                    for C in _w_parts(linearize(truncate(J3, 2)).matrix)),
+        "A3": tuple(_scale_conj(B, _P3_SCALES[3]) for B in
+                    _subsystem_matrices(_w_parts(L3.matrix),
+                                        _p3_third_rows(L3), one)),
+    }
+    for k, R, Q in zip((1, 2, 3), *p3_gauges(m)[::-1]):
+        parts["At%d" % k] = tuple(mat_mul(R, mat_mul(C, Q))
+                                  for C in parts["A%d" % k])
+    return parts
 
 
 def cinf_c0(M):

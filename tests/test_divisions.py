@@ -17,7 +17,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "irred"
 ALLOWED = {
     ("field", "FieldElem.__rtruediv__"): "operands are FieldElem",
     ("field", "FieldElem.__pow__"): "operands are FieldElem",
-    ("jets", "build_p3_chain"): "operands are FieldElem",
     ("linops", "DiffOp.monic"): "operands are RatFun",
     ("linops", "_krylov_solvers"): "operands are RatFun",
     ("oracle", "_frat"): "floats of the numeric oracle",
@@ -26,9 +25,8 @@ ALLOWED = {
     ("poly", "RatFun.__pow__"): "operands are RatFun",
     ("ratsolve", "denominator_bound"): "operands are RatFun",
     ("screen", "ExpWitness.log_derivative"): "operands are RatFun",
-    ("screen", "exponential_solutions_restricted"): "operands are RatFun",
+    ("screen", "_exponential_solutions"): "operands are RatFun",
     ("verdict", "_Parsed.solve"): "operands are RatFun",
-    ("verdict", "p3_psi_and_b"): "operands are FieldElem",
     ("verdict", "check_p3"): "operands are RatFun or FieldElem",
 }
 

@@ -7,9 +7,12 @@ fail the same way: a budget refusal is a ParseError, a zero divisor a
 ZeroDivisionError, and a negative power of an operator a ValueError.
 """
 
+import time
+
 import pytest
 
 from irred.grammar import ParseError, parse_ratfun
+from irred.jets import EquationFamily
 from irred.linops import parse_operator
 from oracles import (canonical_q, reference_parse_operator,
                      reference_parse_ratfun)
@@ -126,3 +129,99 @@ def test_scalars_stay_canonical(text, want):
         text, "x", ("mu",) if "mu" in text else ()))
     if "mu" not in text:
         assert canonical_q(f.constant_value())
+
+
+# a sum whose common denominator, and a product whose value, pass degree
+# 64 although every term or factor is within the power budget
+CRAFTED = ["1/(t+1)^64+1/(t+2)^64+1/(t+3)^64", "*".join(["(t+1)^64"] * 64)]
+
+
+def _family_p(text, var, params):
+    return EquationFamily(3, text.replace("t", "x"))
+
+
+@pytest.mark.parametrize("text", CRAFTED, ids=["sum", "product"])
+@pytest.mark.parametrize("parse, var, params", [
+    (parse_ratfun, "t", ()), (parse_ratfun, "x", ("mu",)),
+    (parse_operator, "t", ()), (parse_operator, "x", ("mu",)),
+    (_family_p, "x", ())], ids=["ratfun-Q", "ratfun-Qmu", "operator-Q",
+                                "operator-Qmu", "family"])
+def test_sums_and_products_past_the_degree_budget_fail_fast(parse, var,
+                                                             params, text):
+    """Every + - * / is bounded before it is computed, from the degrees
+    of its operands, so these fail in milliseconds instead of running a
+    gcd of degree 128 or building a polynomial of degree 4096."""
+    text = text.replace("t", var)
+    start = time.process_time()
+    with pytest.raises(ParseError, match="degree 128 exceeds 64"):
+        parse(text, var, params)
+    assert time.process_time() - start < 0.1
+
+
+@pytest.mark.parametrize("text", [
+    "1/(t+1)^32 + 1/(t+2)^32", "(t+1)^32*(t+2)^32",
+    "(t^40 + 1) - t^40 + t^64"])
+def test_degree_budget_admits_what_fits(text):
+    """A sum of two polynomials takes the larger degree; a sum with a
+    denominator and a product add them.  Each of these reaches degree 64
+    exactly, so one more factor t, or one more term 1/t, is refused."""
+    f = parse_ratfun(text)
+    assert max(f.num.degree(), f.den.degree()) == 64
+    for bigger in ("(%s)*t" % text, "(%s) + 1/t" % text):
+        with pytest.raises(ParseError, match="degree 65 exceeds 64"):
+            parse_ratfun(bigger)
+
+
+def test_a_quotient_adds_the_degrees():
+    assert parse_ratfun("t^32/(t+1)^32").den.degree() == 32
+    with pytest.raises(ParseError, match="degree 65 exceeds 64"):
+        parse_ratfun("t^33/(t+1)^32")
+
+
+def _operator_around(text, var, params):
+    """text as the coefficients of an operator of order 3."""
+    return parse_operator("(%s)*D^3 - D*(%s) + %s" % (text, text, text), var,
+                          params)
+
+
+@pytest.mark.parametrize("parse, var, params, names", [
+    (parse_ratfun, "t", (), ("t",)),
+    (parse_ratfun, "x", ("mu",), ("x", "mu")),
+    (_operator_around, "t", (), ("t",)),
+    (_family_p, "x", (), ("x", "y"))],
+    ids=["ratfun-Q", "ratfun-Qmu", "operator-Q", "family"])
+def test_every_parse_ends_fast(parse, var, params, names):
+    """Sums, products, quotients and powers of shifted powers of the
+    variable and of their reciprocals: each parse gives a value or a ParseError (or, dividing by
+    zero, a ZeroDivisionError, and for an operator, which has no negative
+    powers, a ValueError) within 0.5 s of CPU."""
+    refused = (ParseError, ZeroDivisionError) + (
+        (ValueError,) if parse is _operator_around else ())
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    shifted = st.tuples(st.sampled_from(["", "1/"]), st.sampled_from(names),
+                        st.integers(1, 9),
+                        st.sampled_from([1, 2, 21, 32, 33, 64])).map(
+        lambda t: "%s(%s+%d)^%d" % t)
+    atoms = st.one_of(st.integers(0, 12).map(str), st.sampled_from(names),
+                      shifted)
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map(
+                lambda t: "(%s %s %s)" % t),
+            st.tuples(inner, st.sampled_from([-64, -2, 2, 3, 64])).map(
+                lambda t: "%s^%d" % t))
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
+                         suppress_health_check=list(hypothesis.HealthCheck))
+    @hypothesis.given(st.recursive(atoms, extend, max_leaves=6))
+    def check(text):
+        start = time.process_time()
+        try:
+            parse(text, var, params)
+        except refused:
+            pass
+        assert time.process_time() - start < 0.5, text
+
+    check()

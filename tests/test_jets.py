@@ -9,16 +9,17 @@ import irred.jets
 from irred.jets import (_P3_SCALES, EquationFamily, VectorFieldSpec,
                         _from_parts, _p3_third_rows, _scale_conj,
                         _subsystem_matrices, _w_parts, build_lnve_airy_family,
-                        build_p3_chain, jet_name, linearize, normal_restrict,
-                        p3_w_field, prolong, rename_ratfun,
-                        restrict_along_curve, truncate)
+                        build_p3_chain, jet_name, linearize, mu_graded,
+                        normal_restrict, p3_unit_field, p3_weights, prolong,
+                        rename_ratfun, restrict_along_curve, truncate)
 from irred.grammar import ParseError, parse_ratfun
 from irred.liealg import adjoint_action_matrix
 from irred.linear import mat_identity, mat_mul
 from irred.mpoly import MPoly
 from irred.poly import Poly, RatFun
-from irred.verdict import _p3_n_basis, p3_psi_and_b
-from oracles import cinf_c0, lnve_airy_family_pipeline, p3_field, p3_order
+from irred.verdict import _p3_n_basis, check_p3, p3_psi_and_b
+from oracles import (cinf_c0, lnve_airy_family_pipeline, p3_field, p3_gauges,
+                     p3_order, p3_reference_parts, p3_w_field)
 
 
 def p2_field():
@@ -175,11 +176,12 @@ def test_p3_chain_specialized(p3_chain):
 
 
 def test_p3_gauge_inverses_are_closed_forms(p3_chain):
-    """R_k is the inverse of Q_k, and At_k = R_k A_k Q_k on each constant
-    part."""
+    """The reference gauges R_k over Q(mu) are the inverses of Q_k, Q1 is
+    the chain's, and At_k = R_k A_k Q_k on each constant part."""
     one = FieldElem.from_fraction(1, ("mu",))
-    for k in (1, 2, 3):
-        R, Q = getattr(p3_chain, "R%d" % k), getattr(p3_chain, "Q%d" % k)
+    Qs, Rs = p3_gauges(FieldElem.parameter("mu", ("mu",)))
+    assert Qs[0] == p3_chain.Q1
+    for k, R, Q in zip((1, 2, 3), Rs, Qs):
         assert mat_mul(R, Q) == mat_identity(len(Q), one)
         for C, Ct in zip(p3_chain.parts["A%d" % k],
                          p3_chain.parts["At%d" % k]):
@@ -218,20 +220,21 @@ def test_truncate_rejects_a_higher_jet_on_a_lower_right_side():
 
 def test_p3_parts_match_ratfun_gauge(p3_chain):
     """The chain's (C_inf, C_0) of At_k are the parts of R_k A_k Q_k,
-    with A_k, Q_k and R_k over Q(mu)(x) as the chain had them before it
-    ran on parts."""
+    with A_k over Q(mu)(x) from the pass on the field over Q(mu)(x), and
+    Q_k and R_k the reference gauges over Q(mu)."""
     params = ("mu",)
     one = RatFun.const(1, "x", params)
+    Qs, Rs = p3_gauges(FieldElem.parameter("mu", params))
     L = {k: linearize(p3_order(k)) for k in (1, 2, 3)}
     A = {1: L[1].matrix,
          2: _scale_conj(L[2].matrix, _P3_SCALES[2]),
          3: _scale_conj(_subsystem_matrices([L[3].matrix],
-                                            _p3_third_rows(L[3], one),
+                                            _p3_third_rows(L[3]),
                                             one)[0],
                         _P3_SCALES[3])}
     for k in (1, 2, 3):
-        R, Q = ([[x * one for x in row] for row in getattr(p3_chain, n)]
-                for n in ("R%d" % k, "Q%d" % k))
+        R, Q = ([[x * one for x in row] for row in G[k - 1]]
+                for G in (Rs, Qs))
         At = mat_mul(mat_mul(R, A[k]), Q)
         assert list(cinf_c0(At)) == list(p3_chain.parts["At%d" % k])
         assert _strs(At) == _strs(getattr(p3_chain, "At%d" % k))
@@ -279,6 +282,68 @@ def test_p3_w_field_is_p3_field_at_w_equal_1_over_x():
             == X.components[c].terms
 
 
+def test_p3_unit_field_is_the_w_field_at_mu_1():
+    U = p3_unit_field()
+    assert U.indep is None and U.params == ("w",)
+    assert U.components == p3_w_field("1").components
+
+
+def test_p3_weights_are_the_grading_tables():
+    """s of A_k counts the z-jet factors of each basis element, and At_k
+    shifts each Sym^j block by j (up to a constant)."""
+    assert [p3_weights(k) for k in (1, 2, 3)] == [
+        ([0, 1], [0, 1]),
+        ([0, 1, 2, 0, 1], [0, 1, 2, 1, 2]),
+        ([0, 1, 2, 3, 0, 1, 2, 0, 1], [0, 1, 2, 3, 1, 2, 3, 2, 3])]
+    for k in (1, 2):
+        L = linearize(truncate(p3_order(3), k))
+        z = [i for i, v in enumerate(L.vars) if v.startswith("z")]
+        assert [sum(e[i] for i in z) for e in L.basis] == p3_weights(k)[0]
+
+
+def test_p3_regraded_chain_matches_the_q_mu_w_reference(p3_chain):
+    """The chain runs at mu = 1 and puts mu back by its grading; the
+    pass over Q(mu, w) with mu left in gives the same parts, for
+    symbolic mu and, with mu put into the field, at two rational mu."""
+    ref = p3_reference_parts()
+    assert set(ref) == set(p3_chain.parts)
+    for name, parts in ref.items():
+        assert list(parts) == list(p3_chain.parts[name])
+        assert [_strs(C) for C in parts] == [
+            _strs(C) for C in p3_chain.parts[name]]
+    for m in ("1/2", "-7/3"):
+        sub = {"mu": Fraction(m)}
+        for name, parts in p3_reference_parts(m).items():
+            assert list(parts) == [
+                [[x.specialize(sub) for x in row] for row in C]
+                for C in p3_chain.parts[name]]
+
+
+def test_mu_graded_builds_monomials():
+    G = mu_graded([[3, 0], [Fraction(-1, 2), Fraction(4, 2)]], (0, 2),
+                  (1, 0), 1)
+    assert _strs(G) == [["3", "0"], ["-1/2*mu^2", "2*mu^3"]]
+    mu = FieldElem.parameter("mu", ("mu",))
+    assert G == [[3 * mu ** 0, 0 * mu], [-mu ** 2 / 2, 2 * mu ** 3]]
+    assert mu_graded([[5]], (0,), (2,)) == [[5 / mu ** 2]]
+    assert type(G[1][1].num[(3,)]) is int
+
+
+def test_check_p3_builds_no_two_parameter_field_element(monkeypatch):
+    """With the chain built at mu = 1 over Q(w), no FieldElem of check_p3
+    has more than one parameter."""
+    seen = set()
+    init = FieldElem.__init__
+
+    def spy(self, params, *args, **kw):
+        seen.add(tuple(params))
+        init(self, params, *args, **kw)
+
+    monkeypatch.setattr(FieldElem, "__init__", spy)
+    check_p3([Fraction(1, 2), Fraction(-7, 3)])
+    assert seen and max(map(len, seen)) == 1
+
+
 def test_w_parts_reads_off_the_w_coefficients():
     params = ("mu", "w")
     mu, w = (FieldElem.parameter(p, params) for p in params)
@@ -294,6 +359,10 @@ def test_w_parts_reads_off_the_w_coefficients():
     for bad in (w * w, 1 / mu, w / (w + 1)):
         with pytest.raises(ValueError, match="not of the form"):
             _w_parts([[bad]])
+    # with w the only parameter the parts are over Q
+    w = FieldElem.parameter("w", ("w",))
+    assert _w_parts([[w / 2 - 3, 4 + w - w]]) == ([[-3, 4]],
+                                                  [[Fraction(1, 2), 0]])
 
 
 def test_p3_chain_takes_no_gcd_and_no_normal_restriction(monkeypatch):

@@ -206,3 +206,30 @@ def test_planted_witness_over_several_rational_points(lam, rho, poly):
     L = parse_operator("D^2") - parse_operator(str(b))
     wits = exponential_solutions_restricted(L)
     assert any(w.log_derivative("t") == u for w in wits)
+
+
+def test_each_screen_finds_its_singular_points_once(monkeypatch):
+    """certify_sl2 hands the points it finds to the exponential search
+    and to the logarithm search alike: one _finite_singularities call per
+    screen, on the P3 screen and on 16 rational points with a fractional
+    slope at infinity, where both searches run."""
+    import irred.screen as screen
+    calls = []
+    find = screen._finite_singularities
+
+    def spy(*args):
+        calls.append(args)
+        return find(*args)
+
+    monkeypatch.setattr(screen, "_finite_singularities", spy)
+    sixteen = parse_operator(
+        "D^2 - t + " + " + ".join("1/(t-%d)" % i for i in range(16)))
+    for L, reason in [
+            (l2(Fraction(1, 2)), "no exponential solutions; logarithm "
+             "forced in the local solutions at 0"),
+            (sixteen, "no exponential solutions; logarithm forced in the "
+             "local solutions at 0")]:
+        calls.clear()
+        v = certify_sl2(L)
+        assert (v.tag, v.reason) == (TAG_SL2, reason)
+        assert len(calls) == 1

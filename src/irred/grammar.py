@@ -14,12 +14,14 @@ budget (see _Parser), so a parse never computes past that degree.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .field import FieldElem
 from .mpoly import qdiv
 from .poly import RatFun
 
-_SCALARS = (int, Fraction, FieldElem)
+_RATIONALS = (int, Fraction)
+_SCALARS = _RATIONALS + (FieldElem,)
 
 
 class ParseError(ValueError):
@@ -82,8 +84,11 @@ def ratfun_degrees(fs, params):
     """((degree in the variable, in the parameters), whether none has a
     denominator) bounding the RatFuns fs: over Q read in O(1) per RatFun
     from its coefficient lists, with parameters from their terms too."""
-    deg = max(max(len(f.num.coeffs), len(f.den.coeffs)) for f in fs) - 1
-    poly = all(len(f.den.coeffs) == 1 for f in fs)
+    deg, poly = 0, True
+    for f in fs:
+        n, d = len(f.num.coeffs), len(f.den.coeffs)
+        deg = max(deg, n - 1, d - 1)
+        poly = poly and d == 1
     if not params:
         return (deg, 0), poly
     ps = [_coeff_degree(c) for f in fs for c in f.num.coeffs + f.den.coeffs]
@@ -185,19 +190,24 @@ class _Parser:
         variable, then in the parameters."""
         if isinstance(v, RatFun):
             return ratfun_degrees((v,), self.params)
-        p, poly = _coeff_degree(v)
-        return (0, p), poly
-
-    def combined(self, op, v, w):
-        """The degrees that bound v op w (see the class)."""
-        (dv, pv), (dw, pw) = self.degrees(v), self.degrees(w)
-        if op in "+-" and pv and pw:
-            return list(map(max, dv, dw))
-        return [a + b for a, b in zip(dv, dw)]
+        if isinstance(v, FieldElem):
+            p, poly = _coeff_degree(v)
+            return (0, p), poly
+        return (0, 0), True
 
     def check(self, op, v, w):
-        """Raise before v op w is computed when it could pass MAX_DEGREE."""
-        deg = max(self.combined(op, v, w))
+        """Raise before v op w is computed when it could pass MAX_DEGREE
+        (see the class).  Every value is within it, so a rational
+        operand, which adds no degree, needs no check."""
+        if v.__class__ in _RATIONALS or w.__class__ in _RATIONALS:
+            return
+        (dv, pv), (dw, pw) = self.degrees(v), self.degrees(w)
+        self.refuse_past(map(max if op in "+-" and pv and pw else add,
+                             dv, dw))
+
+    def refuse_past(self, degrees):
+        """Raise ParseError when one of degrees passes MAX_DEGREE."""
+        deg = max(degrees)
         if deg > self.MAX_DEGREE:
             raise ParseError("degree %d exceeds %d" % (deg, self.MAX_DEGREE))
 

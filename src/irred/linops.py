@@ -220,15 +220,16 @@ class _OpParser(_Parser):
         d, poly = ratfun_degrees(v.coeffs, self.params)
         return (v.order(),) + d, poly
 
-    def combined(self, op, v, w):
+    def check(self, op, v, w):
         """As _Parser; v * w and v / w differentiate w up to order(v)
         times, each derivative adding a denominator, so w counts
         order(v) + 1 times in the coefficient degrees."""
-        k = v.order() + 1 if isinstance(v, DiffOp) and op in "*/" else 1
-        if k == 1:
-            return super().combined(op, v, w)
+        if op in "+-" or not isinstance(v, DiffOp) or not v.order():
+            return super().check(op, v, w)
         (dv, _), (dw, _) = self.degrees(v), self.degrees(w)
-        return [dv[0] + dw[0]] + [a + k * b for a, b in zip(dv[1:], dw[1:])]
+        k = v.order() + 1
+        self.refuse_past([dv[0] + dw[0]]
+                         + [a + k * b for a, b in zip(dv[1:], dw[1:])])
 
     def atom(self):
         kind, val = self.toks[self.pos]

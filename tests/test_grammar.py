@@ -192,9 +192,10 @@ def _operator_around(text, var, params):
     ids=["ratfun-Q", "ratfun-Qmu", "operator-Q", "family"])
 def test_every_parse_ends_fast(parse, var, params, names):
     """Sums, products, quotients and powers of shifted powers of the
-    variable and of their reciprocals: each parse gives a value or a ParseError (or, dividing by
-    zero, a ZeroDivisionError, and for an operator, which has no negative
-    powers, a ValueError) within 0.5 s of CPU."""
+    variable and of their reciprocals: each parse gives a value or a
+    ParseError (or, dividing by zero, a ZeroDivisionError, and for an
+    operator, which has no negative powers, a ValueError) within 0.5 s of
+    CPU."""
     refused = (ParseError, ZeroDivisionError) + (
         (ValueError,) if parse is _operator_around else ())
     hypothesis = pytest.importorskip("hypothesis")

@@ -8,11 +8,12 @@ or a FieldElem) until it meets the main variable, and a RatFun from then
 on; the parsed result is a RatFun, whose constructor makes its
 coefficients canonical.  Every power and every + - * / is refused with
 ParseError before it is computed when its result could pass the degree
-budget (see _Parser), so a parse never computes past that degree.
+or bit budgets (see _Parser), so a parse never computes past them.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from operator import add
 
@@ -28,30 +29,17 @@ class ParseError(ValueError):
     pass
 
 
+# an integer, a name, an operator, or any other character (an error)
+_TOKENS = re.compile(r"(\d+)|([^\W\d]\w*)|([-+*/^()])|(\S)")
+
+
 def tokenize(text: str):
     toks = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            toks.append(("int", int(text[i:j])))
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(("name", text[i:j]))
-            i = j
-        elif c in "+-*/^()":
-            toks.append((c, c))
-            i += 1
-        else:
-            raise ParseError("unexpected character %r" % c)
+    for num, name, op, bad in _TOKENS.findall(text):
+        if bad:
+            raise ParseError("unexpected character %r" % bad)
+        toks.append(("int", int(num)) if num else ("name", name) if name
+                    else (op, op))
     toks.append(("end", None))
     return toks
 
@@ -64,11 +52,24 @@ def max_size(sizes):
 def _coeff_size(c):
     """(0, degree in the parameters, bit length of the largest integer)
     of an int, a Fraction or a FieldElem."""
-    if isinstance(c, FieldElem):
-        terms = list(c.num.items()) + list(c.den.items())
-        return (0, max(sum(e) for e, _ in terms),
-                max(_coeff_size(x)[2] for _, x in terms))
-    return 0, 0, max(c.numerator.bit_length(), c.denominator.bit_length())
+    deg = max(sum(e) for e in (*c.num, *c.den)) if isinstance(
+        c, FieldElem) else 0
+    return 0, deg, coeff_bits((c,))[0]
+
+
+def coeff_bits(cs):
+    """(bit length of the largest integer, whether every one is an int)
+    over the scalars cs; a FieldElem by the integers of its terms."""
+    acc, whole = 0, True
+    for c in cs:
+        if c.__class__ is int:
+            acc |= abs(c)
+            continue
+        whole = False
+        acc |= (abs(c.numerator) | c.denominator if c.__class__ is Fraction
+                else 1 << coeff_bits([*c.num.values(), *c.den.values()])[0]
+                >> 1)
+    return acc.bit_length(), whole
 
 
 def _coeff_degree(c):
@@ -113,7 +114,11 @@ class _Parser:
     by the `degrees` of its operands: a product or quotient adds them,
     and so does a sum unless both operands have no denominator, when it
     takes the larger.  Over Q those are read in O(1) from the lengths of
-    the coefficient lists; with parameters, from their terms.
+    the coefficient lists; with parameters, from their terms.  So is every
+    + - * /, rational operands included, past MAX_BITS as bounded by the
+    `bits` of its operands: a sum of values with integer coefficients and
+    no denominator takes the larger plus one, any other sum adds them plus
+    one, and a product or quotient adds them.
     """
 
     MAX_DEGREE = 64
@@ -195,10 +200,29 @@ class _Parser:
             return (0, p), poly
         return (0, 0), True
 
+    def bits(self, v):
+        """(bit length of the largest integer in v, whether v has integer
+        coefficients and no denominator, its monic denominator 1)."""
+        if not isinstance(v, RatFun):
+            return coeff_bits((v,))
+        bits, whole = coeff_bits(v.num.coeffs + v.den.coeffs)
+        return bits, whole and len(v.den.coeffs) == 1
+
+    def refuse_bits(self, op, v, w, k=1):
+        """Raise ParseError when v op w, w counted k times, could pass
+        MAX_BITS (see the class)."""
+        (bv, iv), (bw, iw) = self.bits(v), self.bits(w)
+        bits = (bv + k * bw if op in "*/" else
+                max(bv, bw) + 1 if iv and iw else bv + bw + 1)
+        if bits > self.MAX_BITS:
+            raise ParseError("a constant of %d bits exceeds %d"
+                             % (bits, self.MAX_BITS))
+
     def check(self, op, v, w):
-        """Raise before v op w is computed when it could pass MAX_DEGREE
-        (see the class).  Every value is within it, so a rational
-        operand, which adds no degree, needs no check."""
+        """Raise before v op w is computed when it could pass MAX_BITS or
+        MAX_DEGREE (see the class).  Every value is within MAX_DEGREE, so
+        a rational operand, which adds no degree, needs no degree check."""
+        self.refuse_bits(op, v, w)
         if v.__class__ in _RATIONALS or w.__class__ in _RATIONALS:
             return
         (dv, pv), (dw, pw) = self.degrees(v), self.degrees(w)

@@ -47,8 +47,8 @@ class _MPParser(_Parser):
     coefficients rational in cvar, or in Q(params) when cvar is None.  A
     power or product past the budgets of _Parser (MAX_DEGREE in the
     coordinates, the variable or a parameter; MAX_BITS), or a sum past
-    MAX_DEGREE, is rejected before it is computed, and so is a parsed
-    result past them."""
+    MAX_DEGREE or MAX_BITS, is rejected before it is computed, and so is
+    a parsed result past them."""
 
     def __init__(self, toks, deps, cvar, params):
         super().__init__(toks, cvar, params)
@@ -93,6 +93,11 @@ class _MPParser(_Parser):
         return ((v.total_degree() or 0,)
                 + max_size([(0, 0)] + [d for d, _ in ds]),
                 all(poly for _, poly in ds))
+
+    def bits(self, v):
+        """_Parser.bits over the coefficients."""
+        bits, whole = zip((0, True), *map(super().bits, v.terms.values()))
+        return max(bits), all(whole)
 
     def parse(self):
         v = super().parse()
@@ -488,10 +493,6 @@ def build_lnve_airy_family(n: int, p) -> list:
 # ---------------------------------------------------------------------------
 # the Painleve III chain
 
-class P3Chain(SimpleNamespace):
-    """Variational matrices of orders 1..3 with their partial reductions."""
-
-
 def _w_parts(M):
     """Split a matrix over Q(params, w), entries c_inf + c_0 w, into the
     parts (C_inf, C_0) over Q(params), or over Q when w is alone.
@@ -571,23 +572,10 @@ def p3_weights(k):
             [i + k - len(b) + 1 for b in blocks for i in b])
 
 
-def mu_graded(C, rows, cols, shift=0):
-    """The rational matrix C over Q(mu), entry c at (i, j) times mu^e,
-    e = rows[i] - cols[j] + shift, each built reduced with no arithmetic."""
-
-    def monomial(c, e):  # c mu^e / 1, or c / mu^-e
-        if not c:
-            return FieldElem(("mu",), {}, {(0,): 1}, _normalized=True)
-        return FieldElem(("mu",), {(max(e, 0),): qnorm(c)},
-                         {(max(-e, 0),): 1}, _normalized=True)
-
-    return [[monomial(c, r - s + shift) for c, s in zip(row, cols)]
-            for row, r in zip(C, rows)]
-
-
-def build_p3_chain() -> P3Chain:
-    """Variational chain along y=1, z=-mu/2, mu symbolic: A1, Q1 and
-    At_k = R_k A_k Q_k, Q_k the block diagonal of Sym^j(Q1), j = k..1.
+def build_p3_chain() -> SimpleNamespace:
+    """Variational chain along y=1, z=-mu/2 at mu = 1: the constant parts
+    of A_k and At_k = R_k A_k Q_k, Q_k the block diagonal of Sym^j(Q1),
+    j = k..1.
 
     Every field coefficient is c_inf + c_0/x and the curve is constant.
     Normal restriction drops every jet of x, so the x^(1) d/dx term of the
@@ -596,12 +584,12 @@ def build_p3_chain() -> P3Chain:
     parameter w.  z = mu Z, w = W/mu take mu out, so the chain prolongs
     `p3_unit_field` over Q(w), restricts it at (1, -1/2) once at order 3
     and reads the order-k system off its truncation.  Past linearize it
-    runs on the w^0 and w^1 parts (C_inf, C_0) over Q, with Q1(1) =
-    [[-2, 1], [-1, 0]], and puts mu back once by `p3_weights`: c in C_inf
-    becomes c mu^(s_i - s_j), c in C_0 c mu^(s_i - s_j + 1), and Q1(mu) =
-    diag(1, mu) Q1(1) diag(mu, 1).  It keeps A1, Q1, At1..At3 over
-    Q(mu)(x), and the parts of A1..A3, At1..At3 by name over Q(mu)
-    (.parts) and over Q (.unit_parts).  Q1 degenerates at mu = 0.
+    runs on the w^0 and w^1 parts (C_inf, C_0) over Q, with Q1 =
+    [[-2, 1], [-1, 0]].  It keeps the parts of A1..A3, At1..At3 by name
+    (.unit_parts) and Q1 (.Q1).  mu goes back in by the weights of
+    `p3_weights`: c in C_inf stands for c mu^(s_i - s_j), c in C_0 for
+    c mu^(s_i - s_j + 1), and Q1 for diag(1, mu) Q1 diag(mu, 1), which
+    degenerates at mu = 0.
     """
     J3 = restrict_along_curve(prolong(p3_unit_field(), 3),
                               {"y": 1, "z": Fraction(-1, 2)})
@@ -621,20 +609,13 @@ def build_p3_chain() -> P3Chain:
         return (M, _blockdiag([S2, M], 0),
                 _blockdiag([sym_power_rep(M, 3), S2, M], 0))
 
-    # R1 = Q1^-1 is the adjugate of Q1 (det Q1(1) = 1), and
+    # R1 = Q1^-1 is the adjugate of Q1 (det Q1 = 1), and
     # Sym^j(Q1^-1) = Sym^j(Q1)^-1 block by block
     Q1 = [[-2, 1], [-1, 0]]
-    parts = {}
     for k, R, Q in zip((1, 2, 3), gauges([[0, -1], [1, -2]]), gauges(Q1)):
         unit["At%d" % k] = tuple(mat_mul(R, mat_mul(C, Q))
                                  for C in unit["A%d" % k])
-        for name, s in zip(("A%d" % k, "At%d" % k), p3_weights(k)):
-            Ci, C0 = unit[name]
-            parts[name] = (mu_graded(Ci, s, s), mu_graded(C0, s, s, 1))
-    A1, At1, At2, At3 = (_from_parts(*parts[name], "x", ("mu",))
-                         for name in ("A1", "At1", "At2", "At3"))
-    return P3Chain(A1=A1, Q1=mu_graded(Q1, (0, 1), (-1, 0)), At1=At1,
-                   At2=At2, At3=At3, parts=parts, unit_parts=unit)
+    return SimpleNamespace(Q1=Q1, unit_parts=unit)
 
 
 def _scale_conj(A, diag):

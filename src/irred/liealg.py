@@ -107,85 +107,17 @@ def lie_closure(gens, limit=None) -> LieAlgebraBasis:
     return LieAlgebraBasis(basis)
 
 
-def _monomial(x):
-    """(e, c) with x = c * mu^e for rational e and c, mu the one
-    parameter; None when x is not such a monomial."""
-    if not isinstance(x, FieldElem):
-        return 0, _exact(x)
-    if len(x.params) != 1 or len(x.num) != 1 or len(x.den) != 1:
-        return None
-    ((en,), cn), = x.num.items()
-    ((ed,), cd), = x.den.items()
-    return en - ed, qdiv(cn, cd)
-
-
-def _graded_image(gens):
-    """Integer matrices that generate, over Q, a Lie algebra of the
-    dimension of the one gens generate; None when gens are not graded by
-    their one parameter mu.
-
-    Graded means: rational weights w_i and shifts s_k such that every
-    nonzero entry (G_k)_ij is c mu^(w_j - w_i + s_k) with c rational.
-    Then diag(mu^w) G_k diag(mu^-w) = mu^(s_k) G_k(1) over Q(mu^(1/q)),
-    so the G_k(1) generate a conjugate of the same algebra over that
-    field; a Q-basis of rational matrices stays a basis over any
-    extension, so the dimension over Q(mu) is the Q-dimension of the
-    algebra the rational G_k(1) generate.  Scaling each G_k(1) by a
-    nonzero integer changes no span.  Over Q every w and s is 0.
-    """
-    n = len(gens[0])
-    entries = []  # (k, i, j, e, c)
-    for k, G in enumerate(gens):
-        for i, row in enumerate(G):
-            for j, x in enumerate(row):
-                if x:
-                    mono = _monomial(x)
-                    if mono is None:
-                        return None
-                    entries.append((k, i, j) + mono)
-    m = n + len(gens)
-    w = [0] * m  # w_0..w_(n-1), then s_0..s_(K-1)
-    if any(e for _, _, _, e, _ in entries):
-        # one equation w_j - w_i + s_k = e per nonzero entry, eliminated
-        # one at a time into a reduced echelon basis as in lie_closure
-        rows = []
-        for k, i, j, e, _ in entries:
-            v = [0] * (m + 1)
-            v[j] += 1
-            v[i] -= 1
-            v[n + k] += 1
-            v[m] = e
-            v = _reduce(rows, v)
-            p = next((q for q, x in enumerate(v) if x), None)
-            if p == m:
-                return None  # 0 = nonzero: not graded
-            if p is not None:
-                inv = v[p]
-                v = [qdiv(x, inv) for x in v]
-                rows[:] = [(q, _reduce([(p, v)], r)) for q, r in rows]
-                rows.append((p, v))
-        for p, v in rows:  # free unknowns are 0
-            w[p] = v[m]
-        if any(w[j] - w[i] + w[n + k] != e for k, i, j, e, _ in entries):
-            raise RuntimeError("grading does not solve its system")
-    out = [[[0] * n for _ in range(n)] for _ in gens]
-    for k, i, j, _, c in entries:
-        out[k][i][j] = c
-    for M in out:
-        lcm = math.lcm(*(c.denominator for row in M for c in row))
-        if lcm > 1:
-            for row in M:
-                row[:] = [c.numerator * (lcm // c.denominator) for c in row]
-    return out
-
-
 def lie_dimension(gens, limit=None) -> int:
-    """lie_closure(gens, limit).dimension, computed over Q when the
-    generators are graded by their one parameter (see _graded_image) or
-    have rational entries; any other generators go to lie_closure as
-    given.  A grading changes no dimension, so the limit applies as is."""
-    graded = _graded_image(gens) if gens else None
-    return lie_closure(gens if graded is None else graded, limit).dimension
+    """lie_closure(gens, limit).dimension, with each generator over Q
+    first scaled to integers by the lcm of its denominators: a nonzero
+    scaling changes no span, and the closure then runs on ints."""
+    scaled = []
+    for G in gens:
+        lcm = math.lcm(*(x.denominator for row in G for x in row
+                         if x.__class__ is Fraction))
+        scaled.append(G if lcm == 1 else
+                      [[qnorm(x * lcm) for x in row] for row in G])
+    return lie_closure(scaled, limit).dimension
 
 
 def associated_lie_algebra(A):

@@ -139,18 +139,16 @@ class DiffOp:
             return NotImplemented
         zero = RatFun.zero(self.var, self.params)
         out = [zero] * (self.order() + o.order() + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if not b:
-                    continue
-                # D^i o b = sum_k C(i,k) b^(k) D^(i-k)
-                bk = b
-                for k in range(i + 1):
-                    out[i - k + j] = out[i - k + j] + a * math.comb(i, k) * bk
-                    if k < i:
-                        bk = bk.derivative()
+        for j, b in enumerate(o.coeffs):
+            # D^i o b = sum_k C(i,k) b^(k) D^(i-k): each b^(k) taken once
+            derivs = [b]
+            while len(derivs) <= self.order() and derivs[-1]:
+                derivs.append(derivs[-1].derivative())
+            for i, a in enumerate(self.coeffs):
+                for k, bk in enumerate(derivs[:i + 1]):
+                    if a and bk:
+                        out[i - k + j] = (out[i - k + j]
+                                          + a * bk * math.comb(i, k))
         return DiffOp(out)
 
     def __rmul__(self, other):
@@ -220,14 +218,22 @@ class _OpParser(_Parser):
         d, poly = ratfun_degrees(v.coeffs, self.params)
         return (v.order(),) + d, poly
 
+    def bits(self, v):
+        """_Parser.bits, of an operator over its coefficients."""
+        if not isinstance(v, DiffOp):
+            return super().bits(v)
+        bits, whole = zip(*map(super().bits, v.coeffs))
+        return max(bits), all(whole)
+
     def check(self, op, v, w):
         """As _Parser; v * w and v / w differentiate w up to order(v)
         times, each derivative adding a denominator, so w counts
-        order(v) + 1 times in the coefficient degrees."""
+        order(v) + 1 times in the coefficient degrees and bits."""
         if op in "+-" or not isinstance(v, DiffOp) or not v.order():
             return super().check(op, v, w)
-        (dv, _), (dw, _) = self.degrees(v), self.degrees(w)
         k = v.order() + 1
+        self.refuse_bits(op, v, w, k)
+        (dv, _), (dw, _) = self.degrees(v), self.degrees(w)
         self.refuse_past([dv[0] + dw[0]]
                          + [a + k * b for a, b in zip(dv[1:], dw[1:])])
 

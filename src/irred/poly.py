@@ -352,7 +352,9 @@ class RatFun:
 
     @classmethod
     def const(cls, c, var="t", params=()):
-        return cls(Poly.const(c, var, params))
+        # c over 1 is reduced, with a monic denominator
+        return cls(Poly.const(c, var, params), Poly.const(1, var, params),
+                   True)
 
     @classmethod
     def gen(cls, var="t", params=()):
@@ -409,6 +411,13 @@ class RatFun:
         return (-self) + other
 
     def __mul__(self, other):
+        if other.__class__ is int or other.__class__ is Fraction:
+            if not other:
+                return RatFun.zero(self.var, self.params)
+            # a nonzero rational keeps num/den reduced and den monic
+            return RatFun(Poly._trusted([qnorm(c * other) for c in
+                                         self.num.coeffs], self.var,
+                                        self.params), self.den, True)
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented

@@ -7,10 +7,26 @@ textual grammar) plus a content hash, so certificates are diffable and
 replayable bit for bit.  The claimed fields of a record are derived by
 one function per kind (the *_claims functions below): the build writes
 what it returns, and replay calls it on the record's inputs and compares
-every field.  The identity kinds (decomposition, bracket_identity,
-lincomb_identity) are checked the same way: replay parses their inputs,
-derives the expected matrix, and compares its canonical text with the
-record's, which it never parses.
+every field.  The identity kinds (bracket_identity, lincomb_identity)
+are checked the same way: replay parses the graded matrices they take,
+derives the expected matrix, and compares its canonical text with that
+of the graded matrix they name as expected, which it never parses.
+
+P3 records hold no parameter: each is written at mu = 1, over Q or Q(x).
+A P3 matrix or vector names its grading, A1..A3 or At1..At3 (weights w of
+jets.p3_weights(k)) or N (w = (3, 2, 1, 0, -1)), lists w as a claim and
+has a shift s: its entry f(x) at (i, j), or at i, stands for
+mu^(w_i - w_j + s) f(x/mu), or mu^(w_i + s) f(x/mu), so c_inf + c_0/x for
+mu^e (c_inf + mu c_0/x); a lincomb coefficient of shift s for mu^s f(x/mu).
+As x -> x/mu is a field map and diag(mu^w) conjugation respects sums,
+products and brackets, an identity among records of one grading holds
+over Q(mu) if and only if it holds at mu = 1 with balanced shifts; a
+trace takes the exponent s; the scalar form of a 2 x 2 matrix of shift 0
+whose Krylov row v_1, its last row, is constant differentiates no entry
+and reads with exponent 0; and the parts C_inf, C_0 of a matrix of
+c_inf + c_0/x entries are conjugated and scaled, so the Lie dimension is
+the one at mu = 1.
+Replay checks these at mu = 1 over Q and builds no FieldElem.
 
 Verdict vocabulary: IRREDUCIBLE is only emitted when both required
 pieces of evidence are present (an SL2-certified first variational
@@ -25,18 +41,18 @@ import json
 import math
 from fractions import Fraction
 
-from .field import FieldElem, scalar
+from .field import scalar
 from .grammar import parse_ratfun
 from .jets import (EquationFamily, _from_parts, build_lnve_airy_family,
-                   build_p3_chain, mu_graded)
+                   build_p3_chain, p3_weights)
 from .liealg import (_flat, associated_lie_algebra, block_e_matrices,
                      classify_lnve_lie_algebra, lie_closure, lie_dimension,
                      span_coordinates)
 from .linear import (mat_bracket, mat_identity, mat_mul, mat_sub,
                      mat_transpose)
-from .linops import (cyclic_vector_scalarize, parse_operator,
+from .linops import (DiffOp, cyclic_vector_scalarize, parse_operator,
                      sym_power_chain, sym_power_operator)
-from .mpoly import qdiv
+from .mpoly import qdiv, qnorm
 from .poly import Poly, RatFun, ratfun
 from .ratsolve import (SolutionSpace, _clear_denominators,
                        _indicial_infinity, check_system_solution,
@@ -84,6 +100,7 @@ class _Parsed:
     def __init__(self):
         self.ratfuns, self.operators = {}, {}
         self.solved = []  # (L, g, SolutionSpace of L y = g)
+        self.graded = {}  # name -> graded P3 record
 
     def entry(self, s, var, params):
         key = (s, var, params)
@@ -106,6 +123,29 @@ class _Parsed:
         if bad is not None:
             raise CertificateError("expected constant entry %r" % str(bad))
         return [[f.constant_value() for f in row] for row in M]
+
+    def add_graded(self, rec):
+        """Check a graded P3 record, its weights against its grading and
+        its shift and shape against them, and keep it by its new name."""
+        w = _P3_GRADINGS.get(rec["grading"])
+        _check_claims(rec, {"weights": w})
+        matrix = rec["kind"] == "matrix"
+        rows = rec["rows"] if matrix else [rec["entries"]]
+        if not (type(rec["shift"]) is int and rec["name"] not in self.graded
+                and len(rows) == (len(w) if matrix else 1)
+                and all(len(row) == len(w) for row in rows)):
+            raise CertificateError("%s %r: a shift that is no int, a name "
+                                   "taken, or it is ragged or differs in "
+                                   "shape from its weights"
+                                   % (rec["kind"], rec["name"]))
+        self.graded[rec["name"]] = rec
+
+    def graded_mat(self, name, parse=None):
+        """(record, its rows parsed by parse when given) of matrix name."""
+        rec = self.graded.get(name) if isinstance(name, str) else None
+        if rec is None or rec["kind"] != "matrix":
+            raise CertificateError("no graded matrix named %r" % (name,))
+        return rec, parse and parse(rec["rows"], rec.get("var", "t"), ())
 
     def solve(self, L, g):
         """rational_solutions(L, g), reusing the space of an earlier
@@ -185,13 +225,21 @@ def _lie_claims(gens, limit=None):
     return {"dimension": lie_dimension(gens, limit)}
 
 
-def _one_shape(mats, square=False):
-    """Raise unless mats holds at least one matrix (a list of rows), all
-    rectangular and of one shape, and square when asked."""
-    heights = {len(M) for M in mats}
-    widths = {len(row) for M in mats for row in M}
-    if len(heights) != 1 or len(widths) > 1 or (square and widths - heights):
-        raise CertificateError("matrices are ragged or differ in shape")
+def _bracket(c, A, B):
+    """c [A, B], entrywise canonical."""
+    return [[qnorm(c * x) for x in row] for row in mat_bracket(A, B)]
+
+
+def _parts(M):
+    """(C_inf, C_0) of a matrix over Q(x) of entries f = c_inf + c_0/x,
+    read off the coefficients of x f (f is reduced, its monic denominator
+    1 or x); an entry of another form raises ValueError."""
+    xfs = [[(0,) + f.num.coeffs if len(f.den.coeffs) == 1 else f.num.coeffs
+            if f.den.coeffs == (0, 1) else (0,) * 3 for f in row] for row in M]
+    if any(len(c) > 2 for row in xfs for c in row):
+        raise ValueError("an entry is not of the form c_inf + c_0/x")
+    return tuple([[(c + (0, 0))[k] for c in row] for row in xfs]
+                 for k in (1, 0))
 
 
 def _check_claims(rec, claims):
@@ -210,26 +258,31 @@ def _record_hash(record):
 
 
 class Certificate:
-    """Input description, evidence chain, final verdict."""
+    """Input description, the graded P3 matrices that evidence names,
+    evidence chain, final verdict."""
 
     def __init__(self, input_desc):
         self.input = dict(input_desc)
+        self.graded = []
         self.evidence = []
         self.verdict = None
 
-    def add(self, kind, **fields):
+    def add(self, kind, section=None, **fields):
         record = {"kind": kind}
         record.update(fields)
         record["hash"] = _record_hash(record)
-        self.evidence.append(record)
+        (self.evidence if section is None else section).append(record)
         return record
 
     def find(self, kind):
         return [r for r in self.evidence if r["kind"] == kind]
 
     def to_dict(self):
-        return {"input": self.input, "evidence": self.evidence,
-                "verdict": self.verdict}
+        d = {"input": self.input}
+        if self.graded:
+            d["graded"] = self.graded
+        d.update(evidence=self.evidence, verdict=self.verdict)
+        return d
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2)
@@ -243,12 +296,15 @@ class Certificate:
     def from_dict(cls, d):
         if not (isinstance(d, dict) and isinstance(d.get("input"), dict)
                 and isinstance(d.get("evidence"), list)
-                and all(isinstance(r, dict) for r in d["evidence"])
+                and isinstance(d.get("graded", []), list)
+                and all(isinstance(r, dict)
+                        for r in d["evidence"] + d.get("graded", []))
                 and "verdict" in d):
             raise CertificateError(
-                "a certificate is an object with an input object, an "
-                "evidence list of objects and a verdict")
+                "a certificate is an object with an input object, evidence "
+                "(and for P3 graded) lists of objects and a verdict")
         cert = cls(d["input"])
+        cert.graded = [dict(r) for r in d.get("graded", [])]
         cert.evidence = [dict(r) for r in d["evidence"]]
         cert.verdict = d["verdict"]
         return cert
@@ -263,31 +319,35 @@ class Certificate:
 
     def replay(self):
         """Re-run every embedded check; raises CertificateError on any
-        mismatch, returns the number of records verified.
+        mismatch, returns the number of evidence records verified.
 
-        Every record's hash is checked; a record whose hash matches one
-        already replayed in this call has the same body and is not re-run.
-        Each distinct entry or operator string is parsed once per call,
-        and each scalar equation L y = g is solved once per call: the
-        degree_argument, scalar_rational and rational_system records of
-        one obstruction (whose system scalarizes to L y = c g) share it.
+        The graded records go first, so an evidence record replays with
+        what it names alone as with the others.  Every record's hash is
+        checked; a record whose hash matches one already replayed in this
+        call has the same body and is not re-run.  Each distinct entry or
+        operator string is parsed once per call, and each scalar equation
+        L y = g is solved once per call: the degree_argument,
+        scalar_rational and rational_system records of one obstruction
+        (whose system scalarizes to L y = c g) share it.
         """
         verified = set()
         parsed = _Parsed()
-        for i, rec in enumerate(self.evidence):
-            h = _record_hash(rec)
-            if h != rec.get("hash"):
-                raise CertificateError("record %d: hash mismatch" % i)
-            if h in verified:
-                continue
-            try:
-                _replay_record(rec, parsed)
-            except CertificateError:
-                raise
-            except Exception as e:
-                raise CertificateError("record %d (%s): %s"
-                                       % (i, rec.get("kind"), e))
-            verified.add(h)
+        for what, records in (("graded record", self.graded),
+                              ("record", self.evidence)):
+            for i, rec in enumerate(records):
+                h = _record_hash(rec)
+                if h != rec.get("hash"):
+                    raise CertificateError("%s %d: hash mismatch" % (what, i))
+                if h in verified:
+                    continue
+                try:
+                    _replay_record(rec, parsed)
+                except CertificateError:
+                    raise
+                except Exception as e:
+                    raise CertificateError("%s %d (%s): %s"
+                                           % (what, i, rec.get("kind"), e))
+                verified.add(h)
         return len(self.evidence)
 
 
@@ -295,52 +355,51 @@ def _replay_record(rec, parsed):
     kind = rec["kind"]
     var = rec.get("var", "t")
     params = tuple(rec.get("params", ()))
+    if kind in ("matrix", "vector") and "grading" in rec:
+        return parsed.add_graded(rec)
     if kind in ("matrix", "operator", "note", "vector"):
         return  # data witness; hash already checked
+    # the identity kinds, on the graded P3 records they name at mu = 1:
+    # the expected side is compared as canonical text, never parsed
     if kind == "trace_zero":
-        M = parsed.mat(rec["matrix"], var, params)
-        tr = sum((M[i][i] for i in range(len(M))), RatFun.zero(var, params))
-        if tr:
+        _, M = parsed.graded_mat(rec["matrix"], parsed.mat)
+        if sum((M[i][i] for i in range(len(M))), RatFun.zero(M[0][0].var)):
             raise CertificateError("trace is not zero")
         return
-    # the identity kinds: parse the inputs, derive the expected side and
-    # compare its canonical text, which replay never parses
-    if kind == "decomposition":
-        _one_shape([rec["cinf"], rec["c0"]])
-        Ci = parsed.const_mat(rec["cinf"], var, params)
-        C0 = parsed.const_mat(rec["c0"], var, params)
-        if _mat_str(_from_parts(Ci, C0, var, params)) != rec["matrix"]:
-            raise CertificateError("matrix is not cinf + c0/x")
-        return
-    if kind == "bracket_identity":
-        # the inputs are constants, so the bracket runs over Q(params)
-        _one_shape([rec["a"], rec["b"]], square=True)
-        A = parsed.const_mat(rec["a"], var, params)
-        B = parsed.const_mat(rec["b"], var, params)
-        c = parsed.const_mat([[rec.get("coeff", "1")]], var, params)[0][0]
-        got = [[c * x for x in row] for row in mat_bracket(A, B)]
-        if _mat_str(_const_to_rat(got, var, params)) != rec["expect"]:
-            raise CertificateError("bracket identity %r fails"
-                                   % rec.get("relation"))
-        return
-    if kind == "lincomb_identity":
-        _one_shape([rows for _, rows in rec["terms"]])
-        acc = [[RatFun.zero(var, params)] * len(row)
-               for row in rec["terms"][0][1]]
-        for cstr, rows in rec["terms"]:
-            c = parsed.entry(cstr, var, params)
-            M = parsed.mat(rows, var, params)
-            acc = [[a + c * x for a, x in zip(ra, rm)]
-                   for ra, rm in zip(acc, M)]
-        if _mat_str(acc) != rec["expect"]:
-            raise CertificateError("linear combination identity %r fails"
-                                   % rec.get("relation"))
-        return
     if kind == "operator_identity":
-        a = parsed.operator(rec["a"], var, params)
-        b = parsed.operator(rec["b"], var, params)
-        if not (a == b):
+        g, M = parsed.graded_mat(rec["matrix"], parsed.mat)
+        if not (len(M) == 2 and g["shift"] == 0 and M[1][0]
+                and all(f.is_constant() for f in M[1])):
+            raise CertificateError("an operator identity needs a 2 x 2 "
+                                   "matrix of shift 0 whose Krylov row v_1 "
+                                   "(its last row) is constant, not 0 first")
+        if str(cyclic_vector_scalarize(M).op) != rec["operator"]:
             raise CertificateError("operator identity fails")
+        return
+    if kind in ("bracket_identity", "lincomb_identity"):
+        e, _ = parsed.graded_mat(rec["expect"])
+        if kind == "bracket_identity":
+            # the inputs are constants, so the bracket runs over Q
+            (a, A), (b, B) = (parsed.graded_mat(rec[f], parsed.const_mat)
+                              for f in "ab")
+            c = parsed.const_mat([[rec.get("coeff", "1")]], var, ())[0][0]
+            got, gs = _bracket(c, A, B), [a, b]
+            shifts = [a["shift"] + b["shift"]]
+        else:
+            got, gs, shifts = None, [], []
+            for cstr, shift, name in rec["terms"]:
+                g, M = parsed.graded_mat(name, parsed.mat)
+                gs.append(g)
+                shifts.append(shift + g["shift"])
+                c = parsed.entry(cstr, var, ())
+                got = [[c * x if got is None else got[i][j] + c * x
+                        for j, x in enumerate(row)] for i, row in enumerate(M)]
+        if any(g["weights"] != e["weights"] for g in gs) or any(
+                type(t) is not int or t != e["shift"] for t in shifts):
+            raise CertificateError("%r mixes gradings, or its shifts do not "
+                                   "balance" % rec.get("relation"))
+        if got is None or _mat_str(got) != e["rows"]:
+            raise CertificateError("identity %r fails" % rec.get("relation"))
         return
     # the claim kinds: parse the inputs, derive the claims, compare
     if kind == "screen":
@@ -369,13 +428,18 @@ def _replay_record(rec, parsed):
             raise CertificateError("claimed lie dimension %r is not an "
                                    "integer from 0 to %d"
                                    % (claimed, MAX_LIE_DIMENSION))
-        for g in rec["generators"]:
-            if not (0 < len(g) <= MAX_LIE_GENERATOR_SIZE
-                    and all(len(row) == len(g) for row in g)):
-                raise CertificateError("generators must be square, at "
-                                       "most %d x %d"
-                                       % ((MAX_LIE_GENERATOR_SIZE,) * 2))
-        gens = [parsed.const_mat(g, var, params) for g in rec["generators"]]
+        if "matrix" in rec:
+            # the parts of a graded P3 matrix, at most 9 x 9 by its grading
+            gens = _parts(parsed.graded_mat(rec["matrix"], parsed.mat)[1])
+        else:
+            for g in rec["generators"]:
+                if not (0 < len(g) <= MAX_LIE_GENERATOR_SIZE
+                        and all(len(row) == len(g) for row in g)):
+                    raise CertificateError("generators must be square, at "
+                                           "most %d x %d"
+                                           % ((MAX_LIE_GENERATOR_SIZE,) * 2))
+            gens = [parsed.const_mat(g, var, params)
+                    for g in rec["generators"]]
         # the closure stops as soon as its span passes the claim
         claims = _lie_claims(gens, claimed)
     else:
@@ -635,19 +699,32 @@ def _p3_g_display(m):
              "mu", "(%s)" % m), "x")
 
 
-def _const_to_rat(M, var, params):
-    return [[RatFun.const(x, var, params) for x in row] for row in M]
+# the weights each P3 grading name stands for (see the module docstring)
+_P3_GRADINGS = dict([("N", [3, 2, 1, 0, -1])] + [
+    (prefix + str(k), w) for k in (1, 2, 3)
+    for prefix, w in zip(("A", "At"), p3_weights(k))])
+
+
+def _at_mu(M, rows, cols, shift, m):
+    """M at the rational mu = m by the reading rule: the entry
+    c_inf + c_0/x at (i, j) becomes m^e (c_inf + m c_0/x),
+    e = rows_i - cols_j + shift."""
+    parts = ([[qnorm(c * m ** (r - s + shift + k)) for c, s in zip(row, cols)]
+              for row, r in zip(P, rows)] for k, P in enumerate(_parts(M)))
+    return _from_parts(*parts, M[0][0].var)
 
 
 def p3_psi_and_b(chain):
-    """(Psi, Psi1, Psi2, b) of the order-3 off-diagonal reduction.
+    """(Psi, Psi1, Psi2, b) of the order-3 off-diagonal reduction, at
+    mu = 1, with the N grading: Psi and b of shift 0, Psi1 of shift 1 and
+    Psi2 of shift -1.
 
     Psi is the adjoint action of the block part of the third gauged
     variational matrix of the chain on N_1..N_5; b collects the
     off-block coefficients.  Both are linear in that matrix, so each is
-    computed on its constant parts at mu = 1 over Q, then regraded (N_j
-    scales as mu^(n_j): Psi_ij carries mu^(n_i - n_j), b_i mu^(n_i),
-    times mu in P_0) and built as P_inf + P_0/x; Psi1 = P_0.
+    computed on its constant parts over Q and built as P_inf + P_0/x;
+    Psi1 = P_0, and Psi = (1/mu + 1/x) Psi1 + 4 mu Psi2 defines
+    Psi2 = (P_inf - P_0)/4.
     """
     Ns = _p3_n_basis()
     At3 = chain.unit_parts["At3"]
@@ -662,28 +739,23 @@ def p3_psi_and_b(chain):
     except ValueError:
         raise RuntimeError("off-diagonal block or bracket outside the N span")
     Cinf, C0 = (mat_transpose(coords[2 + 5 * k:7 + 5 * k]) for k in range(2))
-    n = (3, 2, 1, 0, -1)  # s_(7+i) - s_c of p3_weights(3) at N_j's entries
-    Psi1 = mu_graded(C0, n, n, 1)
-    Psi = _from_parts(mu_graded(Cinf, n, n), Psi1, "x", ("mu",))
-    b, = _from_parts(*(mu_graded([v], (0,), [-e for e in n], k)
-                       for k, v in enumerate(coords[:2])), "x", ("mu",))
-    # Psi = (1/mu + 1/x) Psi1 + 4 mu Psi2 defines Psi2 = (P_inf - P_0/mu)
-    # / (4 mu); at mu = 1 that is (P_inf - P_0) / 4, of weight -1
     Psi2 = [[qdiv(ci - c0, 4) for ci, c0 in zip(ri, r0)]
             for ri, r0 in zip(Cinf, C0)]
-    return Psi, Psi1, mu_graded(Psi2, n, n, -1), b
+    b, = _from_parts([coords[0]], [coords[1]], "x")
+    return _from_parts(Cinf, C0, "x"), C0, Psi2, b
 
 
 def check_p3(mus=(Fraction(1, 2),)) -> Certificate:
     """Certificate for the Painleve III case, parameters (2mu-1,-2mu+1,1,-1).
 
-    The structural identities run once over Q(mu); the rational-solution
-    obstruction runs at each requested rational non-integer mu.  There
-    the system F' = Psi F + b scalarizes exactly to Sym^4(L2) y = -g
-    with L2 = D^2 - 4 - 4*mu/x and g the displayed right side (checked);
-    that one scalar equation is solved once, through the build's
-    solve-once table, for the rational_system and scalar_rational claims.
-    An integer mu is refused at once, with no search for the witness.
+    The structural identities run once, at mu = 1 over Q, on graded
+    records (see the module docstring); the rational-solution obstruction
+    runs at each requested rational non-integer mu, on Psi, b and L2
+    regraded there, where F' = Psi F + b scalarizes exactly to
+    Sym^4(L2) y = -g, L2 = D^2 - 4 - 4*mu/x and g the displayed right side
+    (checked); that one scalar equation is solved once, through the
+    build's solve-once table, for the rational_system and scalar_rational
+    claims.  An integer mu is refused at once, with no witness search.
     """
     mus = [scalar(m) for m in mus]
     if not mus:
@@ -698,7 +770,6 @@ def check_p3(mus=(Fraction(1, 2),)) -> Certificate:
                 "solution (its polynomial part has degree |mu|), so its "
                 "group is not SL(2)" % m)
 
-    params = ("mu",)
     var = "x"
     cert = Certificate({
         "equation": "Painleve III, parameters (2*mu-1, -2*mu+1, 1, -1)",
@@ -707,94 +778,69 @@ def check_p3(mus=(Fraction(1, 2),)) -> Certificate:
     })
 
     ch = build_p3_chain()
-    for name in ("A1", "Q1", "At1", "At2", "At3"):
-        M = getattr(ch, name)
-        if name == "Q1":
-            M = _const_to_rat(M, var, params)
-        cert.add("matrix", name=name, var=var, params=list(params),
-                 rows=_mat_str(M))
-    cert.add("trace_zero", matrix=_mat_str(ch.At1), var=var,
-             params=list(params))
-
-    # scalar form of the first gauged system is the order-2 operator;
-    # At1[1][0] = 4*mu is a nonzero constant, so the covector is e_2
-    op1 = cyclic_vector_scalarize(ch.At1).op
-    l2 = parse_operator("D^2 - 4 - 4*mu/x", var, params)
-    cert.add("operator_identity", a=str(op1), b=str(l2), var=var,
-             params=list(params))
-    if not (op1 == l2):
-        raise RuntimeError("first variational scalar form mismatch")
-
-    # each gauged matrix splits as C_inf + C_0 / x; the chain holds the parts
-    for name in ("At1", "At2", "At3"):
-        Ci, C0 = ch.parts[name]
-        cert.add("decomposition", matrix=_mat_str(getattr(ch, name)),
-                 cinf=_mat_str(_const_to_rat(Ci, var, params)),
-                 c0=_mat_str(_const_to_rat(C0, var, params)),
-                 var=var, params=list(params))
-
-    mu = FieldElem.parameter("mu", params)
-    one = RatFun.const(1, var, params)
-
-    # order 2: M1 = C0, M2 = Cinf - (1/mu) C0, M3 = (1/(8 mu)) [M1, M2]
-    Ci, C0 = ch.parts["At2"]
-    M1 = _const_to_rat(C0, var, params)
-    M2 = [[(ci - c0 / mu) * one for ci, c0 in zip(ri, r0)]
-          for ri, r0 in zip(Ci, C0)]
-    M3 = [[x / (8 * mu) for x in row] for row in mat_bracket(M1, M2)]
-    negM1 = [[-x for x in row] for row in M1]
-    cert.add("bracket_identity", relation="[M1, M3] = -M1",
-             a=_mat_str(M1), b=_mat_str(M3), expect=_mat_str(negM1),
-             var=var, params=list(params))
-    cert.add("bracket_identity", relation="[M2, M3] = M2",
-             a=_mat_str(M2), b=_mat_str(M3), expect=_mat_str(M2),
-             var=var, params=list(params))
-    if mat_bracket(M1, M3) != negM1 or mat_bracket(M2, M3) != M2:
-        raise RuntimeError("order-2 bracket table fails")
-
-    # order 3: the Lie algebra generated by the constants has dimension 8
-    Ci, C0 = ch.parts["At3"]
-    lie = _lie_claims([Ci, C0])
-    cert.add("lie_dimension", var=var, params=list(params),
-             generators=[_mat_str(Ci), _mat_str(C0)], **lie,
-             classification=None)
-    if lie["dimension"] != 8:
-        raise RuntimeError("order-3 Lie dimension is %d" % lie["dimension"])
-
-    # off-diagonal reduction data
+    U = ch.unit_parts
+    At1, At2, At3 = (_from_parts(*U["At%d" % k], var) for k in (1, 2, 3))
+    # order 2: At2 = (1/mu + 1/x) M1 + M2, M3 = (1/(8 mu)) [M1, M2]
+    M1, M2 = U["At2"][1], mat_sub(*U["At2"])
+    M3 = _bracket(Fraction(1, 8), M1, M2)
     Psi, Psi1, Psi2, b = p3_psi_and_b(ch)
-    P1 = _const_to_rat(Psi1, var, params)
-    P2 = _const_to_rat(Psi2, var, params)
-    cert.add("matrix", name="Psi1", var=var, params=list(params),
-             rows=_mat_str(P1))
-    cert.add("matrix", name="Psi2", var=var, params=list(params),
-             rows=_mat_str(P2))
-    cert.add("vector", name="b", var=var, params=list(params),
-             entries=[str(x) for x in b])
-    x = RatFun.gen(var, params)
-    cert.add("lincomb_identity",
-             relation="Psi = (1/mu + 1/x) Psi1 + 4 mu Psi2",
-             terms=[[str((1 / mu) * one + 1 / x), _mat_str(P1)],
-                    [str((4 * mu) * one), _mat_str(P2)]],
-             expect=_mat_str(Psi), var=var, params=list(params))
-    Psi3 = mat_bracket(P1, P2)
-    cert.add("bracket_identity", relation="Psi3 = [Psi1, Psi2]",
-             a=_mat_str(P1), b=_mat_str(P2), expect=_mat_str(Psi3),
-             var=var, params=list(params))
+    for name, grading, shift, M in (
+            ("A1", "A1", 0, _from_parts(*U["A1"], var)),
+            ("Q1", "A1", 1, ch.Q1), ("At1", "At1", 0, At1),
+            ("At2", "At2", 0, At2), ("At3", "At3", 0, At3),
+            ("M1", "At2", 1, M1), ("M2", "At2", 0, M2), ("M3", "At2", 0, M3),
+            ("Psi", "N", 0, Psi), ("Psi1", "N", 1, Psi1),
+            ("Psi2", "N", -1, Psi2), ("Psi3", "N", 0, _bracket(1, Psi1, Psi2)),
+            ("b", "N", 0, b)):
+        kind, text = (("vector", dict(entries=[str(f) for f in M]))
+                      if name == "b" else ("matrix", dict(rows=_mat_str(M))))
+        cert.add(kind, cert.graded, name=name, var=var, grading=grading,
+                 weights=_P3_GRADINGS[grading], shift=shift, **text)
 
-    # pointwise obstruction at each requested mu
+    # the covector of At1 is e_2, as At1[1][0] = 4 is a nonzero constant,
+    # and its Krylov row v_1 = (4, 0) is constant; the parts of At3
+    # generate a Lie algebra of dimension 8
+    op1 = cyclic_vector_scalarize(At1).op
+    l2 = parse_operator("D^2 - 4 - 4/x", var)
+    lie = _lie_claims(list(U["At3"]))
+    if not (op1 == l2 and _bracket(-1, M1, M3) == M1
+            and _bracket(1, M2, M3) == M2 and lie["dimension"] == 8):
+        raise RuntimeError("the scalar form of At1, the order-2 bracket "
+                           "table or the order-3 Lie dimension fails")
+    c1 = str(1 + 1 / RatFun.gen(var))  # 1/mu + 1/x, of shift -1
+    for kind, fields in (
+            ("trace_zero", dict(matrix="At1")),
+            ("operator_identity", dict(matrix="At1", operator=str(op1))),
+            ("lincomb_identity", dict(
+                relation="At2 = (1/mu + 1/x) M1 + M2",
+                terms=[[c1, -1, "M1"], ["1", 0, "M2"]], expect="At2")),
+            ("bracket_identity", dict(relation="[M1, M3] = -M1", a="M1",
+                                      b="M3", coeff="-1", expect="M1")),
+            ("bracket_identity", dict(relation="[M2, M3] = M2", a="M2",
+                                      b="M3", expect="M2")),
+            ("lie_dimension", dict(matrix="At3", **lie,
+                                   classification=None)),
+            ("lincomb_identity", dict(
+                relation="Psi = (1/mu + 1/x) Psi1 + 4 mu Psi2",
+                terms=[[c1, -1, "Psi1"], ["4", 1, "Psi2"]], expect="Psi")),
+            ("bracket_identity", dict(relation="Psi3 = [Psi1, Psi2]",
+                                      a="Psi1", b="Psi2", expect="Psi3"))):
+        cert.add(kind, var=var, **fields)
+
+    # pointwise obstruction at each requested mu, on the unit records
+    # regraded there
+    n = _P3_GRADINGS["N"]
     all_ok = True
     solve = _Parsed().solve
     for m in mus:
-        sub = {"mu": m}
-        l2m = l2.specialize(sub)
+        l2m = DiffOp(_at_mu([l2.coeffs], (0,), (0,) * 3, 0, m)[0])
         screen = _screen_claims(l2m)
         cert.add("screen", operator=str(l2m), var=var, **screen, mu=str(m))
         if screen["tag"] != TAG_SL2:
             all_ok = False
             continue
-        Psim = [[f.specialize(sub) for f in row] for row in Psi]
-        bm = [f.specialize(sub) for f in b]
+        Psim = _at_mu(Psi, n, n, 0, m)
+        bm, = _at_mu([b], (0,), [-e for e in n], 0, m)
         # the system scalarizes to Sym^4(l2m) y = -g_m: one scalar solve
         L4m = sym_power_operator(l2m, 4)
         gm = _p3_g_display(m)

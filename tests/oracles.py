@@ -4,6 +4,7 @@ None of these is on a path that builds or replays a certificate: each
 is a second, plainer way to get a result the package computes otherwise.
 """
 
+import math
 from fractions import Fraction
 
 # verdict._family_psi is looked up at each call, so a test can perturb it
@@ -12,15 +13,15 @@ from irred.field import FieldElem, scalar
 from irred.grammar import (ParseError, _Parser, max_size, ratfun_size,
                            tokenize)
 from irred.jets import (_P3_SCALES, EquationFamily, VectorFieldSpec,
-                        _blockdiag, _p3_third_rows, _scale_conj,
-                        _subsystem_matrices, _w_parts, linearize,
-                        normal_restrict, prolong, restrict_along_curve,
-                        truncate)
+                        _blockdiag, _from_parts, _p3_third_rows,
+                        _scale_conj, _subsystem_matrices, _w_parts,
+                        linearize, normal_restrict, p3_weights, prolong,
+                        restrict_along_curve, truncate)
 from irred.liealg import block_e_matrices
 from irred.linear import (mat_bracket, mat_identity, mat_mul, mat_shape,
                           mat_sub, mat_transpose, solve_all)
 from irred.linops import DiffOp, cyclic_vector_scalarize, sym_power_rep
-from irred.mpoly import _trim, dense_divmod, qdiv
+from irred.mpoly import _trim, dense_divmod, qdiv, qnorm
 from irred.poly import Poly, RatFun
 
 
@@ -221,6 +222,41 @@ def p3_reference_parts(mu="mu"):
     return parts
 
 
+def mu_graded(C, rows, cols, shift=0):
+    """The rational matrix C over Q(mu), entry c at (i, j) times mu^e,
+    e = rows[i] - cols[j] + shift, each built reduced with no arithmetic:
+    the reference regrade of a P3 record at mu = 1."""
+
+    def monomial(c, e):  # c mu^e / 1, or c / mu^-e
+        if not c:
+            return FieldElem(("mu",), {}, {(0,): 1}, _normalized=True)
+        return FieldElem(("mu",), {(max(e, 0),): qnorm(c)},
+                         {(max(-e, 0),): 1}, _normalized=True)
+
+    return [[monomial(c, r - s + shift) for c, s in zip(row, cols)]
+            for row, r in zip(C, rows)]
+
+
+def regraded(M, rows, cols, shift=0):
+    """A P3 matrix over Q(x) at mu = 1, entries c_inf + c_0/x, over
+    Q(mu)(x) by the reading rule of irred.verdict: entry (i, j) becomes
+    mu^(rows_i - cols_j + shift) (c_inf + mu c_0/x)."""
+    Ci, C0 = cinf_c0(M)
+    return _from_parts(mu_graded(Ci, rows, cols, shift),
+                       mu_graded(C0, rows, cols, shift + 1), "x", ("mu",))
+
+
+def p3_graded_parts(chain):
+    """The unit parts of the P3 chain over Q(mu), by name, regraded by
+    p3_weights: C_inf with shift 0 and C_0 with shift 1."""
+    out = {}
+    for k in (1, 2, 3):
+        for name, s in zip(("A%d" % k, "At%d" % k), p3_weights(k)):
+            Ci, C0 = chain.unit_parts[name]
+            out[name] = (mu_graded(Ci, s, s), mu_graded(C0, s, s, 1))
+    return out
+
+
 def cinf_c0(M):
     """Split a matrix with entries c_inf + c_0/x into two constant parts.
 
@@ -292,10 +328,26 @@ class RatFunParser(_Parser):
         return RatFun.const(v, self.var, self.params)
 
 
+def compose(A, B):
+    """The operator A o B by the Leibniz rule, term by term, with every
+    derivative of every coefficient of B taken afresh: the reference for
+    DiffOp.__mul__, which takes each b^(k) once."""
+    zero = RatFun.zero(A.var, A.params)
+    out = [zero] * (A.order() + B.order() + 1)
+    for i, a in enumerate(A.coeffs):
+        for j, b in enumerate(B.coeffs):
+            bk = b
+            for k in range(i + 1):
+                # D^i o b = sum_k C(i,k) b^(k) D^(i-k)
+                out[i - k + j] = out[i - k + j] + a * math.comb(i, k) * bk
+                bk = bk.derivative()
+    return DiffOp(out)
+
+
 class RatFunOpParser(RatFunParser):
     """The operator parser with every value a DiffOp from its atom on,
-    the reference for linops._OpParser, which keeps a value a scalar or
-    a RatFun until it meets D."""
+    composed by `compose`: the reference for linops._OpParser, which
+    keeps a value a scalar or a RatFun until it meets D."""
 
     def size(self, v):
         return (v.order(),) + max_size([ratfun_size(c) for c in v.coeffs])
@@ -316,7 +368,13 @@ class RatFunOpParser(RatFunParser):
             self.within_budget((v, k))
             zero, one = D.coeffs
             return DiffOp([zero] * k + [one])
-        return super().power(v, k)
+        if k <= 0:
+            return super().power(v, k)
+        self.within_budget((v, k))
+        out = v
+        for _ in range(k - 1):
+            out = compose(out, v)
+        return out
 
     def term(self):
         v = self.factor()
@@ -324,13 +382,13 @@ class RatFunOpParser(RatFunParser):
             op = self.next()[0]
             w = self.factor()
             if op == "*":
-                v = v * w
+                v = compose(v, w)
             else:
                 if w.order() != 0:
                     raise ParseError("cannot divide by a differential "
                                      "operator")
-                v = v * DiffOp([RatFun.const(1, w.var, w.params)
-                                / w.coeffs[0]])
+                v = compose(v, DiffOp([RatFun.const(1, w.var, w.params)
+                                       / w.coeffs[0]]))
         return v
 
 

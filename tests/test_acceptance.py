@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from irred.grammar import parse_ratfun
-from irred.jets import EquationFamily, VectorFieldSpec
+from irred.jets import EquationFamily, VectorFieldSpec, _from_parts
 from irred.liealg import (block_e_matrices, block_xyh, lie_closure)
 from irred.linear import mat_bracket, mat_mul
 from irred.linops import DiffOp, parse_operator, sym_power_operator
@@ -21,7 +21,8 @@ from irred.ratsolve import rational_solutions
 from irred.screen import exponential_solutions_restricted
 from irred.verdict import (IRREDUCIBLE, criterion_airy_family, replay)
 from irred.field import FieldElem
-from oracles import cinf_c0, gauge_transform
+from oracles import (cinf_c0, gauge_transform, mu_graded, p3_graded_parts,
+                     regraded)
 
 
 L4_TEXT = "D^5 - 20*t*D^3 - 30*D^2 + 64*t^2*D + 64*t"
@@ -103,21 +104,25 @@ def test_criterion_05_p2_verdict(capsys, tmp_path):
 
 
 def test_criterion_06_p3_symbolic_identities(p3_chain):
+    """The P3 identities over Q(mu)(x), on the chain's parts at mu = 1
+    regraded by the reference."""
     ch = p3_chain
     params = ("mu",)
     mu = FieldElem.parameter("mu", params)
+    G = p3_graded_parts(ch)
+    At1, At2, At3 = (_from_parts(*G[name], "x", params)
+                     for name in ("At1", "At2", "At3"))
     # trace zero at order one
-    assert not (ch.At1[0][0] + ch.At1[1][1])
+    assert not (At1[0][0] + At1[1][1])
     # each gauged matrix is C_inf + C_0 / x
-    for name in ("At2", "At3"):
-        M = getattr(ch, name)
+    for M in (At2, At3):
         Ci, C0 = cinf_c0(M)
         x = RatFun.gen("x", params)
         for i in range(len(M)):
             for j in range(len(M)):
                 assert M[i][j] == Ci[i][j] + C0[i][j] / x
     # the order-2 constants match the displayed 5x5 matrices
-    Ci, C0 = cinf_c0(ch.At2)
+    Ci, C0 = cinf_c0(At2)
     M1 = C0
     M2 = [[ci - c0 / mu for ci, c0 in zip(ri, r0)] for ri, r0 in zip(Ci, C0)]
     zero, one = mu - mu, mu / mu
@@ -140,6 +145,9 @@ def test_criterion_06_p3_symbolic_identities(p3_chain):
     # order 3: adjoint matrices and Lie dimension
     from irred.verdict import p3_psi_and_b
     Psi, Psi1, Psi2, b = p3_psi_and_b(ch)
+    n = (3, 2, 1, 0, -1)
+    Psi, Psi1, Psi2 = (regraded(Psi, n, n), mu_graded(Psi1, n, n, 1),
+                       mu_graded(Psi2, n, n, -1))
 
     def ints(rows):
         return [[f(v, params) for v in row] for row in rows]
@@ -154,19 +162,22 @@ def test_criterion_06_p3_symbolic_identities(p3_chain):
              (4 * mu) * (p2 * onex)
              for p1, p2 in zip(r1, r2)] for r1, r2 in zip(Psi1, Psi2)]
     assert comb == Psi
-    Ci3, C03 = cinf_c0(ch.At3)
+    Ci3, C03 = cinf_c0(At3)
     assert lie_closure([Ci3, C03]).dimension == 8
 
 
 def test_criterion_07_p3_verdict(p3_document):
     doc = p3_document
     assert doc["verdict"] == "IRREDUCIBLE"
-    bvec = [r for r in doc["evidence"]
+    bvec = [r for r in doc["graded"]
             if r["kind"] == "vector" and r["name"] == "b"][0]
+    assert (bvec["grading"], bvec["shift"]) == ("N", 0)
+    # entry i of b stands for mu^(n_i) b_i(x/mu), n = (3, 2, 1, 0, -1)
+    b = [parse_ratfun(e, "x") for e in bvec["entries"]]
     expect = ["-32*mu^4/x", "-8*mu^3/x", "(4/3)*mu^2/x", "0", "0"]
-    for got, want in zip(bvec["entries"], expect):
-        assert parse_ratfun(got, "x", ("mu",)) == \
-            parse_ratfun(want, "x", ("mu",))
+    for got, want in zip(regraded([b], (0,), (-3, -2, -1, 0, 1))[0],
+                         expect):
+        assert got == parse_ratfun(want, "x", ("mu",))
     sysrec = [r for r in doc["evidence"] if r["kind"] == "rational_system"][0]
     assert sysrec["solvable"] is False
     scarec = [r for r in doc["evidence"] if r["kind"] == "scalar_rational"][0]

@@ -6,11 +6,12 @@ replaces the table here and in ROADMAP.md together.
 """
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
 from irred.jets import EquationFamily
-from irred.verdict import check_p2, criterion_airy_family, replay
+from irred.verdict import check_p2, check_p3, criterion_airy_family, replay
 
 
 def _short_hash(text):
@@ -35,7 +36,12 @@ def test_p2_golden_hash():
 def test_p3_golden_hash(p3_certificate_text):
     # the CLI writes check_p3([1/2]).to_json() and one newline
     assert p3_certificate_text.endswith("\n")
-    assert _short_hash(p3_certificate_text[:-1]) == "6605747844022e72"
+    assert _short_hash(p3_certificate_text[:-1]) == "051edcd2285886e9"
+
+
+def test_p3_two_mu_golden_hash():
+    cert = check_p3([Fraction(1, 2), Fraction(-7, 3)])
+    assert _short_hash(cert.to_json()) == "2ab77b113f4ce8b9"
 
 
 @pytest.mark.parametrize("n,P", [(2, "x"), (3, "x"), (3, "2"), (4, "x^2"),

@@ -158,6 +158,45 @@ def test_sums_and_products_past_the_degree_budget_fail_fast(parse, var,
     assert time.process_time() - start < 0.1
 
 
+# every constant within the power budget, but the common denominator of
+# the first two terms has 3,966-bit coefficients, and with the third it
+# would pass 4096 bits: unbounded, the parse took 6 s in the gcd
+BIG_SUM = ("1/(2^2000*t^16+3^1000*t+1)+1/(5^800*t^16+7^700*t+1)"
+           "+1/(11^500*t^16+13^500*t+1)+1/(17^400*t^16+19^400*t+1)")
+
+
+@pytest.mark.parametrize("parse, var, params", [
+    (parse_ratfun, "t", ()), (parse_ratfun, "x", ("mu",)),
+    (parse_operator, "t", ()), (parse_operator, "x", ("mu",)),
+    (_family_p, "x", ())], ids=["ratfun-Q", "ratfun-Qmu", "operator-Q",
+                                "operator-Qmu", "family"])
+def test_sums_past_the_bit_budget_fail_fast(parse, var, params):
+    """Every + - * / is bounded by the bits of its operands before it is
+    computed, so the sum is refused at its third term, in milliseconds."""
+    start = time.process_time()
+    with pytest.raises(ParseError, match="5818 bits exceeds 4096"):
+        parse(BIG_SUM.replace("t", var), var, params)
+    assert time.process_time() - start < 0.1
+
+
+@pytest.mark.parametrize("text, bits", [
+    ("2^2048 + 2^2048*t", None), ("2^2048*2^2047", 4097),
+    ("(2^2000*t + 1)*(2^2000*t - 1)", None), ("2^2048*t*2^2048", 4098),
+    ("1/(2^2000*t + 1) + 1/(3^1300*t + 1)", None),
+    ("1/(2^2000*t + 1) + 1/(3^1300*t + 1) + 1/(5^100*t + 1)", 4295),
+    ("3^2000 - 1/3^500", None), ("3^2000 - 1/3^1000", 4756),
+])
+def test_bit_budget_admits_what_fits(text, bits):
+    """A sum of values with integer coefficients and no denominator takes
+    the larger bits plus one; any other sum adds them plus one, and a
+    product adds them."""
+    if bits is None:
+        parse_ratfun(text)
+        return
+    with pytest.raises(ParseError, match="%d bits exceeds 4096" % bits):
+        parse_ratfun(text)
+
+
 @pytest.mark.parametrize("text", [
     "1/(t+1)^32 + 1/(t+2)^32", "(t+1)^32*(t+2)^32",
     "(t^40 + 1) - t^40 + t^64"])
@@ -217,6 +256,7 @@ def test_every_parse_ends_fast(parse, var, params, names):
     @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
                          suppress_health_check=list(hypothesis.HealthCheck))
     @hypothesis.given(st.recursive(atoms, extend, max_leaves=6))
+    @hypothesis.example(BIG_SUM.replace("t", names[0]))
     def check(text):
         start = time.process_time()
         try:

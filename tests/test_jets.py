@@ -9,7 +9,7 @@ import irred.jets
 from irred.jets import (_P3_SCALES, EquationFamily, VectorFieldSpec,
                         _from_parts, _p3_third_rows, _scale_conj,
                         _subsystem_matrices, _w_parts, build_lnve_airy_family,
-                        build_p3_chain, jet_name, linearize, mu_graded,
+                        build_p3_chain, jet_name, linearize,
                         normal_restrict, p3_unit_field, p3_weights, prolong,
                         rename_ratfun, restrict_along_curve, truncate)
 from irred.grammar import ParseError, parse_ratfun
@@ -17,9 +17,10 @@ from irred.liealg import adjoint_action_matrix
 from irred.linear import mat_identity, mat_mul
 from irred.mpoly import MPoly
 from irred.poly import Poly, RatFun
-from irred.verdict import _p3_n_basis, check_p3, p3_psi_and_b
-from oracles import (cinf_c0, lnve_airy_family_pipeline, p3_field, p3_gauges,
-                     p3_order, p3_reference_parts, p3_w_field)
+from irred.verdict import _at_mu, _p3_n_basis, check_p3, p3_psi_and_b
+from oracles import (cinf_c0, lnve_airy_family_pipeline, mu_graded, p3_field,
+                     p3_gauges, p3_graded_parts, p3_order, p3_reference_parts,
+                     p3_w_field, regraded)
 
 
 def p2_field():
@@ -157,34 +158,50 @@ def test_family_budgets_are_sharp():
 
 
 def test_p3_chain_first_level(p3_chain):
-    ch = p3_chain
-    A1 = [[str(x) for x in row] for row in ch.A1]
+    """A1, At1 and Q1 at mu = 1, and regraded over Q(mu) by the
+    reference: Q1 by diag(1, mu) Q1 diag(mu, 1)."""
+    U = p3_chain.unit_parts
+    assert _strs(_from_parts(*U["A1"], "x")) == [
+        ["(-2*x - 2)/(x)", "4/(x)"], ["(-x - 1)/(x)", "(2*x + 2)/(x)"]]
+    assert _strs(_from_parts(*U["At1"], "x")) == [
+        ["0", "(x + 1)/(x)"], ["4", "0"]]
+    G = p3_graded_parts(p3_chain)
+    A1 = [[str(x) for x in row] for row in _from_parts(*G["A1"], "x",
+                                                      ("mu",))]
     assert A1 == [["(-2*x - 2*mu)/(x)", "4/(x)"],
                   ["(-mu*x - mu^2)/(x)", "(2*x + 2*mu)/(x)"]]
     expect = [["0", "1/mu + 1/x"], ["4*mu", "0"]]
-    for ra, rb in zip(ch.At1, expect):
+    for ra, rb in zip(_from_parts(*G["At1"], "x", ("mu",)), expect):
         for a, b in zip(ra, rb):
             assert a == parse_ratfun(b, "x", ("mu",))
-    Q1 = [[str(x) for x in row] for row in ch.Q1]
+    assert p3_chain.Q1 == [[-2, 1], [-1, 0]]
+    Q1 = [[str(x) for x in row] for row in mu_graded(p3_chain.Q1, (0, 1),
+                                                     (-1, 0))]
     assert Q1 == [["-2*mu", "1"], ["-mu^2", "0"]]
 
 
 def test_p3_chain_specialized(p3_chain):
+    """At1 at mu = 1/2, by the regrade check_p3 takes at a rational mu
+    and by the reference regrade specialized."""
+    At1 = _from_parts(*p3_chain.unit_parts["At1"], "x")
+    want = [["0", "(2*x + 1)/(x)"], ["2", "0"]]
+    assert _strs(_at_mu(At1, (0, 1), (0, 1), 0, Fraction(1, 2))) == want
     sub = {"mu": Fraction(1, 2)}
-    At1 = [[str(x.specialize(sub)) for x in row] for row in p3_chain.At1]
-    assert At1 == [["0", "(2*x + 1)/(x)"], ["2", "0"]]
+    assert [[str(x.specialize(sub)) for x in row]
+            for row in regraded(At1, (0, 1), (0, 1))] == want
 
 
 def test_p3_gauge_inverses_are_closed_forms(p3_chain):
     """The reference gauges R_k over Q(mu) are the inverses of Q_k, Q1 is
-    the chain's, and At_k = R_k A_k Q_k on each constant part."""
+    the chain's regraded, and At_k = R_k A_k Q_k on each constant part
+    regraded."""
     one = FieldElem.from_fraction(1, ("mu",))
     Qs, Rs = p3_gauges(FieldElem.parameter("mu", ("mu",)))
-    assert Qs[0] == p3_chain.Q1
+    assert Qs[0] == mu_graded(p3_chain.Q1, (0, 1), (-1, 0))
+    G = p3_graded_parts(p3_chain)
     for k, R, Q in zip((1, 2, 3), Rs, Qs):
         assert mat_mul(R, Q) == mat_identity(len(Q), one)
-        for C, Ct in zip(p3_chain.parts["A%d" % k],
-                         p3_chain.parts["At%d" % k]):
+        for C, Ct in zip(G["A%d" % k], G["At%d" % k]):
             assert mat_mul(Q, Ct) == mat_mul(C, Q)
 
 
@@ -219,10 +236,11 @@ def test_truncate_rejects_a_higher_jet_on_a_lower_right_side():
 
 
 def test_p3_parts_match_ratfun_gauge(p3_chain):
-    """The chain's (C_inf, C_0) of At_k are the parts of R_k A_k Q_k,
-    with A_k over Q(mu)(x) from the pass on the field over Q(mu)(x), and
-    Q_k and R_k the reference gauges over Q(mu)."""
+    """The chain's (C_inf, C_0) of At_k, regraded, are the parts of
+    R_k A_k Q_k, with A_k over Q(mu)(x) from the pass on the field over
+    Q(mu)(x), and Q_k and R_k the reference gauges over Q(mu)."""
     params = ("mu",)
+    G = p3_graded_parts(p3_chain)
     one = RatFun.const(1, "x", params)
     Qs, Rs = p3_gauges(FieldElem.parameter("mu", params))
     L = {k: linearize(p3_order(k)) for k in (1, 2, 3)}
@@ -236,26 +254,37 @@ def test_p3_parts_match_ratfun_gauge(p3_chain):
         R, Q = ([[x * one for x in row] for row in G[k - 1]]
                 for G in (Rs, Qs))
         At = mat_mul(mat_mul(R, A[k]), Q)
-        assert list(cinf_c0(At)) == list(p3_chain.parts["At%d" % k])
-        assert _strs(At) == _strs(getattr(p3_chain, "At%d" % k))
-        assert list(cinf_c0(A[k])) == list(p3_chain.parts["A%d" % k])
-    assert A[1] == p3_chain.A1 and _strs(A[1]) == _strs(p3_chain.A1)
+        assert list(cinf_c0(At)) == list(G["At%d" % k])
+        assert _strs(At) == _strs(_from_parts(*G["At%d" % k], "x", params))
+        assert list(cinf_c0(A[k])) == list(G["A%d" % k])
+    A1 = _from_parts(*G["A1"], "x", params)
+    assert A[1] == A1 and _strs(A[1]) == _strs(A1)
 
 
 def test_p3_psi_from_parts_matches_adjoint_action(p3_chain):
-    """Psi and b from the constant parts are the adjoint action on, and
-    the N-coordinates of, the block parts of At3 over Q(mu)(x)."""
-    At3 = p3_chain.At3
-    zero = RatFun.zero("x", ("mu",))
+    """Psi and b from the constant parts at mu = 1, regraded by the N
+    weights, are the adjoint action on, and the N-coordinates of, the
+    block parts of At3 over Q(mu)(x); Psi1 and Psi2 with shifts 1 and -1
+    give Psi = (1/mu + 1/x) Psi1 + 4 mu Psi2."""
+    params = ("mu",)
+    At3 = _from_parts(*p3_graded_parts(p3_chain)["At3"], "x", params)
+    zero = RatFun.zero("x", params)
     diag = [list(r) for r in At3]
     for i in (7, 8):
         for j in range(4):
             diag[i][j] = zero
-    Psi, Psi1, _, b = p3_psi_and_b(p3_chain)
+    Psi, Psi1, Psi2, b = p3_psi_and_b(p3_chain)
+    n = (3, 2, 1, 0, -1)
+    Psi, b = regraded(Psi, n, n), regraded([b], (0,), [-e for e in n])[0]
     Ns = _p3_n_basis()
     assert Psi == adjoint_action_matrix(diag, Ns)
     assert _strs(Psi) == _strs(adjoint_action_matrix(diag, Ns))
+    Psi1, Psi2 = mu_graded(Psi1, n, n, 1), mu_graded(Psi2, n, n, -1)
     assert Psi1 == cinf_c0(Psi)[1]
+    mu = FieldElem.parameter("mu", params)
+    c1, c2 = 1 / mu + 1 / RatFun.gen("x", params), 4 * mu
+    assert Psi == [[c1 * p1 + c2 * p2 for p1, p2 in zip(r1, r2)]
+                   for r1, r2 in zip(Psi1, Psi2)]
     off = [[x - y for x, y in zip(ra, rd)] for ra, rd in zip(At3, diag)]
     rebuilt = [[sum((c * N[i][j] for c, N in zip(b, Ns)), zero)
                 for j in range(9)] for i in range(9)]
@@ -302,21 +331,26 @@ def test_p3_weights_are_the_grading_tables():
 
 
 def test_p3_regraded_chain_matches_the_q_mu_w_reference(p3_chain):
-    """The chain runs at mu = 1 and puts mu back by its grading; the
-    pass over Q(mu, w) with mu left in gives the same parts, for
-    symbolic mu and, with mu put into the field, at two rational mu."""
+    """The chain runs at mu = 1; its unit parts regraded by p3_weights are
+    the parts of the pass over Q(mu, w) with mu left in, for symbolic
+    mu, and, with mu put into the field, at two rational mu, where the
+    regrade check_p3 takes gives them too."""
     ref = p3_reference_parts()
-    assert set(ref) == set(p3_chain.parts)
+    G = p3_graded_parts(p3_chain)
+    assert set(ref) == set(G) == set(p3_chain.unit_parts)
     for name, parts in ref.items():
-        assert list(parts) == list(p3_chain.parts[name])
-        assert [_strs(C) for C in parts] == [
-            _strs(C) for C in p3_chain.parts[name]]
+        assert list(parts) == list(G[name])
+        assert [_strs(C) for C in parts] == [_strs(C) for C in G[name]]
     for m in ("1/2", "-7/3"):
         sub = {"mu": Fraction(m)}
         for name, parts in p3_reference_parts(m).items():
             assert list(parts) == [
                 [[x.specialize(sub) for x in row] for row in C]
-                for C in p3_chain.parts[name]]
+                for C in G[name]]
+            s = p3_weights(int(name[-1]))[name.startswith("At")]
+            unit = _from_parts(*p3_chain.unit_parts[name], "x")
+            assert list(parts) == list(cinf_c0(
+                _at_mu(unit, s, s, 0, Fraction(m))))
 
 
 def test_mu_graded_builds_monomials():
@@ -366,9 +400,8 @@ def test_w_parts_reads_off_the_w_coefficients():
 
 
 def test_p3_chain_takes_no_gcd_and_no_normal_restriction(monkeypatch):
-    """The chain runs on scalar coefficients in Q(mu, w): no normal
-    restriction, no Poly gcd and no RatFun arithmetic at all; A1 and
-    At1..At3 are built from their parts without it."""
+    """The chain runs on scalar coefficients in Q(w) and Q: no normal
+    restriction, no Poly gcd and no RatFun arithmetic at all."""
     seen = set()
 
     def spy(name):

@@ -6,7 +6,7 @@ import pytest
 
 from irred.field import FieldElem
 from irred.jets import EquationFamily, build_lnve_airy_family
-from irred.liealg import (_graded_image, adjoint_action_matrix,
+from irred.liealg import (adjoint_action_matrix,
                           associated_lie_algebra, block_e_matrices,
                           block_xyh, classify_lnve_lie_algebra, lie_closure,
                           lie_dimension)
@@ -14,7 +14,8 @@ from irred.linear import in_span, mat_bracket, mat_transpose, rank
 from irred.linops import sym_power_matrix
 from irred.poly import Poly, RatFun
 from irred.verdict import _family_psi
-from oracles import block_f_matrices, canonical_q, cinf_c0, sl2_triplet_check
+from oracles import (block_f_matrices, canonical_q, p3_graded_parts,
+                     sl2_triplet_check)
 
 
 def _scaled(M, c):
@@ -230,13 +231,11 @@ def _mu_monomial(c, e):
 
 @pytest.mark.parametrize("level", ["At2", "At3"])
 def test_lie_dimension_p3_generators(p3_chain, level):
-    """The P3 constants of orders 2 and 3 over Q(mu) are graded, and the
-    graded route gives the closure's dimension."""
-    gens = list(cinf_c0(getattr(p3_chain, level)))
-    graded = _graded_image(gens)
-    assert graded is not None
-    assert all(type(x) is int for M in graded for row in M for x in row)
-    assert lie_dimension(gens) == lie_closure(gens).dimension
+    """The P3 constants of orders 2 and 3 at mu = 1 over Q generate a Lie
+    algebra of the dimension that their regrades generate over Q(mu)."""
+    gens = list(p3_chain.unit_parts[level])
+    graded = list(p3_graded_parts(p3_chain)[level])
+    assert lie_dimension(gens) == lie_closure(graded).dimension
     if level == "At3":
         assert lie_dimension(gens) == 8
 
@@ -264,9 +263,11 @@ def test_lie_dimension_over_q(name, monkeypatch):
 
 
 def test_lie_dimension_graded_and_ungraded_draws():
-    """Random generators c * mu^(w_j - w_i + s_k) with rational c take the
-    graded route; one entry turned into c * (mu + 1) takes lie_closure
-    over Q(mu).  Both agree with lie_closure over Q(mu)."""
+    """Random generators c * mu^(w_j - w_i + s_k) with rational c generate
+    a Lie algebra over Q(mu) of the dimension that their values at
+    mu = 1 generate over Q; lie_dimension takes those Q(mu) generators,
+    and the same with one entry turned into c * (mu + 1), to lie_closure
+    as given."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     coeff = st.one_of(st.just(Fraction(0)),
@@ -279,34 +280,28 @@ def test_lie_dimension_graded_and_ungraded_draws():
         k = draw(st.integers(1, 2))
         w = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
         s = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
-        cs = draw(st.lists(coeff, min_size=k * n * n, max_size=k * n * n))
-        it = iter(cs)
-        return [[[_mu_monomial(next(it), w[j] - w[i] + s[g])
-                  for j in range(n)] for i in range(n)] for g in range(k)]
+        cs = iter(draw(st.lists(coeff, min_size=k * n * n,
+                                max_size=k * n * n)))
+        unit = [[[next(cs) for _ in range(n)] for _ in range(n)]
+                for _ in range(k)]
+        return unit, [[[_mu_monomial(c, w[j] - w[i] + s[g])
+                        for j, c in enumerate(row)]
+                       for i, row in enumerate(G)]
+                      for g, G in enumerate(unit)]
 
     @hypothesis.settings(max_examples=15, deadline=None, derandomize=True,
                          database=None)
     @hypothesis.given(graded(), st.integers(0, 10 ** 6))
-    def check(gens, pick):
-        assert _graded_image(gens) is not None
-        assert lie_dimension(gens) == lie_closure(gens).dimension
+    def check(drawn, pick):
+        unit, gens = drawn
+        assert lie_dimension(unit) == lie_dimension(gens) \
+            == lie_closure(gens).dimension
         nonzero = [(g, i, j) for g, G in enumerate(gens)
                    for i, row in enumerate(G) for j, x in enumerate(row) if x]
         if not nonzero:
             return
         g, i, j = nonzero[pick % len(nonzero)]
         gens[g][i][j] = gens[g][i][j] * (FieldElem.parameter("mu", MU) + 1)
-        assert _graded_image(gens) is None
         assert lie_dimension(gens) == lie_closure(gens).dimension
 
     check()
-
-
-def test_lie_dimension_inconsistent_grading_falls_back():
-    """mu on one diagonal entry and 1 on another ask for a shift of both 1
-    and 0: monomial entries, but no grading."""
-    one, zero = _mu_monomial(1, 0), _mu_monomial(0, 0)
-    G = [[_mu_monomial(1, 1), zero], [zero, one]]
-    H = [[zero, one], [zero, zero]]
-    assert _graded_image([G, H]) is None
-    assert lie_dimension([G, H]) == lie_closure([G, H]).dimension == 2

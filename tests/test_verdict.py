@@ -160,6 +160,10 @@ def test_certificate_tamper_detected():
     "[]",
     '{"input": {}, "evidence": 5, "verdict": null}',
     '{"input": {}, "evidence": [1], "verdict": null}',
+    '{"input": {}, "graded": 5, "evidence": [], "verdict": null}',
+    '{"input": {}, "graded": [1], "evidence": [], "verdict": null}',
+    '{"input": {}, "graded": [{"kind": "note"}], "evidence": [], '
+    '"verdict": null}',
     "not json",
 ])
 def test_malformed_certificate_raises_certificate_error(text):
@@ -382,8 +386,8 @@ def _closure_rejecting_field_elems(monkeypatch):
 
 
 def test_p3_lie_dimension_takes_the_graded_route(monkeypatch):
-    """check_p3 and its replay find the order-3 dimension 8 without a
-    closure over Q(mu)."""
+    """check_p3 and its replay find the order-3 dimension 8 by a closure
+    of the parts of At3 at mu = 1 over Q, never over Q(mu)."""
     from fractions import Fraction
     calls = _closure_rejecting_field_elems(monkeypatch)
     cert = check_p3([Fraction(1, 2)])
@@ -391,6 +395,119 @@ def test_p3_lie_dimension_takes_the_graded_route(monkeypatch):
     assert rec["dimension"] == 8
     assert replay(cert.to_json()) == len(cert.evidence)
     assert len(calls) == 2
+
+
+def test_p3_replay_builds_no_field_elem_and_the_build_none_over_mu(
+        monkeypatch):
+    """check_p3 builds no FieldElem with mu among its parameters (the
+    chain runs over Q(w) and Q, and each rational mu is put in by the
+    reading rule), and its replay builds no FieldElem at all."""
+    from fractions import Fraction
+    from irred.field import FieldElem
+    seen = []
+    init = FieldElem.__init__
+
+    def spy(self, params, *args, **kw):
+        seen.append(tuple(params))
+        init(self, params, *args, **kw)
+
+    monkeypatch.setattr(FieldElem, "__init__", spy)
+    cert = check_p3([Fraction(1, 2), Fraction(-7, 3)])
+    assert seen and not any("mu" in params for params in seen)
+    seen.clear()
+    assert replay(cert.to_json()) == len(cert.evidence)
+    assert seen == []
+
+
+def test_each_p3_record_replays_alone_with_the_graded_section(
+        p3_certificate_text):
+    """The graded matrices form a section of their own, checked before
+    the evidence, so each evidence record replays in a call of its own
+    beside it, as a per-record trace replays them; without the section,
+    a record that names a matrix fails."""
+    doc = json.loads(p3_certificate_text)
+    assert [r["name"] for r in doc["graded"]] == [
+        "A1", "Q1", "At1", "At2", "At3", "M1", "M2", "M3", "Psi", "Psi1",
+        "Psi2", "Psi3", "b"]
+    for rec in doc["evidence"]:
+        assert replay(dict(doc, evidence=[rec])) == 1
+    trace, = [r for r in doc["evidence"] if r["kind"] == "trace_zero"]
+    with pytest.raises(CertificateError, match="no graded matrix named"):
+        replay({"input": doc["input"], "evidence": [trace],
+                "verdict": doc["verdict"]})
+
+
+def _p3_tampered(p3_certificate_text, name, **fields):
+    """The p3 certificate with the graded record name edited, re-hashed."""
+    from irred.verdict import _record_hash
+    doc = json.loads(p3_certificate_text)
+    rec = _graded_record(doc, name)
+    rec.update(fields)
+    rec["hash"] = _record_hash(rec)
+    return doc
+
+
+@pytest.mark.parametrize("name, fields, match", [
+    # a wrong weight, with the grading kept or renamed to match none
+    ("At3", dict(weights=[0, 1, 2, 3, 1, 2, 3, 2, 4]),
+     "matrix.weights changed"),
+    ("Psi1", dict(grading="N2"), "matrix.weights changed: null"),
+    # M1 regraded by A2, which is not the grading of the M3 it brackets
+    ("M1", dict(grading="A2", weights=[0, 1, 2, 0, 1]), "mixes gradings"),
+    # shifts that do not balance: in a lincomb term, and in a bracket
+    ("Psi2", dict(shift=0), "shifts do not balance"),
+    ("M3", dict(shift=1), "shifts do not balance"),
+    ("At1", dict(shift=1), "Krylov row v_1"),
+    ("M2", dict(shift="0"), "'M2': a shift that is no int"),
+    # an edited unit entry, in an input and in an expected side
+    ("At1", dict(rows=[["0", "(x + 1)/(x)"], ["5", "0"]]),
+     "operator identity fails"),
+    ("At1", dict(rows=[["1", "(x + 1)/(x)"], ["4", "0"]]),
+     "trace is not zero"),
+    ("Psi2", dict(rows=[["1"] + ["0"] * 4] + [["0"] * 5] * 4), "fails"),
+    ("At2", dict(rows=[["0"] * 5] * 5), "'At2 = .*' fails"),
+    ("Psi3", dict(rows=[["0"] * 5] * 5), "'Psi3 = \\[Psi1, Psi2\\]' fails"),
+], ids=["weight", "grading", "mixed", "lincomb-shift", "bracket-shift",
+        "operator-shift", "shift-type", "At1-entry", "At1-trace",
+        "Psi2-entry", "At2-entry", "Psi3-entry"])
+def test_p3_tampered_graded_record_fails(p3_certificate_text, name, fields,
+                                         match):
+    """A re-hashed graded record with a wrong weight, a shift that does
+    not balance, or an edited unit entry fails replay."""
+    doc = _p3_tampered(p3_certificate_text, name, **fields)
+    with pytest.raises(CertificateError, match=match):
+        replay(doc)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda d: d["evidence"].append({
+        "kind": "decomposition", "matrix": [["0"]], "cinf": [["0"]],
+        "c0": [["0"]], "var": "x", "params": ["mu"]}),
+     "unknown evidence kind 'decomposition'"),
+    (lambda d: next(r for r in d["evidence"] if r["kind"] == "trace_zero")
+     .update(matrix=[["0", "1/mu + 1/x"], ["4*mu", "0"]], params=["mu"]),
+     "no graded matrix named"),
+    (lambda d: next(r for r in d["evidence"] if r["kind"] == "lie_dimension")
+     .update(matrix="Psi9"), "no graded matrix named 'Psi9'"),
+    (lambda d: _graded_record(d, "M3").update(name="M1"),
+     "'M1': a shift that is no int, a name taken"),
+], ids=["decomposition", "trace-rows", "unknown-name", "twice-named"])
+def test_p3_records_of_the_q_mu_format_fail(p3_certificate_text, edit,
+                                             match, tmp_path):
+    """A record of the Q(mu) format (a decomposition, or a trace_zero over
+    its own rows), a name that no graded record carries and a name
+    taken twice each fail replay, and `irred replay` exits 1."""
+    from irred.cli import main
+    from irred.verdict import _record_hash
+    doc = json.loads(p3_certificate_text)
+    edit(doc)
+    for rec in doc["graded"] + doc["evidence"]:
+        rec["hash"] = _record_hash(rec)
+    with pytest.raises(CertificateError, match=match):
+        replay(doc)
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["replay", str(path)]) == 1
 
 
 def _p3_lie_record(p3_certificate_text):
@@ -416,6 +533,7 @@ def _crafted_lie_record(p3_certificate_text, size, dimension):
     import random
     from irred.verdict import _record_hash
     doc, rec = _p3_lie_record(p3_certificate_text)
+    del rec["matrix"]
     rng = random.Random(size)
     rec["generators"] = [[[str(rng.randint(-3, 3)) for _ in range(size)]
                           for _ in range(size)] for _ in range(2)]
@@ -444,29 +562,35 @@ def test_crafted_lie_record_fails_fast(p3_certificate_text, size, dimension,
     assert time.process_time() - start < 2
 
 
-@pytest.mark.parametrize("k,i,j,entry,dim", [
-    (1, 7, 1, "4/3*mu^3 + 4/3*mu^2", 8),
-    (0, 7, 5, "mu + 1", 13),
+def _graded_record(doc, name):
+    """The graded matrix or vector record of doc named name."""
+    return next(r for r in doc["graded"] if r["name"] == name)
+
+
+@pytest.mark.parametrize("i,j,entry,dim", [
+    (7, 1, "(4/3*x + 4/3)/(x)", 8),
+    (7, 5, "1 + 1/x", 17),
 ], ids=["same-span", "larger-span"])
-def test_p3_ungraded_generator_replays_through_lie_closure(
-        p3_certificate_text, monkeypatch, k, i, j, entry, dim):
-    """An edited entry that is no monomial in mu sends replay to
-    lie_closure over Q(mu), which it must call with the record's 8 as its
-    limit: a span of the claimed dimension replays, and a larger one
-    stops as soon as it passes 8."""
+def test_p3_edited_at3_entry_replays_through_lie_closure(
+        p3_certificate_text, monkeypatch, i, j, entry, dim):
+    """The lie_dimension record names At3, and replay takes lie_closure
+    on its parts at mu = 1 over Q with the record's 8 as its limit: an
+    edited entry that keeps the span replays, and one that widens it
+    stops as soon as the span passes 8."""
     import irred.liealg as liealg
-    from irred.field import FieldElem
     from irred.verdict import _record_hash
-    doc, rec = _p3_lie_record(p3_certificate_text)
-    rec["generators"][k][i][j] = entry
+    doc = json.loads(p3_certificate_text)
+    rec = _graded_record(doc, "At3")
+    assert rec["rows"][i][j] != entry
+    rec["rows"][i][j] = entry
     rec["hash"] = _record_hash(rec)
     calls = []
     real = liealg.lie_closure
 
     def spying(gens, limit=None):
-        if any(isinstance(x, FieldElem) for G in gens for row in G
-               for x in row):
-            calls.append((limit, real(gens).dimension))
+        assert all(x.__class__ is int for G in gens for row in G
+                   for x in row)
+        calls.append((limit, real(gens).dimension))
         return real(gens, limit)
 
     monkeypatch.setattr(liealg, "lie_closure", spying)
@@ -479,82 +603,80 @@ def test_p3_ungraded_generator_replays_through_lie_closure(
     assert calls == [(8, dim)]
 
 
-def _p3_decomposition(doc, name):
-    """The decomposition record of the gauged matrix `name` in doc."""
-    rows, = [r["rows"] for r in doc["evidence"]
-             if r["kind"] == "matrix" and r["name"] == name]
-    rec, = [r for r in doc["evidence"]
-            if r["kind"] == "decomposition" and r["matrix"] == rows]
-    return rec
-
-
 def test_p3_decomposition_parts_must_be_constants(p3_certificate_text):
-    """cinf := matrix, c0 := 0 satisfies matrix = cinf + c0/x, but its
-    cinf is not constant: replay refuses it."""
+    """At2 = (1/mu + 1/x) M1 + M2 decomposes At2 into its parts.  M2 := At2
+    and M1 := 0 satisfies that identity, but M2 is not constant: the
+    bracket table that takes M2 refuses it."""
     from irred.verdict import _record_hash
     doc = json.loads(p3_certificate_text)
     assert replay(doc) == len(doc["evidence"])
-    rec = _p3_decomposition(doc, "At2")
-    rec["cinf"] = rec["matrix"]
-    rec["c0"] = [["0"] * len(row) for row in rec["matrix"]]
-    rec["hash"] = _record_hash(rec)
+    m1, m2 = (_graded_record(doc, name) for name in ("M1", "M2"))
+    m2["rows"] = _graded_record(doc, "At2")["rows"]
+    m1["rows"] = [["0"] * len(row) for row in m1["rows"]]
+    for rec in (m1, m2):
+        rec["hash"] = _record_hash(rec)
     with pytest.raises(CertificateError, match="expected constant entry"):
         replay(doc)
 
 
 @pytest.mark.parametrize("edit, match", [
-    (lambda rec: rec.update(c0=[row[:-1] for row in rec["c0"]]),
-     "differ in shape"),
-    (lambda rec: rec.update(cinf=rec["c0"]), "not cinf \\+ c0/x"),
+    (lambda doc: _graded_record(doc, "M1").update(
+        rows=[row[:-1] for row in _graded_record(doc, "M1")["rows"]]),
+     "ragged or differs in shape"),
+    (lambda doc: _graded_record(doc, "M2").update(
+        rows=_graded_record(doc, "M1")["rows"]),
+     "identity 'At2 = \\(1/mu \\+ 1/x\\) M1 \\+ M2' fails"),
 ], ids=["shape", "sum"])
 def test_p3_decomposition_parts_must_sum_to_the_matrix(
         p3_certificate_text, edit, match):
+    """M1 with a column dropped, or M2 := M1, re-hashed: the parts of At2
+    must have its shape and sum to it."""
     from irred.verdict import _record_hash
     doc = json.loads(p3_certificate_text)
-    rec = _p3_decomposition(doc, "At1")
-    edit(rec)
-    rec["hash"] = _record_hash(rec)
+    edit(doc)
+    for rec in doc["graded"]:
+        rec["hash"] = _record_hash(rec)
     with pytest.raises(CertificateError, match=match):
         replay(doc)
 
 
 def _identity_records(doc):
-    """(kind, record, field holding its expected side) of every identity
-    record in doc."""
-    return [(r["kind"], r, "matrix" if r["kind"] == "decomposition"
-             else "expect") for r in doc["evidence"]
-            if r["kind"] in ("decomposition", "bracket_identity",
-                             "lincomb_identity")]
+    """(kind, record, graded record of its expected side) of every
+    identity record in doc."""
+    return [(r["kind"], r, _graded_record(doc, r["expect"]))
+            for r in doc["evidence"]
+            if r["kind"] in ("bracket_identity", "lincomb_identity")]
 
 
 def _respelled(text):
     """The value of text, spelled otherwise."""
-    return "2*mu*2" if text == "4*mu" else "(%s)*2/2" % text
+    return "2*2" if text == "4" else "(%s)*2/2" % text
 
 
 @pytest.mark.parametrize("edit", ["wrong", "respelled"])
 def test_identity_expected_side_is_compared_as_canonical_text(
         p3_certificate_text, edit):
     """Replay derives the expected side of each identity record and
-    compares its printed form: a re-hashed record with a wrong value, or
-    with the right value spelled otherwise, fails."""
+    compares its printed form with the graded matrix the record names: a
+    re-hashed matrix with a wrong value, or with the right value spelled
+    otherwise, fails."""
     from irred.verdict import _record_hash
     records = _identity_records(json.loads(p3_certificate_text))
     assert sorted({k for k, _, _ in records}) == [
-        "bracket_identity", "decomposition", "lincomb_identity"]
+        "bracket_identity", "lincomb_identity"]
     for i in range(len(records)):
         doc = json.loads(p3_certificate_text)
-        kind, rec, field = _identity_records(doc)[i]
-        row = next(r for r in rec[field] if any(e != "0" for e in r))
+        _, _, rec = _identity_records(doc)[i]
+        row = next(r for r in rec["rows"] if any(e != "0" for e in r))
         j = next(j for j, e in enumerate(row) if e != "0")
-        value = parse_ratfun(row[j], "x", ("mu",))
+        value = parse_ratfun(row[j], "x")
         if edit == "wrong":
             row[j] = str(value + 1)
         else:
             row[j] = _respelled(row[j])
-            assert parse_ratfun(row[j], "x", ("mu",)) == value
+            assert parse_ratfun(row[j], "x") == value
         rec["hash"] = _record_hash(rec)
-        with pytest.raises(CertificateError, match="cinf \\+ c0/x|fails"):
+        with pytest.raises(CertificateError, match="fails"):
             replay(doc)
 
 
@@ -570,51 +692,57 @@ def _widened(rows):
 _LINCOMB = "Psi = (1/mu + 1/x) Psi1 + 4 mu Psi2"
 
 
-@pytest.mark.parametrize("relation, paths, edit", [
-    # the second lincomb term widened, and the first one made ragged
-    (_LINCOMB, [("terms", 1, 1)], _widened),
-    (_LINCOMB, [("terms", 0, 1)],
+@pytest.mark.parametrize("relation, names, edit", [
+    # the matrix of the second lincomb term widened, and that of the
+    # first one made ragged
+    (_LINCOMB, lambda rec: [rec["terms"][1][2]], _widened),
+    (_LINCOMB, lambda rec: [rec["terms"][0][2]],
      lambda rows: rows[:2] + [rows[2][:-1]] + rows[3:]),
     # b of a bracket widened, and a and b both made 5 x 6
-    ("[M2, M3] = M2", [("b",)], _widened),
-    ("[M2, M3] = M2", [("a",), ("b",)],
+    ("[M2, M3] = M2", lambda rec: [rec["b"]], _widened),
+    ("[M2, M3] = M2", lambda rec: [rec["a"], rec["b"]],
      lambda rows: [row + ["0"] for row in rows]),
 ], ids=["wide-term", "ragged-term", "wide-b", "non-square"])
 def test_identity_terms_of_other_shapes_fail(p3_certificate_text, relation,
-                                             paths, edit):
-    """zip would truncate a wider or ragged term, so each must be
-    refused on its shape before any product: every term, and a and b
-    of a bracket, are rectangular and of one shape (square for a
-    bracket)."""
+                                             names, edit):
+    """zip would truncate a wider or ragged term, so each graded matrix
+    that an identity names must be refused on its shape before any
+    product: square, and of the size of its weights."""
     from irred.verdict import _record_hash
     doc = json.loads(p3_certificate_text)
-    rec = _p3_record(doc, relation)
-    for *outer, last in paths:
-        holder = rec
-        for key in outer:
-            holder = holder[key]
-        holder[last] = edit(holder[last])
-    rec["hash"] = _record_hash(rec)
-    with pytest.raises(CertificateError, match="ragged or differ in shape"):
+    for name in names(_p3_record(doc, relation)):
+        rec = _graded_record(doc, name)
+        rec["rows"] = edit(rec["rows"])
+        rec["hash"] = _record_hash(rec)
+    with pytest.raises(CertificateError, match="ragged or differs in shape"):
         replay(doc)
 
 
 def test_bracket_identity_inputs_must_be_constants(p3_certificate_text):
-    """The bracket is taken over Q(mu): an entry of a that depends on x
-    is refused before any bracket is formed."""
+    """The bracket is taken over Q: a bracket identity whose a names At2,
+    whose entries depend on x, is refused before any bracket is
+    formed, though At2 has the grading and the shift of M2."""
     from irred.verdict import _record_hash
     doc = json.loads(p3_certificate_text)
     rec = _p3_record(doc, "[M2, M3] = M2")
-    rec["a"][0][0] = "x"
+    rec["a"] = "At2"
     rec["hash"] = _record_hash(rec)
     with pytest.raises(CertificateError, match="expected constant entry"):
         replay(doc)
 
 
+def _leaves(x):
+    if isinstance(x, str):
+        return {x}
+    if isinstance(x, list):
+        return set().union(*map(_leaves, x))
+    return set()
+
+
 def test_replay_parses_no_expected_side(p3_certificate_text, monkeypatch):
     """Replay of the p3 certificate parses only the inputs of its
-    records: no string that only a decomposition matrix or an identity's
-    expect holds is ever parsed."""
+    records: no string that only an identity's expected side, or a
+    graded record that no identity takes, holds is ever parsed."""
     import irred.verdict as verdict
     parsed = set()
     real = verdict.parse_ratfun
@@ -627,24 +755,29 @@ def test_replay_parses_no_expected_side(p3_certificate_text, monkeypatch):
     doc = json.loads(p3_certificate_text)
     assert replay(doc) == len(doc["evidence"])
 
-    def leaves(x):
-        if isinstance(x, str):
-            return {x}
-        if isinstance(x, list):
-            return set().union(*map(leaves, x))
-        return set()
-
-    expected = set().union(*(leaves(rec[f])
-                             for _, rec, f in _identity_records(doc)))
-    inputs = set().union(*(
-        leaves(v) for rec in doc["evidence"]
-        if rec["kind"] not in ("matrix", "vector", "operator", "note")
-        for k, v in rec.items()
-        if k not in ("matrix", "expect") or rec["kind"] in (
-            "trace_zero", "rational_system")))
-    assert expected - inputs
+    graded = {r["name"]: r for r in doc["graded"]}
+    taken, inputs = set(), set()
+    for rec in doc["evidence"]:
+        if rec["kind"] in ("operator", "note"):
+            continue
+        for k, v in rec.items():
+            if k in ("a", "b", "matrix") and isinstance(v, str):
+                taken.add(v)
+            elif k == "terms":
+                taken.update(name for _, _, name in v)
+                inputs |= {c for c, _, _ in v}
+            elif k not in ("expect", "operator") or rec["kind"] not in (
+                    "bracket_identity", "lincomb_identity",
+                    "operator_identity"):
+                inputs |= _leaves(v)
+    for name in taken:
+        inputs |= _leaves(graded[name]["rows"])
+    others = set().union(*(_leaves(r.get("rows", r.get("entries")))
+                           for name, r in graded.items()
+                           if name not in taken))
+    assert others - inputs
     assert parsed <= inputs
-    assert not parsed & (expected - inputs)
+    assert not parsed & (others - inputs)
 
 
 def test_replay_parses_each_distinct_string_once(p3_certificate_text,
@@ -830,9 +963,9 @@ def test_system_record_size_is_checked_before_scalarizing(
 
 
 def test_p3_first_scalar_form_takes_the_default_covector(monkeypatch):
-    """check_p3 passes no covector for At1: At1[1][0] = 4*mu is a nonzero
-    constant, so the covector is e_2 and the scalar form is
-    D^2 - 4 - 4*mu/x."""
+    """check_p3 and its replay pass no covector for At1: At1[1][0] = 4 is
+    a nonzero constant at mu = 1, so the covector is e_2 and the scalar
+    form is D^2 - 4 - 4/x, which stands for D^2 - 4 - 4*mu/x."""
     from fractions import Fraction
     import irred.verdict as verdict
     calls = []
@@ -846,9 +979,11 @@ def test_p3_first_scalar_form_takes_the_default_covector(monkeypatch):
     cert = check_p3([Fraction(1, 2)])
     assert calls[0] == (1, {})
     rec, = cert.find("operator_identity")
-    l2 = parse_operator("D^2 - 4 - 4*mu/x", "x", ("mu",))
-    assert rec["a"] == rec["b"] == str(l2)
+    assert rec["matrix"] == "At1"
+    assert rec["operator"] == str(parse_operator("D^2 - 4 - 4/x", "x"))
+    calls.clear()
     assert replay(cert) == len(cert.evidence)
+    assert calls[0] == (1, {})
 
 
 # ---------------------------------------------------------------------------
@@ -868,7 +1003,7 @@ _RECORD_FIELDS = {
     "rational_system": ({"matrix", "rhs", "var", "mu"},
                         ("solvable", "homogeneous_dimension")),
     "lie_dimension": ({"var", "params", "generators", "coefficients",
-                       "classification"}, ("dimension",)),
+                       "matrix", "classification"}, ("dimension",)),
 }
 _FAMILY_KINDS = ("screen", "pole_shortcut", "degree_argument",
                  "scalar_rational", "rational_system")
@@ -963,7 +1098,7 @@ def _spy_calls(monkeypatch, names):
      dict(cyclic_vector_scalarize=1, degree_bound=1)),
     ("p3", dict(cyclic_vector_scalarize=2, sym_power_operator=1,
                 sym_power_chain=1, degree_bound=5),
-     dict(cyclic_vector_scalarize=1, degree_bound=5)),
+     dict(cyclic_vector_scalarize=2, degree_bound=5)),
 ])
 def test_build_and_replay_operation_counts(monkeypatch, name, build_counts,
                                            replay_counts):
@@ -972,7 +1107,7 @@ def test_build_and_replay_operation_counts(monkeypatch, name, build_counts,
     forms the symmetric power.  The family build takes the scalar form
     and the lift in closed form, with no Krylov pass; its replay, and
     the p3 build and replay, scalarize by the Krylov pass and lift once
-    (the p3 build also scalarizes the first gauged system, and
+    (the p3 build and replay also scalarize the first gauged system, and
     certify_sl2 bounds degrees)."""
     from collections import Counter
     from fractions import Fraction
